@@ -28,7 +28,6 @@ from .bounds import (
 from .exceptional import (
     ExceptionalCandidate,
     certify_smaller_composite,
-    exceptional_bound_ok,
     exceptional_candidates,
     exceptional_relation,
     odd_power_cofactor,
@@ -46,7 +45,6 @@ from .structure import (
     PrimeShape,
     cullen_value,
     decompose,
-    fermat_primes,
     prime_shape,
     shape_divides,
 )

@@ -1,6 +1,7 @@
 """Arbitrary-precision integer primitives shared by every other module:
 2-adic valuations, integer roots, perfect-power detection, primality,
-modular Cullen residues, and Brent-cycle factoring.
+modular Cullen residues, Brent-cycle factoring, and the ordered process-pool
+map that the scans share.
 
 All functions are pure; nothing here holds mutable state, so everything is
 safe to call from any number of worker processes.
@@ -10,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from multiprocessing import Pool
 
 DEFAULT_MR_ROUNDS = 64
 DEFAULT_RHO_BUDGET = 10**6
@@ -333,3 +336,21 @@ def bounded_factor(
             stack.append(f)
             stack.append(t // f)
     return FactorResult(factors, leftovers, rho_used)
+
+
+@contextmanager
+def ordered_map(fn, items: list, workers: int = 1, initializer=None, initargs: tuple = ()):
+    """fn over items as an iterator of results in item order, each available
+    as soon as it and every earlier one are done.
+
+    With workers > 1 and more than one item the calls run in a process pool
+    (imap, chunksize 1) whose workers each run initializer(*initargs) first;
+    otherwise they run in this process after one initializer call.
+    """
+    if workers > 1 and len(items) > 1:
+        with Pool(workers, initializer, initargs) as pool:
+            yield pool.imap(fn, items, chunksize=1)
+    else:
+        if initializer is not None:
+            initializer(*initargs)
+        yield map(fn, items)

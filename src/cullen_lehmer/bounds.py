@@ -238,235 +238,118 @@ class BoundChain:
 
 def refine_chain(min_omega: int = LEHMER_MIN_OMEGA) -> BoundChain:
     """Run the whole cascade under the hypothesis that some C_n is a Lehmer
-    number with at least min_omega distinct prime factors.
-
-    A side case (3 does not divide n; a prime q >= 5 divides n) is refuted
-    when its k bound drops below min_omega.  If a main-line k bound itself
-    drops below min_omega the hypothesis space is already empty and the
-    cascade stops without reaching the final form, since the remaining
-    steps presume survivable k.
-    """
-    base = ("lehmer C_n", "n1 = rho^w, w >= 3")
+    number with at least min_omega distinct prime factors.  A side case is
+    refuted when its k bound drops below min_omega; a main-line k bound
+    below min_omega halts the cascade short of the final form.  A computed
+    value over the stated constant it relies on raises RuntimeError."""
     steps: list[BoundStep] = []
+    assumptions = ("lehmer C_n", "n1 = rho^w, w >= 3")
+    n_bound = stated = k_bound = None
+    fermat = cap3 = 0
 
-    crossover = k_crossover()
-    n_stated = STATED_CROSSOVER
-    n_computed = crossover
-    steps.append(
-        BoundStep(
-            label="crossover of the k bounds",
-            assumptions=base,
-            k_bound=None,
-            n_bound=n_computed,
-            stated_n_bound=n_stated,
-            anchor="k-crossover",
-            detail=(
-                f"sqrt(n)/(9 sqrt(ln n)) >= 2.4 ln n from n = {crossover}; "
-                f"surviving n < {crossover} (stated {n_stated})"
-            ),
+    def add(anchor, label, k, detail, extra=(), quoted=()):
+        """The one place a BoundStep is built.  Raises if the n bound, or a
+        (value, stated, strict) in quoted, goes over its stated constant."""
+        for value, limit, strict in ((n_bound, stated, False), *quoted):
+            if value > limit or (strict and value == limit):
+                rel = "<" if strict else "<="
+                raise RuntimeError(f"cascade step {anchor}: {value} is not {rel} stated {limit}")
+        steps.append(BoundStep(label, assumptions + extra, k, n_bound, stated, anchor, detail))
+        return k
+
+    def threshold(anchor, label, constant):
+        nonlocal n_bound, stated
+        if k_bound is None:
+            n_bound, claim = k_crossover(), ">= 2.4 ln n"
+        else:
+            n_bound, claim = n_threshold(k_bound), f"> {k_bound - 1}"
+        stated = constant
+        detail = (
+            f"sqrt(n)/(9 sqrt(ln n)) {claim} from n = {n_bound}; "
+            f"surviving n < {n_bound} (stated {stated})"
         )
-    )
+        return add(anchor, label.format(k=k_bound), k_bound, detail)
 
-    size_cap, eff_cap = fermat_gamma_cap(n_stated)
-    fermat_count = eff_cap + 1
-    steps.append(
-        BoundStep(
-            label="Fermat-prime cap",
-            assumptions=base,
-            k_bound=None,
-            n_bound=n_computed,
-            stated_n_bound=n_stated,
-            anchor="fermat-cap",
-            detail=(
-                f"2^(2^gamma)+1 <= C_n forces gamma <= {size_cap}; known primes "
-                f"force gamma <= {eff_cap}, so at most {fermat_count} Fermat-prime factors"
-            ),
+    def fermat_cap(anchor, label, _constant):
+        nonlocal fermat
+        size_cap, eff_cap = fermat_gamma_cap(stated)
+        fermat = eff_cap + 1
+        detail = (
+            f"2^(2^gamma)+1 <= C_n forces gamma <= {size_cap}; known primes force gamma "
+            f"<= {eff_cap}, so at most {fermat} Fermat-prime factors"
         )
-    )
+        return add(anchor, label, None, detail)
 
-    cap3 = nonfermat_factor_cap(n_stated, 3)
-    k_bound = fermat_count + cap3
-    steps.append(
-        BoundStep(
-            label="factor count, m >= 3",
-            assumptions=base,
-            k_bound=k_bound,
-            n_bound=n_computed,
-            stated_n_bound=n_stated,
-            anchor="count-m3",
-            detail=(
-                f"ln({n_stated})/ln 3 = {math.log(n_stated) / math.log(3):.4f} "
-                f"(stated <= {STATED_LOG3_AT_CROSSOVER}) caps m>1 factors at {cap3}; "
-                f"k <= {fermat_count}+{cap3} = {k_bound}"
-            ),
-        )
-    )
-    if k_bound < min_omega:
-        return _halted_chain(steps, k_bound, min_omega)
+    def count(anchor, label, stated_log):
+        """k bound: Fermat primes plus factors with m >= 3 (or the 3 | n step)."""
+        nonlocal fermat, cap3, k_bound, assumptions
+        quoted = ()
+        if stated_log is None:
+            fermat -= 1  # 3 | n makes C_n = 1 mod 3
+            assumptions += ("3 | n",)
+            reason = "3 | n gives C_n = 1 mod 3, so the Fermat prime 3 is excluded:"
+        else:
+            log3 = math.log(stated) / math.log(3)
+            cap3 = nonfermat_factor_cap(stated, 3)
+            quoted = ((log3, stated_log, False),)
+            reason = (
+                f"ln({stated})/ln 3 = {log3:.4f} (stated <= {stated_log}) "
+                f"caps m>1 factors at {cap3};"
+            )
+        k_bound = fermat + cap3
+        detail = f"{reason} k <= {fermat}+{cap3} = {k_bound}"
+        return add(anchor, label, k_bound, detail, quoted=quoted)
 
-    n_computed = n_threshold(k_bound)
-    n_stated = STATED_N_AT_K17
-    steps.append(
-        BoundStep(
-            label=f"n threshold at k <= {k_bound}",
-            assumptions=base,
-            k_bound=k_bound,
-            n_bound=n_computed,
-            stated_n_bound=n_stated,
-            anchor="threshold-k17",
-            detail=(
-                f"sqrt(n)/(9 sqrt(ln n)) > {k_bound - 1} from n = {n_computed}; "
-                f"surviving n < {n_computed} (stated {n_stated})"
-            ),
-        )
-    )
+    def side_case(anchor, label, constant):
+        """A case off the main line, refuted once its k bound is below min_omega."""
+        if anchor == "case-3-coprime":
+            value, cap = math.log(stated) / math.log(5), nonfermat_factor_cap(stated, 5)
+            case, conclusion = "3 does not divide n", "3 | n"
+            k = fermat + cap
+            detail = (
+                f"m odd, m | n1, 3 excluded, so m >= 5: ln({stated})/ln 5 = {value:.4f} "
+                f"(stated < {constant}) caps m>1 factors at {cap}; k <= {fermat}+{cap} = {k}"
+            )
+        else:
+            value = q5_exclusion_cap(stated, 5)
+            case, conclusion = "q >= 5 divides n", "no q >= 5 divides n"
+            k = int(value) + fermat
+            detail = (
+                f"q^3 | n1 then caps m>1 factors at 3 + ln({stated}/125)/ln 3 = {value:.4f} "
+                f"(stated < {constant}); worst case q = 5, larger q only shrink it, and "
+                f"q >= 59 has q^3 > {stated}; k <= {int(value)}+{fermat} = {k}"
+            )
+        if k < min_omega:
+            detail += f" < {min_omega}: contradiction, hence {conclusion}"
+        else:
+            detail += f" >= {min_omega}: no contradiction"
+        return add(anchor, label, k, detail, (case,), ((value, constant, True),))
 
-    cap3 = nonfermat_factor_cap(n_stated, 3)
-    k_bound = fermat_count + cap3
-    steps.append(
-        BoundStep(
-            label="factor count refreshed",
-            assumptions=base,
-            k_bound=k_bound,
-            n_bound=n_computed,
-            stated_n_bound=n_stated,
-            anchor="count-m3-refresh",
-            detail=(
-                f"ln({n_stated})/ln 3 = {math.log(n_stated) / math.log(3):.4f} "
-                f"(stated <= {STATED_LOG3_AT_260K}) caps m>1 factors at {cap3}; "
-                f"k <= {fermat_count}+{cap3} = {k_bound}"
-            ),
-        )
+    # the cascade in order, each step with the stated constant it relies on
+    cascade = (
+        (threshold, "k-crossover", "crossover of the k bounds", STATED_CROSSOVER),
+        (fermat_cap, "fermat-cap", "Fermat-prime cap", None),
+        (count, "count-m3", "factor count, m >= 3", STATED_LOG3_AT_CROSSOVER),
+        (threshold, "threshold-k17", "n threshold at k <= {k}", STATED_N_AT_K17),
+        (count, "count-m3-refresh", "factor count refreshed", STATED_LOG3_AT_260K),
+        (side_case, "case-3-coprime", "side case: 3 does not divide n", STATED_LOG5_AT_260K),
+        (count, "three-divides", "3 divides n", None),
+        (threshold, "threshold-k15", "n threshold at k <= {k}", STATED_N_AT_K15),
+        (side_case, "case-q5", "side case: some prime q >= 5 divides n", STATED_Q5_CAP),
     )
-    if k_bound < min_omega:
-        return _halted_chain(steps, k_bound, min_omega)
+    for run, anchor, label, constant in cascade:
+        k = run(anchor, label, constant)
+        if run is side_case and k >= min_omega:
+            return BoundChain(tuple(steps), None, min_omega)
+        if run is count and k < min_omega:
+            detail = (
+                f"main-line bound k <= {k} is already below the distinct-prime threshold "
+                f"{min_omega}; no hypothetical survives, the staged case analysis stops "
+                "before the final form"
+            )
+            add("halt", "cascade halted", k, detail)
+            return BoundChain(tuple(steps), None, min_omega)
 
-    cap5 = nonfermat_factor_cap(n_stated, 5)
-    branch_k = fermat_count + cap5
-    contradiction = branch_k < min_omega
-    steps.append(
-        BoundStep(
-            label="side case: 3 does not divide n",
-            assumptions=base + ("3 does not divide n",),
-            k_bound=branch_k,
-            n_bound=n_computed,
-            stated_n_bound=n_stated,
-            anchor="case-3-coprime",
-            detail=(
-                f"m odd, m | n1, 3 excluded, so m >= 5: ln({n_stated})/ln 5 = "
-                f"{math.log(n_stated) / math.log(5):.4f} (stated < {STATED_LOG5_AT_260K}) "
-                f"caps m>1 factors at {cap5}; k <= {fermat_count}+{cap5} = {branch_k}"
-                + (
-                    f" < {min_omega}: contradiction, hence 3 | n"
-                    if contradiction
-                    else f" >= {min_omega}: no contradiction"
-                )
-            ),
-        )
-    )
-    if not contradiction:
-        return BoundChain(tuple(steps), None, min_omega)
-
-    fermat_count -= 1  # 3 | n makes C_n = 1 mod 3, dropping the Fermat prime 3
-    k_bound = fermat_count + cap3
-    steps.append(
-        BoundStep(
-            label="3 divides n",
-            assumptions=base + ("3 | n",),
-            k_bound=k_bound,
-            n_bound=n_computed,
-            stated_n_bound=n_stated,
-            anchor="three-divides",
-            detail=(
-                f"3 | n gives C_n = 1 mod 3, so the Fermat prime 3 is excluded: "
-                f"k <= {fermat_count}+{cap3} = {k_bound}"
-            ),
-        )
-    )
-    if k_bound < min_omega:
-        return _halted_chain(steps, k_bound, min_omega)
-
-    n_computed = n_threshold(k_bound)
-    n_stated = STATED_N_AT_K15
-    steps.append(
-        BoundStep(
-            label=f"n threshold at k <= {k_bound}",
-            assumptions=base + ("3 | n",),
-            k_bound=k_bound,
-            n_bound=n_computed,
-            stated_n_bound=n_stated,
-            anchor="threshold-k15",
-            detail=(
-                f"sqrt(n)/(9 sqrt(ln n)) > {k_bound - 1} from n = {n_computed}; "
-                f"surviving n < {n_computed} (stated {n_stated})"
-            ),
-        )
-    )
-
-    q5_cap = q5_exclusion_cap(n_stated, 5)
-    assert q5_cap is not None
-    branch_k = int(q5_cap) + (fermat_count)
-    q5_contradiction = branch_k < min_omega
-    steps.append(
-        BoundStep(
-            label="side case: some prime q >= 5 divides n",
-            assumptions=base + ("3 | n", "q >= 5 divides n"),
-            k_bound=branch_k,
-            n_bound=n_computed,
-            stated_n_bound=n_stated,
-            anchor="case-q5",
-            detail=(
-                f"q^3 | n1 then caps m>1 factors at 3 + ln({n_stated}/125)/ln 3 = "
-                f"{q5_cap:.4f} (stated < {STATED_Q5_CAP}); worst case q = 5, larger q "
-                f"only shrink it, and q >= 59 has q^3 > {n_stated}; "
-                f"k <= {int(q5_cap)}+{fermat_count} = {branch_k}"
-                + (
-                    f" < {min_omega}: contradiction, hence no q >= 5 divides n"
-                    if q5_contradiction
-                    else f" >= {min_omega}: no contradiction"
-                )
-            ),
-        )
-    )
-    if not q5_contradiction:
-        return BoundChain(tuple(steps), None, min_omega)
-
-    final = FinalForm(
-        form="2^a*3^b",
-        n_max=n_stated,
-        n_max_computed=n_computed,
-        k_max=k_bound,
-    )
-    steps.append(
-        BoundStep(
-            label="final form",
-            assumptions=base + ("3 | n",),
-            k_bound=k_bound,
-            n_bound=n_computed,
-            stated_n_bound=n_stated,
-            anchor="final-form",
-            detail=(
-                f"n = 2^a*3^b, n < {n_stated} (computed {n_computed}), k <= {k_bound}"
-            ),
-        )
-    )
-    return BoundChain(tuple(steps), final, min_omega)
-
-
-def _halted_chain(steps: list[BoundStep], k_bound: int, min_omega: int) -> BoundChain:
-    steps.append(
-        BoundStep(
-            label="cascade halted",
-            assumptions=steps[-1].assumptions,
-            k_bound=k_bound,
-            n_bound=steps[-1].n_bound,
-            stated_n_bound=steps[-1].stated_n_bound,
-            anchor="halt",
-            detail=(
-                f"main-line bound k <= {k_bound} is already below the distinct-prime "
-                f"threshold {min_omega}; no hypothetical survives, the staged case "
-                "analysis stops before the final form"
-            ),
-        )
-    )
-    return BoundChain(tuple(steps), None, min_omega)
+    detail = f"n = 2^a*3^b, n < {stated} (computed {n_bound}), k <= {k_bound}"
+    add("final-form", "final form", k_bound, detail)
+    return BoundChain(tuple(steps), FinalForm("2^a*3^b", stated, n_bound, k_bound), min_omega)

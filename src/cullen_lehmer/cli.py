@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -70,12 +69,16 @@ def _build_parser() -> argparse.ArgumentParser:
             help="write records to this file instead of stdout; for screen this "
             "is also the resumable results file",
         )
+
+    def min_omega(p):
         p.add_argument(
             "--min-omega",
             type=int,
             default=_env("min-omega", bounds.LEHMER_MIN_OMEGA, int),
             help="distinct-prime-factor lower bound for Lehmer numbers (default 14)",
         )
+
+    def workers(p):
         p.add_argument(
             "--workers",
             type=int,
@@ -85,9 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="run the exclusion cascade")
     common(p_bounds)
+    min_omega(p_bounds)
 
     p_exc = sub.add_parser("exceptional", help="exceptional-prime candidates and uniqueness")
     common(p_exc)
+    workers(p_exc)
     p_exc.add_argument(
         "--n-max",
         type=int,
@@ -97,6 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scr = sub.add_parser("screen", help="witness-search a set of n")
     common(p_scr)
+    min_omega(p_scr)
+    workers(p_scr)
     p_scr.add_argument(
         "--set",
         dest="which_set",
@@ -147,18 +154,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_digest(args) -> str:
-    payload = dict(sorted(vars(args).items()))
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    ).hexdigest()[:12]
-
-
 def _config_line(args) -> str:
-    """The full effective run configuration with a stable hash, embedded in
-    every report so runs can be matched to their settings."""
+    """The full effective run configuration, embedded in every report so
+    runs can be matched to their settings."""
     shown = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items()))
-    return f"run config: {shown} (hash {_config_digest(args)})"
+    return f"run config: {shown}"
 
 
 class _Emitter:
@@ -202,11 +202,9 @@ def cmd_bounds(args) -> int:
     emitter = _Emitter(args.format, args.output)
     try:
         emitter.line(_config_line(args))
-        digest = _config_digest(args)
         for step in chain.steps:
             d = dataclasses.asdict(step)
             d["assumptions"] = list(step.assumptions)
-            d["config_hash"] = digest
             emitter.record(
                 d,
                 f"[{step.anchor}] {step.label}: {step.detail}"
@@ -237,7 +235,7 @@ def cmd_exceptional(args) -> int:
     emitter = _Emitter(args.format, args.output)
     try:
         emitter.line(_config_line(args))
-        rows = exceptional.scan_exceptional(3, args.n_max)
+        rows = exceptional.scan_exceptional(3, args.n_max, args.workers)
         for inst, cands in rows:
             for c in cands:
                 d = {
@@ -256,7 +254,7 @@ def cmd_exceptional(args) -> int:
                     f"n={inst.n}: w={c.w} rho={c.rho} p={c.rho}*2^{c.exponent}+1 "
                     f"({c.p.bit_length()} bits) prime={c.is_prime} bound_ok={c.bound_ok}",
                 )
-        violations = exceptional.uniqueness_scan(args.n_max, workers=args.workers)
+        violations = exceptional.uniqueness_violations(rows)
         emitter.line(
             f"{len(violations)} uniqueness violations in 3..{args.n_max}"
             + (f": {violations}" if violations else "")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from . import arith, structure
 from .structure import CullenInstance, PrimeShape
@@ -101,12 +100,6 @@ def exceptional_candidates(inst: CullenInstance) -> list[ExceptionalCandidate]:
     return out
 
 
-def exceptional_bound_ok(cand: ExceptionalCandidate, inst: CullenInstance) -> bool:
-    """p <= (n * 2^n)^(1/3) + 1, compared in exact integers."""
-    root, _ = arith.int_nth_root(inst.n << inst.n, 3)
-    return cand.p <= root + 1
-
-
 def odd_power_cofactor(x: int, u: int) -> tuple[int, int]:
     """Split x^u + 1 as (x + 1) * cofactor for odd u >= 3; both parts > 1.
 
@@ -152,12 +145,14 @@ def certify_smaller_composite(
     return certs
 
 
-def scan_exceptional(
-    n_lo: int, n_hi: int
-) -> list[tuple[CullenInstance, list[ExceptionalCandidate]]]:
-    """(instance, candidates) for every n in [n_lo, n_hi] with candidates."""
+# One scan_exceptional row: an n and its exceptional-prime candidates.
+ScanRow = tuple[CullenInstance, list[ExceptionalCandidate]]
+
+
+def _scan_range(n_range: tuple[int, int]) -> list[ScanRow]:
+    lo, hi = n_range
     out = []
-    for n in range(n_lo, n_hi + 1):
+    for n in range(lo, hi + 1):
         inst = structure.decompose(n)
         cands = exceptional_candidates(inst)
         if cands:
@@ -165,10 +160,22 @@ def scan_exceptional(
     return out
 
 
-def _scan_chunk(args: tuple[int, int]) -> list[int]:
-    lo, hi = args
+def scan_exceptional(n_lo: int, n_hi: int, workers: int = 1) -> list[ScanRow]:
+    """(instance, candidates) for every n in [n_lo, n_hi] with candidates,
+    ascending in n; workers > 1 splits the range over that many processes."""
+    size = max(1, n_hi - n_lo + 1)
+    step = max(1, size // (workers * 8)) if workers > 1 else size
+    chunks = [(lo, min(lo + step - 1, n_hi)) for lo in range(n_lo, n_hi + 1, step)]
+    with arith.ordered_map(_scan_range, chunks, workers) as parts:
+        return [row for part in parts for row in part]
+
+
+def uniqueness_violations(rows: list[ScanRow]) -> list[int]:
+    """The n among scan_exceptional rows that carry two or more prime
+    candidates.  Multi-candidate n additionally get their smaller-w
+    candidates certified composite as an internal consistency check."""
     violations = []
-    for inst, cands in scan_exceptional(lo, hi):
+    for inst, cands in rows:
         if len(cands) >= 2:
             # cross-check: all but the largest-w candidate must certify composite
             certify_smaller_composite(inst, cands)
@@ -181,15 +188,8 @@ def uniqueness_scan(n_max: int, workers: int = 1) -> list[int]:
     """All n in [3, n_max] carrying two or more prime exceptional candidates.
 
     The underlying uniqueness theorem predicts an empty list; whatever is
-    found is returned.  Multi-candidate n additionally get their smaller-w
-    candidates certified composite as an internal consistency check.
+    found is returned.
     """
     if n_max < 3:
         raise ValueError("uniqueness_scan requires n_max >= 3")
-    if workers <= 1:
-        return _scan_chunk((3, n_max))
-    step = max(1, (n_max - 2) // (workers * 8))
-    chunks = [(lo, min(lo + step - 1, n_max)) for lo in range(3, n_max + 1, step)]
-    with Pool(workers) as pool:
-        parts = pool.map(_scan_chunk, chunks)
-    return sorted(n for part in parts for n in part)
+    return uniqueness_violations(scan_exceptional(3, n_max, workers))

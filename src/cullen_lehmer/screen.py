@@ -15,7 +15,6 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
 from pathlib import Path
 
 from . import arith, structure
@@ -302,13 +301,8 @@ def screen_set(
             raise RuntimeError(f"cannot open results file {path}: {exc}") from None
 
     try:
-        if workers > 1 and len(todo) > 1:
-            with Pool(workers, initializer=_pool_init, initargs=(cfg,)) as pool:
-                computed = pool.imap(_pool_search, todo, chunksize=1)
-                fresh = _drain(computed, sink, cfg_hash, on_verdict)
-        else:
-            _pool_init(cfg)
-            fresh = _drain(map(_pool_search, todo), sink, cfg_hash, on_verdict)
+        with arith.ordered_map(_pool_search, todo, workers, _pool_init, (cfg,)) as computed:
+            fresh = _drain(computed, sink, cfg_hash, on_verdict)
     finally:
         if sink is not None:
             sink.close()

@@ -98,8 +98,3 @@ def shape_divides(shape: PrimeShape, inst: CullenInstance) -> bool:
     Equivalent to m | n1 and a <= n + alpha because m is odd.
     """
     return inst.n1 % shape.m == 0 and shape.a <= inst.n + inst.alpha
-
-
-def fermat_primes() -> list[tuple[int, int]]:
-    """The five known Fermat primes 2^(2^gamma) + 1 as (gamma, prime) pairs."""
-    return [(0, 3), (1, 5), (2, 17), (3, 257), (4, 65537)]

@@ -171,3 +171,121 @@ def test_refine_chain_low_threshold_stops_at_branch():
     chain = bounds.refine_chain(5)
     assert not chain.complete
     assert chain.steps[-1].anchor == "case-3-coprime"
+
+
+# (anchor, k_bound, n_bound, stated_n_bound, detail) of every default step,
+# so a reworded or renumbered step shows up here
+DEFAULT_CHAIN = [
+    (
+        "k-crossover",
+        None,
+        1302191,
+        1400000,
+        "sqrt(n)/(9 sqrt(ln n)) >= 2.4 ln n from n = 1302191; "
+        "surviving n < 1302191 (stated 1400000)",
+    ),
+    (
+        "fermat-cap",
+        None,
+        1302191,
+        1400000,
+        "2^(2^gamma)+1 <= C_n forces gamma <= 20; known primes force gamma <= 4, "
+        "so at most 5 Fermat-prime factors",
+    ),
+    (
+        "count-m3",
+        17,
+        1302191,
+        1400000,
+        "ln(1400000)/ln 3 = 12.8817 (stated <= 12.9) caps m>1 factors at 12; k <= 5+12 = 17",
+    ),
+    (
+        "threshold-k17",
+        17,
+        258420,
+        260000,
+        "sqrt(n)/(9 sqrt(ln n)) > 16 from n = 258420; surviving n < 258420 (stated 260000)",
+    ),
+    (
+        "count-m3-refresh",
+        16,
+        258420,
+        260000,
+        "ln(260000)/ln 3 = 11.3493 (stated <= 11.4) caps m>1 factors at 11; k <= 5+11 = 16",
+    ),
+    (
+        "case-3-coprime",
+        12,
+        258420,
+        260000,
+        "m odd, m | n1, 3 excluded, so m >= 5: ln(260000)/ln 5 = 7.7471 (stated < 7.8) "
+        "caps m>1 factors at 7; k <= 5+7 = 12 < 14: contradiction, hence 3 | n",
+    ),
+    (
+        "three-divides",
+        15,
+        258420,
+        260000,
+        "3 | n gives C_n = 1 mod 3, so the Fermat prime 3 is excluded: k <= 4+11 = 15",
+    ),
+    (
+        "threshold-k15",
+        15,
+        193238,
+        200000,
+        "sqrt(n)/(9 sqrt(ln n)) > 14 from n = 193238; surviving n < 193238 (stated 200000)",
+    ),
+    (
+        "case-q5",
+        13,
+        193238,
+        200000,
+        "q^3 | n1 then caps m>1 factors at 3 + ln(200000/125)/ln 3 = 9.7155 (stated < 9.8); "
+        "worst case q = 5, larger q only shrink it, and q >= 59 has q^3 > 200000; "
+        "k <= 9+4 = 13 < 14: contradiction, hence no q >= 5 divides n",
+    ),
+    (
+        "final-form",
+        15,
+        193238,
+        200000,
+        "n = 2^a*3^b, n < 200000 (computed 193238), k <= 15",
+    ),
+]
+
+
+def test_refine_chain_golden_steps():
+    steps = bounds.refine_chain().steps
+    got = [(s.anchor, s.k_bound, s.n_bound, s.stated_n_bound, s.detail) for s in steps]
+    assert got == DEFAULT_CHAIN
+
+
+@pytest.mark.parametrize(
+    "min_omega,last_anchor",
+    [(5, "case-3-coprime"), (13, "case-q5"), (16, "halt"), (99, "halt")],
+)
+def test_refine_chain_last_anchor(min_omega, last_anchor):
+    assert bounds.refine_chain(min_omega).steps[-1].anchor == last_anchor
+
+
+@pytest.mark.parametrize(
+    "name,value,anchor",
+    [
+        ("STATED_N_AT_K17", 250_000, "threshold-k17"),
+        ("STATED_Q5_CAP", 9.7, "case-q5"),
+        ("STATED_LOG3_AT_CROSSOVER", 12.8, "count-m3"),
+        ("STATED_LOG3_AT_260K", 11.3, "count-m3-refresh"),
+        ("STATED_LOG5_AT_260K", 7.7, "case-3-coprime"),
+        # the side-case caps are strict: reaching the constant already breaks it
+        ("STATED_LOG5_AT_260K", math.log(260_000) / math.log(5), "case-3-coprime"),
+    ],
+)
+def test_refine_chain_raises_on_broken_stated_constant(monkeypatch, name, value, anchor):
+    monkeypatch.setattr(bounds, name, value)
+    with pytest.raises(RuntimeError, match=f"step {anchor}:"):
+        bounds.refine_chain()
+
+
+def test_refine_chain_log3_constant_is_not_strict(monkeypatch):
+    monkeypatch.setattr(bounds, "STATED_LOG3_AT_CROSSOVER", math.log(1_400_000) / math.log(3))
+    assert bounds.refine_chain().complete

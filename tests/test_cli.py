@@ -122,3 +122,35 @@ def test_env_overrides(monkeypatch, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["bogus-command"]) == 2
+
+
+def test_bounds_broken_stated_constant_exits_2(monkeypatch, capsys):
+    from cullen_lehmer import bounds
+
+    monkeypatch.setattr(bounds, "STATED_N_AT_K17", 250_000)
+    code, _, err = run_cli(capsys, "bounds")
+    assert code == 2
+    assert err.startswith("error: ") and "threshold-k17" in err
+
+
+def test_bounds_records_carry_no_config_hash(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--format", "jsonl")
+    assert code == 0
+    assert all("config_hash" not in json.loads(line) for line in out.strip().splitlines())
+    assert "hash" not in err
+
+
+def test_flags_only_where_read(capsys):
+    assert cli.main(["bounds", "--workers", "2"]) == 2
+    assert cli.main(["exceptional", "--min-omega", "3"]) == 2
+    capsys.readouterr()
+
+
+def test_exceptional_workers_match_serial(capsys):
+    argv = ("exceptional", "--n-max", "800", "--format", "jsonl")
+    code, serial, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, parallel, err = run_cli(capsys, *argv, "--workers", "2")
+    assert code == 0
+    assert parallel == serial
+    assert "0 uniqueness violations in 3..800" in err

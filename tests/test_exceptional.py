@@ -149,3 +149,12 @@ def test_certification_requires_two_candidates():
     cands = exceptional.exceptional_candidates(inst)
     with pytest.raises(ValueError):
         exceptional.certify_smaller_composite(inst, cands)
+
+
+def test_scan_exceptional_worker_parity():
+    def key(rows):
+        return [(inst.n, [(c.w, c.p, c.is_prime) for c in cands]) for inst, cands in rows]
+
+    serial = exceptional.scan_exceptional(3, 3000)
+    assert key(exceptional.scan_exceptional(3, 3000, workers=2)) == key(serial)
+    assert exceptional.uniqueness_violations(serial) == []

@@ -113,16 +113,6 @@ def test_shape_divides_matches_bigint(primes_10k):
         assert structure.shape_divides(structure.prime_shape(p), inst) == direct
 
 
-def test_fermat_primes_fixed_list():
-    fps = structure.fermat_primes()
-    assert fps == [(0, 3), (1, 5), (2, 17), (3, 257), (4, 65537)]
-    for gamma, p in fps:
-        assert p == 2 ** (2**gamma) + 1
-        assert arith.is_prime(p)
-    # the next Fermat number is composite, 641 divides it
-    assert (2 ** (2**5) + 1) % 641 == 0
-
-
 def test_cullen_one_mod_three_when_three_divides_n():
     for n in range(3, 30_000, 3):
         assert arith.cullen_mod(n, 3) == 1
