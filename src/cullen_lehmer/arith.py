@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
 
-DEFAULT_MR_ROUNDS = 64
+MR_ROUNDS = 64
 DEFAULT_RHO_BUDGET = 10**6
 
 # Below this limit the first thirteen prime bases give a deterministic
@@ -177,10 +177,10 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-def is_prime(x: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
+def is_prime(x: int) -> bool:
     """Primality test: exact below 2^64, probabilistic above.
 
-    Above the deterministic range the answer comes from `rounds`
+    Above the deterministic range the answer comes from MR_ROUNDS
     Miller-Rabin rounds (bases drawn reproducibly from x) plus a strong
     Lucas test; see prime_certainty for the proven/probable label.
     """
@@ -199,8 +199,8 @@ def is_prime(x: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     d >>= s
     if x < _DET_MR_LIMIT:
         return all(_mr_witness(x, a, d, s) for a in _DET_MR_BASES)
-    rng = random.Random(f"mr:{x}")
-    for _ in range(rounds):
+    rng = random.Random(x << 1)  # see _brent_rho for the seed
+    for _ in range(MR_ROUNDS):
         a = rng.randrange(2, x - 1)
         if not _mr_witness(x, a, d, s):
             return False
@@ -210,6 +210,15 @@ def is_prime(x: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
 def prime_certainty(x: int) -> str:
     """'proven' when the is_prime answer is deterministic, else 'probable'."""
     return "proven" if x < _DET_MR_LIMIT else "probable"
+
+
+def proth_power(x: int) -> tuple[int, int] | None:
+    """(a, a^((x-1)/2) mod x) for the least prime a < 1000 with Jacobi
+    symbol (a/x) = -1 (x odd), or None when there is no such a."""
+    for a in _SMALL_PRIMES:
+        if _jacobi(a, x) == -1:
+            return a, pow(a, x >> 1, x)
+    return None
 
 
 def cullen_mod(n: int, q: int) -> int:
@@ -225,11 +234,12 @@ def _brent_rho(x: int, budget: int) -> tuple[int | None, int]:
     """Brent-cycle factor attempt; returns (factor or None, iterations used).
 
     Starting points and polynomial offsets are drawn from an RNG seeded by
-    x itself, so repeated runs walk the identical sequence.
+    x itself, so repeated runs walk the identical sequence.  The seed is the
+    integer (low bit 1 here, 0 in is_prime): a decimal string has a size limit.
     """
     if x % 2 == 0:
         return (2 if x > 2 else None), 0
-    rng = random.Random(f"rho:{x}")
+    rng = random.Random(x << 1 | 1)
     used = 0
     while used < budget:
         y = rng.randrange(1, x)
@@ -302,7 +312,6 @@ def bounded_factor(
     x: int,
     trial_primes: tuple[int, ...] = (),
     rho_budget: int = DEFAULT_RHO_BUDGET,
-    mr_rounds: int = DEFAULT_MR_ROUNDS,
 ) -> FactorResult:
     """Factor x by trial division then Brent rho, within an iteration budget."""
     if x < 1:
@@ -321,7 +330,7 @@ def bounded_factor(
         t = stack.pop()
         if t == 1:
             continue
-        if is_prime(t, mr_rounds):
+        if is_prime(t):
             factors[t] = factors.get(t, 0) + 1
             continue
         remaining = rho_budget - rho_used

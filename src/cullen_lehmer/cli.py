@@ -70,14 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "is also the resumable results file",
         )
 
-    def min_omega(p):
-        p.add_argument(
-            "--min-omega",
-            type=int,
-            default=_env("min-omega", bounds.LEHMER_MIN_OMEGA, int),
-            help="distinct-prime-factor lower bound for Lehmer numbers (default 14)",
-        )
-
     def workers(p):
         p.add_argument(
             "--workers",
@@ -88,7 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="run the exclusion cascade")
     common(p_bounds)
-    min_omega(p_bounds)
+    p_bounds.add_argument(
+        "--min-omega",
+        type=int,
+        default=_env("min-omega", bounds.LEHMER_MIN_OMEGA, int),
+        help="distinct-prime-factor lower bound for Lehmer numbers (default 14)",
+    )
 
     p_exc = sub.add_parser("exceptional", help="exceptional-prime candidates and uniqueness")
     common(p_exc)
@@ -102,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scr = sub.add_parser("screen", help="witness-search a set of n")
     common(p_scr)
-    min_omega(p_scr)
     workers(p_scr)
     p_scr.add_argument(
         "--set",
@@ -125,19 +121,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rho-budget",
         type=int,
         default=_env("rho-budget", arith.DEFAULT_RHO_BUDGET, int),
-        help="iteration budget for cycle factoring (default 10^6)",
+        help="rho iterations, spent only when C_n passes the Fermat test (default 10^6)",
     )
     p_scr.add_argument(
         "--cn-cap",
         type=int,
         default=_env("cn-cap", structure.DEFAULT_CN_CAP, int),
         help="materialize C_n only for n up to this cap (default 300000)",
-    )
-    p_scr.add_argument(
-        "--mr-rounds",
-        type=int,
-        default=_env("mr-rounds", arith.DEFAULT_MR_ROUNDS, int),
-        help="probable-prime rounds above the deterministic range (default 64)",
     )
     p_scr.add_argument(
         "--resume",
@@ -291,11 +281,7 @@ def cmd_screen(args) -> int:
         return EXIT_USAGE
 
     cfg = screen.ScreenConfig(
-        trial_limit=args.trial_limit,
-        rho_budget=args.rho_budget,
-        min_omega=args.min_omega,
-        cn_cap=args.cn_cap,
-        mr_rounds=args.mr_rounds,
+        trial_limit=args.trial_limit, rho_budget=args.rho_budget, cn_cap=args.cn_cap
     )
     cfg_hash = screen.config_hash(cfg)
 

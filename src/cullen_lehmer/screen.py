@@ -3,8 +3,9 @@ and refute the Lehmer necessary conditions on C_n by witness search.
 
 For a Lehmer C_n every prime factor q must satisfy (q - 1) | n * 2^n, C_n
 must be squarefree, and C_n must carry at least LEHMER_MIN_OMEGA distinct
-prime factors; C_n must also be composite.  The search works in residues
-(cullen_mod) so n near 200,000 never materializes C_n inside the scan loop.
+prime factors; C_n must also be composite and, like every Lehmer number, a
+Carmichael number (Lehmer 1932).  The search works in residues (cullen_mod)
+so n near 200,000 never materializes C_n inside the scan loop.
 There is deliberately no status meaning "the Lehmer property holds": the
 screen can only refute or leave a value undecided.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -23,12 +25,18 @@ from .bounds import LEHMER_MIN_OMEGA
 REFUTED_SHAPE = "REFUTED_SHAPE"
 REFUTED_SQUARE = "REFUTED_SQUARE"
 REFUTED_OMEGA = "REFUTED_OMEGA"
+REFUTED_FERMAT = "REFUTED_FERMAT"
 PRIME_CN = "PRIME_CN"
 UNDECIDED = "UNDECIDED"
 
-STATUSES = frozenset({REFUTED_SHAPE, REFUTED_SQUARE, REFUTED_OMEGA, PRIME_CN, UNDECIDED})
+STATUSES = frozenset(
+    {REFUTED_SHAPE, REFUTED_SQUARE, REFUTED_OMEGA, REFUTED_FERMAT, PRIME_CN, UNDECIDED}
+)
 
 DEFAULT_TRIAL_LIMIT = 10**6
+
+# Hashed into every config, so --resume never mixes verdicts of two ladders.
+ALGORITHM_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -52,14 +60,12 @@ class ScreenConfig:
 
     trial_limit: int = DEFAULT_TRIAL_LIMIT
     rho_budget: int = arith.DEFAULT_RHO_BUDGET
-    min_omega: int = LEHMER_MIN_OMEGA
     cn_cap: int = structure.DEFAULT_CN_CAP
-    mr_rounds: int = arith.DEFAULT_MR_ROUNDS
 
 
 def config_hash(cfg: ScreenConfig) -> str:
-    payload = json.dumps(asdict(cfg), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
+    payload = json.dumps({"algorithm": ALGORITHM_VERSION, **asdict(cfg)}, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def enumerate_2a3b(n_max: int) -> list[int]:
@@ -83,15 +89,16 @@ def witness_search(
     trial_limit: int = DEFAULT_TRIAL_LIMIT,
     rho_budget: int = arith.DEFAULT_RHO_BUDGET,
     *,
-    min_omega: int = LEHMER_MIN_OMEGA,
     cn_cap: int = structure.DEFAULT_CN_CAP,
-    mr_rounds: int = arith.DEFAULT_MR_ROUNDS,
 ) -> Verdict:
     """Deterministic verdict for one n.
 
-    Order: primality of C_n (when materializable), then ascending prime
-    residues up to trial_limit testing the shape and squarefree conditions,
-    then a budgeted full factorization for the distinct-factor count.
+    Order: ascending prime residues up to trial_limit testing the shape and
+    squarefree conditions; then, when n <= cn_cap, one Proth/Fermat modexp
+    on C_n = n1*2^(n+alpha) + 1, a Proth number since n1 < 2^(n+alpha): it
+    proves C_n prime or refutes the Carmichael condition; only when C_n
+    passes it, a budgeted factorization whose factors get the same tests,
+    then the distinct-factor count.
     UNDECIDED is the honest fallback when every budget runs dry.
     """
     if n < 1:
@@ -111,19 +118,12 @@ def witness_search(
             elapsed=time.perf_counter() - start,
         )
 
-    cn = structure.cullen_value(n, cn_cap) if n <= cn_cap else None
-    if cn is not None and arith.is_prime(cn, mr_rounds):
-        return done(
-            PRIME_CN,
-            None,
-            f"C_{n} is prime ({arith.prime_certainty(cn)}); Lehmer numbers are composite",
-        )
-
-    compatible: list[int] = []
-    for q in arith.primes_up_to(trial_limit):
-        if arith.cullen_mod(n, q):
-            continue
-        shape = structure.prime_shape(q)
+    def refute(q, rho_used=0):
+        """The shape or square refutation carried by a prime q | C_n, or None."""
+        found = ""
+        if q > trial_limit:
+            found = f"; {q} is a {arith.prime_certainty(q)} prime found by factoring"
+        shape = structure.PrimeShape(q, arith.odd_part(q - 1), arith.v2(q - 1))
         if not structure.shape_divides(shape, inst):
             why = (
                 f"m = {shape.m} does not divide n1 = {inst.n1}"
@@ -133,57 +133,84 @@ def witness_search(
             return done(
                 REFUTED_SHAPE,
                 q,
-                f"{q} | C_{n} but q - 1 = {shape.m}*2^{shape.a} does not divide n*2^n: {why}",
-            )
-        if arith.cullen_mod(n, q * q) == 0:
-            return done(REFUTED_SQUARE, q, f"{q}^2 divides C_{n}: not squarefree")
-        compatible.append(q)
-
-    if cn is not None:
-        rest = cn
-        for q in compatible:
-            rest //= q
-        result = arith.bounded_factor(rest, (), rho_budget, mr_rounds)
-        rho_used = result.rho_used
-        if result.complete:
-            factors = dict(result.factors)
-            for q in compatible:
-                factors[q] = factors.get(q, 0) + 1
-            check = 1
-            for p, e in factors.items():
-                check *= p**e
-            if check != cn:
-                raise RuntimeError(f"n={n}: factorization failed verification")
-            omega = len(factors)
-            shown = "*".join(
-                f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items())
-            )
-            if omega < min_omega:
-                return done(
-                    REFUTED_OMEGA,
-                    None,
-                    f"C_{n} = {shown} has {omega} < {min_omega} distinct prime factors",
-                    rho_used,
-                )
-            return done(
-                UNDECIDED,
-                None,
-                f"complete factorization {shown} has omega = {omega} >= {min_omega}; "
-                "no necessary condition violated within budget",
+                f"{q} | C_{n} but q - 1 = {shape.m}*2^{shape.a} does not divide n*2^n: "
+                f"{why}{found}",
                 rho_used,
             )
+        if arith.cullen_mod(n, q * q) == 0:
+            return done(REFUTED_SQUARE, q, f"{q}^2 divides C_{n}: not squarefree{found}", rho_used)
+        return None
+
+    compatible: list[int] = []
+    for q in arith.primes_up_to(trial_limit):
+        if arith.cullen_mod(n, q):
+            continue
+        verdict = refute(q)
+        if verdict is not None:
+            return verdict
+        compatible.append(q)
+
+    if n > cn_cap:
+        return done(
+            UNDECIDED,
+            None,
+            f"C_{n} above materialization cap {cn_cap} and no witness below {trial_limit}",
+        )
+    cn = structure.cullen_value(n, cn_cap)
+    proth = arith.proth_power(cn)
+    if proth is not None:
+        a, t = proth
+        if t == cn - 1:
+            return done(
+                PRIME_CN,
+                None,
+                f"C_{n} is prime (proven: Proth test, base {a}); Lehmer numbers are composite",
+            )
+        if t * t % cn != 1:
+            return done(
+                REFUTED_FERMAT,
+                a,
+                f"{a}^(C_{n} - 1) != 1 mod C_{n} with gcd({a}, C_{n}) = 1: C_{n} is not a "
+                "Carmichael number, so it is not a Lehmer number",
+            )
+
+    rest = cn
+    for q in compatible:
+        rest //= q
+    result = arith.bounded_factor(rest, (), rho_budget)
+    rho_used = result.rho_used
+    for q in sorted(result.factors):
+        verdict = refute(q, rho_used)
+        if verdict is not None:
+            return verdict
+    if not result.complete:
         return done(
             UNDECIDED,
             None,
             f"{result.cofactor.bit_length()}-bit cofactor left unfactored after "
-            f"{rho_used} rho iterations; small factors all compatible",
+            f"{rho_used} rho iterations; every factor found is compatible",
             rho_used,
         )
-
+    factors = dict.fromkeys(compatible, 1) | result.factors
+    if math.prod(p**e for p, e in factors.items()) != cn:
+        raise RuntimeError(f"n={n}: factorization failed verification")
+    omega = len(factors)
+    shown = "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items()))
+    certainty = arith.prime_certainty(max(factors))
+    if omega < LEHMER_MIN_OMEGA:
+        return done(
+            REFUTED_OMEGA,
+            None,
+            f"C_{n} = {shown} has {omega} < {LEHMER_MIN_OMEGA} distinct prime factors "
+            f"({certainty} primes)",
+            rho_used,
+        )
     return done(
         UNDECIDED,
         None,
-        f"C_{n} above materialization cap {cn_cap} and no witness below {trial_limit}",
+        f"complete factorization {shown} ({certainty} primes) has omega = {omega} >= "
+        f"{LEHMER_MIN_OMEGA}; no necessary condition violated within budget",
+        rho_used,
     )
 
 
@@ -249,14 +276,7 @@ def _pool_init(cfg: ScreenConfig) -> None:
 def _pool_search(n: int) -> Verdict:
     cfg = _WORKER_CFG
     assert cfg is not None
-    return witness_search(
-        n,
-        cfg.trial_limit,
-        cfg.rho_budget,
-        min_omega=cfg.min_omega,
-        cn_cap=cfg.cn_cap,
-        mr_rounds=cfg.mr_rounds,
-    )
+    return witness_search(n, cfg.trial_limit, cfg.rho_budget, cn_cap=cfg.cn_cap)
 
 
 def screen_set(

@@ -66,8 +66,8 @@ def cullen_value(n: int, cap: int = DEFAULT_CN_CAP) -> int:
 class PrimeShape:
     """An odd prime written p = m * 2^a + 1 with m odd, a >= 1.
 
-    Structural consistency is enforced here; primality of p is checked by
-    the prime_shape factory, so tests can build hypothetical shapes freely.
+    Structural consistency is enforced here; the prime_shape factory also
+    checks that p is prime, for callers that do not already know it.
     """
 
     p: int

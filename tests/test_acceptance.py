@@ -128,6 +128,11 @@ def _oracle_verdict(n: int, trial_limit: int, search: screen.Verdict):
             return "REFUTED_SHAPE", q
         if e >= 2:
             return "REFUTED_SQUARE", q
+    # a Lehmer number is a Carmichael number, so a^(N-1) != 1 with a coprime
+    # to N refutes it; the base is the least prime with Jacobi (a/N) = -1
+    base = next(a for a in sympy.primerange(2, 1000) if sympy.jacobi_symbol(a, cn) == -1)
+    if pow(base, cn - 1, cn) != 1:
+        return "REFUTED_FERMAT", base
     rest = cn
     for q, e in found:
         rest //= q**e
@@ -178,7 +183,7 @@ def test_criterion_5_desk_scale_finishing_run():
     elapsed = time.perf_counter() - t0
     allowed = screen.STATUSES
     stray = [v.n for v in report.verdicts if v.status not in allowed]
-    ok = not stray and len(report.verdicts) == len(values)
+    ok = not stray and not report.undecided and len(report.verdicts) == len(values)
     _verdict(
         "criterion 5 (desk-scale screen of 2^a*3^b <= 3000)",
         ok,

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 import sympy
@@ -120,6 +121,38 @@ def test_is_prime_matches_sympy_large():
 def test_prime_certainty_labels():
     assert arith.prime_certainty(65537) == "proven"
     assert arith.prime_certainty(2**127 - 1) == "probable"
+
+
+def test_seeding_never_builds_a_decimal_string():
+    # C_3075 (925 digits) is composite with no factor below 1000, so is_prime
+    # reaches the seeded Miller-Rabin rounds; a limit of 640 digits makes any
+    # int -> str conversion of it raise
+    cn = (3075 << 3075) + 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert arith.is_prime(cn) is False
+        assert arith.pollard_rho(cn, 10) is None
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("x,expected", [(13, (2, 12)), (15, (7, 13)), (9, None), (3, (2, 2))])
+def test_proth_power_examples(x, expected):
+    assert arith.proth_power(x) == expected
+
+
+def test_proth_power_matches_sympy_on_cullen_numbers():
+    for n in range(1, 400):
+        cn = (n << n) + 1
+        found = arith.proth_power(cn)
+        if n in (2, 3):  # C_2 = 3^2 and C_3 = 5^2: no Jacobi symbol is -1
+            assert found is None
+            continue
+        a, t = found
+        assert sympy.jacobi_symbol(a, cn) == -1
+        assert all(sympy.jacobi_symbol(b, cn) != -1 for b in sympy.primerange(2, a))
+        assert (t == cn - 1) == sympy.isprime(cn), n
 
 
 def test_strong_lucas_battery():

@@ -84,13 +84,13 @@ def test_screen_file_set_requires_file(capsys):
 
 
 def test_screen_undecided_exit_codes(capsys):
-    # n = 132 has only compatible small factors and a cofactor far beyond
-    # a 10-iteration rho budget, so it must stay undecided
+    # C_132 has no shape or square witness below 200, and above the
+    # materialization cap only residue witnesses count, so it stays undecided
     args = ("screen", "--set", "range", "--n-max", "132", "--trial-limit", "200",
-            "--rho-budget", "10")
+            "--cn-cap", "100")
     code, out, err = run_cli(capsys, *args)
     assert code == 1
-    assert "UNDECIDED" in out
+    assert "n=132: UNDECIDED" in out
     code, _, _ = run_cli(capsys, *args, "--allow-undecided")
     assert code == 0
 
@@ -143,6 +143,8 @@ def test_bounds_records_carry_no_config_hash(capsys):
 def test_flags_only_where_read(capsys):
     assert cli.main(["bounds", "--workers", "2"]) == 2
     assert cli.main(["exceptional", "--min-omega", "3"]) == 2
+    assert cli.main(["screen", "--min-omega", "3"]) == 2
+    assert cli.main(["screen", "--mr-rounds", "8"]) == 2
     capsys.readouterr()
 
 

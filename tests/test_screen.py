@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+import sympy
 
 from cullen_lehmer import arith, screen, structure
 
@@ -34,6 +36,7 @@ def test_status_space_cannot_express_success():
         "REFUTED_SHAPE",
         "REFUTED_SQUARE",
         "REFUTED_OMEGA",
+        "REFUTED_FERMAT",
         "PRIME_CN",
         "UNDECIDED",
     }
@@ -51,6 +54,7 @@ def test_status_space_cannot_express_success():
         (6, "REFUTED_SHAPE", 11),
         (9, "REFUTED_SHAPE", 11),
         (12, "REFUTED_SHAPE", 19),
+        (141, "PRIME_CN", None),
     ],
 )
 def test_witness_search_examples(n, status, witness):
@@ -61,13 +65,17 @@ def test_witness_search_examples(n, status, witness):
 def test_refuted_witnesses_verify_in_bigint(verdicts_500):
     for n, v in verdicts_500.items():
         cn = structure.cullen_value(n)
+        assert v.status != "UNDECIDED", n
         if v.status == "REFUTED_SHAPE":
             assert cn % v.witness == 0
             assert (cn - 1) % (v.witness - 1) != 0
         elif v.status == "REFUTED_SQUARE":
             assert cn % (v.witness * v.witness) == 0
+        elif v.status == "REFUTED_FERMAT":
+            assert math.gcd(v.witness, cn) == 1
+            assert pow(v.witness, cn - 1, cn) != 1
         elif v.status == "PRIME_CN":
-            assert n in (1, 141)
+            assert n in (1, 141) and "proven" in v.reason
 
 
 def test_undecided_accounts_for_budget(verdicts_500):
@@ -79,22 +87,35 @@ def test_undecided_accounts_for_budget(verdicts_500):
             assert v.rho_budget_used == arith.DEFAULT_RHO_BUDGET
 
 
-def test_omega_reason_carries_verified_factorization(verdicts_500):
-    seen = 0
-    for n, v in verdicts_500.items():
-        if v.status != "REFUTED_OMEGA":
-            continue
-        seen += 1
-        product = 1
-        terms = v.reason.split(" = ", 1)[1].split(" has ")[0]
-        for term in terms.split("*"):
-            if "^" in term:
-                p, e = term.split("^")
-                product *= int(p) ** int(e)
-            else:
-                product *= int(term)
-        assert product == structure.cullen_value(n)
-    assert seen > 0
+def test_omega_reason_carries_verified_factorization(monkeypatch):
+    # with every C_n passing the Fermat stage, factoring has to decide; the
+    # shape witnesses it learns must not be thrown away
+    monkeypatch.setattr(arith, "proth_power", lambda x: (2, 1))
+    for n in (37, 62, 96, 100, 104, 108, 122, 124, 132, 158, 196):
+        v = screen.witness_search(n)
+        cn = structure.cullen_value(n)
+        assert v.status == "REFUTED_SHAPE", n
+        q = v.witness
+        assert q > screen.DEFAULT_TRIAL_LIMIT and cn % q == 0
+        assert (cn - 1) % (q - 1) != 0 and sympy.isprime(q)
+        assert f"{arith.prime_certainty(q)} prime found by factoring" in v.reason
+
+    v = screen.witness_search(132, rho_budget=10)
+    assert (v.status, v.rho_budget_used) == ("UNDECIDED", 10)
+    assert "unfactored after 10 rho iterations" in v.reason
+
+    v = screen.witness_search(141)
+    assert v.status == "REFUTED_OMEGA"
+    assert "(probable primes)" in v.reason
+    product = 1
+    terms = v.reason.split(" = ", 1)[1].split(" has ")[0]
+    for term in terms.split("*"):
+        if "^" in term:
+            p, e = term.split("^")
+            product *= int(p) ** int(e)
+        else:
+            product *= int(term)
+    assert product == structure.cullen_value(141)
 
 
 def test_screen_set_orders_ascending():
@@ -182,3 +203,14 @@ def test_config_hash_tracks_fields():
     b = screen.ScreenConfig(trial_limit=10**5)
     assert screen.config_hash(a) != screen.config_hash(b)
     assert screen.config_hash(a) == screen.config_hash(screen.ScreenConfig())
+
+
+def test_resume_skips_records_of_other_algorithm_versions(tmp_path, monkeypatch):
+    out = tmp_path / "results.jsonl"
+    cfg = screen.ScreenConfig(trial_limit=10_000)
+    screen.screen_set([6, 9], cfg, output_path=out)
+    assert set(screen.load_records(out, screen.config_hash(cfg))) == {6, 9}
+    monkeypatch.setattr(screen, "ALGORITHM_VERSION", screen.ALGORITHM_VERSION + 1)
+    assert screen.load_records(out, screen.config_hash(cfg)) == {}
+    report = screen.screen_set([6, 9], cfg, output_path=out, resume=True)
+    assert report.computed == 2 and report.reused == 0
