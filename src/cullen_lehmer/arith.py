@@ -1,7 +1,8 @@
 """Arbitrary-precision integer primitives shared by every other module:
 2-adic valuations, integer roots, perfect-power detection, primality,
-modular Cullen residues, Brent-cycle factoring, and the ordered process-pool
-map that the scans share.
+modular Cullen residues, the Proth/Fermat power on C_n (squarings reduced
+through the special form n*2^n = -1 mod C_n, never a long division),
+Brent-cycle factoring, and the ordered process-pool map that the scans share.
 
 All functions are pure; nothing here holds mutable state, so everything is
 safe to call from any number of worker processes.
@@ -212,13 +213,35 @@ def prime_certainty(x: int) -> str:
     return "proven" if x < _DET_MR_LIMIT else "probable"
 
 
-def proth_power(x: int) -> tuple[int, int] | None:
-    """(a, a^((x-1)/2) mod x) for the least prime a < 1000 with Jacobi
-    symbol (a/x) = -1 (x odd), or None when there is no such a."""
+def proth_power(n: int) -> tuple[int, int] | None:
+    """(a, a^((C_n-1)/2) mod C_n) for the least prime a < 1000 with Jacobi
+    symbol (a/C_n) = -1, or None when there is no such a.
+
+    (C_n-1)/2 = n1*2^(n+alpha-1) for n = n1*2^alpha with n1 odd, so the power
+    is a^n1 followed by n+alpha-1 squarings.  Each square is reduced with
+    n*2^n = -1 (mod C_n): x = (hi*n + lo)*2^n + (x mod 2^n) is congruent to
+    lo*2^n + (x mod 2^n) - hi, a shift and a one-digit divmod instead of a
+    long division.
+    """
+    if n < 1:
+        raise ValueError("proth_power requires n >= 1")
+    cn = (n << n) + 1
     for a in _SMALL_PRIMES:
-        if _jacobi(a, x) == -1:
-            return a, pow(a, x >> 1, x)
-    return None
+        if _jacobi(a, cn) == -1:
+            break
+    else:
+        return None
+    alpha = v2(n)
+    mask = (1 << n) - 1
+    t = pow(a, n >> alpha, cn)
+    for _ in range(n + alpha - 1):
+        t *= t
+        hi, lo = divmod(t >> n, n)
+        t = (lo << n) + (t & mask) - hi
+        # lo*2^n + (t & mask) < n*2^n < C_n and hi < C_n: one correction is enough
+        if t < 0:
+            t += cn
+    return a, t
 
 
 def cullen_mod(n: int, q: int) -> int:

@@ -157,7 +157,7 @@ def witness_search(
             f"C_{n} above materialization cap {cn_cap} and no witness below {trial_limit}",
         )
     cn = structure.cullen_value(n, cn_cap)
-    proth = arith.proth_power(cn)
+    proth = arith.proth_power(n)
     if proth is not None:
         a, t = proth
         if t == cn - 1:
@@ -245,7 +245,8 @@ def _verdict_from_record(d: dict) -> Verdict:
 
 def load_records(path: Path, cfg_hash: str) -> dict[int, Verdict]:
     """Verdicts already persisted for this config; torn trailing lines
-    (from a crash mid-write) are ignored, complete lines stay valid."""
+    (from a crash mid-write) and lines that are not records are ignored,
+    complete records stay valid."""
     found: dict[int, Verdict] = {}
     if not path.exists():
         return found
@@ -256,11 +257,10 @@ def load_records(path: Path, cfg_hash: str) -> dict[int, Verdict]:
                 continue
             try:
                 d = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if d.get("config_hash") != cfg_hash:
-                continue
-            found[d["n"]] = _verdict_from_record(d)
+                if isinstance(d, dict) and d.get("config_hash") == cfg_hash:
+                    found[d["n"]] = _verdict_from_record(d)
+            except (KeyError, TypeError, ValueError):
+                continue  # not JSON, or JSON missing a field or of the wrong type
     return found
 
 

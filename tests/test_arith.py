@@ -137,19 +137,24 @@ def test_seeding_never_builds_a_decimal_string():
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("x,expected", [(13, (2, 12)), (15, (7, 13)), (9, None), (3, (2, 2))])
-def test_proth_power_examples(x, expected):
-    assert arith.proth_power(x) == expected
+@pytest.mark.parametrize(
+    "n,expected",
+    # C_1 = 3; C_2 = 3^2 and C_3 = 5^2: no Jacobi symbol is -1; C_141 is prime
+    [(1, (2, 2)), (2, None), (3, None), (141, (5, 141 << 141))],
+)
+def test_proth_power_examples(n, expected):
+    assert arith.proth_power(n) == expected
 
 
 def test_proth_power_matches_sympy_on_cullen_numbers():
-    for n in range(1, 400):
+    for n in [*range(1, 601), 3072, 6144, 6912]:
         cn = (n << n) + 1
-        found = arith.proth_power(cn)
-        if n in (2, 3):  # C_2 = 3^2 and C_3 = 5^2: no Jacobi symbol is -1
+        found = arith.proth_power(n)
+        if n in (2, 3):
             assert found is None
             continue
         a, t = found
+        assert t == pow(a, cn >> 1, cn), n
         assert sympy.jacobi_symbol(a, cn) == -1
         assert all(sympy.jacobi_symbol(b, cn) != -1 for b in sympy.primerange(2, a))
         assert (t == cn - 1) == sympy.isprime(cn), n

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cullen_lehmer import cli
 
 
@@ -105,6 +107,25 @@ def test_screen_resume_via_cli(tmp_path, capsys):
     code, out, _ = run_cli(capsys, *argv, "--resume")
     assert code == 0
     assert out_file.read_bytes() == blob
+    assert "12 reused, 0 computed" in out
+
+
+@pytest.mark.parametrize(
+    "line", ["5", '{{"config_hash": "{cfg_hash}", "n": 6}}'], ids=["not-an-object", "no-status"]
+)
+def test_screen_resume_skips_lines_that_are_not_records(tmp_path, capsys, line):
+    from cullen_lehmer import screen
+
+    out_file = tmp_path / "res.jsonl"
+    argv = ("screen", "--set", "pow23", "--n-max", "30", "--output", str(out_file),
+            "--trial-limit", "10000")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    cfg_hash = screen.config_hash(screen.ScreenConfig(trial_limit=10_000))
+    with open(out_file, "a") as fh:
+        fh.write(line.format(cfg_hash=cfg_hash) + "\n")
+    code, out, err = run_cli(capsys, *argv, "--resume")
+    assert (code, err) == (0, "")
     assert "12 reused, 0 computed" in out
 
 

@@ -167,6 +167,23 @@ def test_resume_ignores_other_configs_and_torn_lines(tmp_path):
     assert report.computed == 1  # other config's record is not reused
 
 
+# valid JSON that is not a record: not an object, and an object without a status
+@pytest.mark.parametrize(
+    "line", ["5", '{{"config_hash": "{cfg_hash}", "n": 9}}'], ids=["not-an-object", "no-status"]
+)
+def test_resume_skips_lines_that_are_not_records(tmp_path, line):
+    out = tmp_path / "results.jsonl"
+    cfg = screen.ScreenConfig(trial_limit=10_000)
+    screen.screen_set([6], cfg, output_path=out)
+    cfg_hash = screen.config_hash(cfg)
+    with open(out, "a") as fh:
+        fh.write(line.format(cfg_hash=cfg_hash) + "\n")
+    assert set(screen.load_records(out, cfg_hash)) == {6}
+    report = screen.screen_set([6, 9], cfg, output_path=out, resume=True)
+    assert report.reused == 1 and report.computed == 1
+    assert set(screen.load_records(out, cfg_hash)) == {6, 9}
+
+
 def test_resume_seals_torn_line_before_appending(tmp_path):
     out = tmp_path / "results.jsonl"
     cfg = screen.ScreenConfig(trial_limit=10_000)
@@ -214,3 +231,16 @@ def test_resume_skips_records_of_other_algorithm_versions(tmp_path, monkeypatch)
     assert screen.load_records(out, screen.config_hash(cfg)) == {}
     report = screen.screen_set([6, 9], cfg, output_path=out, resume=True)
     assert report.computed == 2 and report.reused == 0
+
+
+def test_fermat_witnesses_recheck_in_bigint():
+    # the special-form squaring chain serves these sizes; re-check each
+    # refutation with a plain pow on the materialized C_n
+    ns = [n for n in screen.enumerate_2a3b(8000) if n > 3000]
+    report = screen.screen_set(ns, screen.ScreenConfig(rho_budget=0))
+    fermat = [v for v in report.verdicts if v.status == "REFUTED_FERMAT"]
+    assert [v.n for v in fermat] == [3072, 3888, 6144, 6912, 7776]
+    for v in fermat:
+        cn = structure.cullen_value(v.n)
+        assert math.gcd(v.witness, cn) == 1
+        assert pow(v.witness, cn - 1, cn) != 1, v.n
