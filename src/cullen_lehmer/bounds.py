@@ -175,10 +175,18 @@ def check_two_thirds(n: int) -> bool:
     """Exact check of n * 2^n / ((n * 2^n)^(1/3) + 1) > 2^(2n/3).
 
     Cubing both sides reduces it to D > E * (f^2 + f) with f the real cube
-    root of T = n * 2^n, D = T^3 - 2^(2n) * (T + 1) and E = 3 * 2^(2n);
-    f^2 + f is then caged between integer bounds at ever finer binary
-    scales until the comparison is decided, so the verdict never rests on
-    floating point.
+    root of T = n * 2^n, D = T^3 - 2^(2n) * (T + 1) and E = 3 * 2^(2n).
+
+    f^2 + f is caged between integer bounds at a signed binary scale s.
+    With r = floor(cbrt(T * 2^(3s))), which for s < 0 is the root of
+    floor(T / 2^(-3s)) because floor(cbrt(floor(x / 8^k))) =
+    floor(cbrt(x) / 2^k), f lies in [r, r + 1) * 2^-s.  So D > E * (f^2 + f)
+    holds if it holds with f = (r + 1) / 2^s and fails if it fails with
+    f = r / 2^s; both ends are compared in exact integers, scaled by 2^(2s)
+    when s > 0.  The cage starts coarse, at the s that leaves r about 32
+    bits, since D / E exceeds f^2 + f by a factor of about
+    n^(7/3) * 2^(n/3) / 3; while undecided it halves -s down to 0 and then
+    refines in steps of 8 bits.  The verdict never rests on floating point.
     """
     if n < 1:
         raise ValueError("check_two_thirds requires n >= 1")
@@ -187,17 +195,17 @@ def check_two_thirds(n: int) -> bool:
     if d <= 0:
         return False
     e = 3 << (2 * n)
-    s = 0
+    s = -max(t.bit_length() // 3 - 32, 0)
     while True:
-        r, _ = arith.int_nth_root(t << (3 * s), 3)
-        hi = (r + 1) ** 2 + ((r + 1) << s)
-        lo = r * r + (r << s)
-        lhs = d << (2 * s)
-        if lhs > e * hi:
+        up, down = max(s, 0), max(-s, 0)
+        r, _ = arith.int_nth_root((t << (3 * up)) >> (3 * down), 3)
+        lo, hi = r << down, (r + 1) << down
+        lhs = d << (2 * up)
+        if lhs > e * (hi * hi + (hi << up)):
             return True
-        if lhs <= e * lo:
+        if lhs <= e * (lo * lo + (lo << up)):
             return False
-        s += 8
+        s = -(-s // 2) if s < 0 else s + 8
 
 
 @dataclass(frozen=True)

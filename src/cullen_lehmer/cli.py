@@ -156,7 +156,10 @@ class _Emitter:
 
     def __init__(self, fmt: str, output: str | None):
         self.fmt = fmt
-        self.fh = open(output, "w", encoding="utf-8") if output else sys.stdout
+        try:
+            self.fh = open(output, "w", encoding="utf-8") if output else sys.stdout
+        except OSError as exc:
+            raise RuntimeError(f"cannot open results file {output}: {exc}") from None
         self.owns = output is not None
         self._csv = csv.writer(self.fh) if fmt == "csv" else None
         self._csv_header_done = False

@@ -77,13 +77,10 @@ def exceptional_candidates(inst: CullenInstance) -> list[ExceptionalCandidate]:
     sig = inst.n1_signature
     assert sig is not None
     total = inst.n + inst.alpha
-    cube_root = None
     out = []
     for w in range(3, sig.exponent + 1, 2):
         if sig.exponent % w or total % w:
             continue
-        if cube_root is None:
-            cube_root = arith.int_nth_root(inst.n << inst.n, 3)[0]
         rho = sig.base ** (sig.exponent // w)
         exponent = total // w
         p = rho * (1 << exponent) + 1
@@ -94,7 +91,9 @@ def exceptional_candidates(inst: CullenInstance) -> list[ExceptionalCandidate]:
                 exponent=exponent,
                 p=p,
                 is_prime=arith.is_prime(p),
-                bound_ok=p <= cube_root + 1,
+                # p - 1 >= 0 is an integer, so p <= floor(cbrt(n * 2^n)) + 1
+                # is the same test as (p - 1)^3 <= n * 2^n
+                bound_ok=(p - 1) ** 3 <= inst.n << inst.n,
             )
         )
     return out

@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from cullen_lehmer import bounds
+from cullen_lehmer import arith, bounds
 
 
 def test_k_lower_values():
@@ -113,6 +113,37 @@ def test_check_two_thirds_small_cases():
 def test_check_two_thirds_matches_highprec_oracle():
     for n in range(1, 400):
         assert bounds.check_two_thirds(n) == _two_thirds_oracle(n), n
+
+
+def _two_thirds_fine_only(n: int) -> bool:
+    # reference cage with no coarse scales: it starts at the full-precision
+    # root of T and only ever refines
+    t = n << n
+    d = t**3 - ((t + 1) << (2 * n))
+    if d <= 0:
+        return False
+    e = 3 << (2 * n)
+    s = 0
+    while True:
+        r, _ = arith.int_nth_root(t << (3 * s), 3)
+        hi = (r + 1) ** 2 + ((r + 1) << s)
+        lo = r * r + (r << s)
+        lhs = d << (2 * s)
+        if lhs > e * hi:
+            return True
+        if lhs <= e * lo:
+            return False
+        s += 8
+
+
+def test_check_two_thirds_matches_fine_only_cage():
+    # n = 92 is the first n whose T = n * 2^n has 99 bits, so the cage
+    # starts at a coarse scale; a stride covers the rest of 1..10000
+    first_coarse = [n for n in range(1, 200) if (n << n).bit_length() // 3 > 32]
+    assert first_coarse[0] == 92
+    ns = {1, 2, 3, *range(85, 100), *range(1, 10_001, 13), 10_000}
+    for n in sorted(ns):
+        assert bounds.check_two_thirds(n) == _two_thirds_fine_only(n), n
 
 
 def test_refine_chain_default_reaches_final_form():

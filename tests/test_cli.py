@@ -177,3 +177,11 @@ def test_exceptional_workers_match_serial(capsys):
     assert code == 0
     assert parallel == serial
     assert "0 uniqueness violations in 3..800" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "exceptional"])
+def test_unopenable_output_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "missing-dir" / "x.jsonl"
+    code, _, err = run_cli(capsys, command, "--output", str(path))
+    assert code == 2
+    assert err.startswith("error: cannot open results file") and str(path) in err

@@ -87,6 +87,15 @@ def test_bound_equality_at_w3_strict_above():
     assert c.p < root + 1 and c.bound_ok
 
 
+def test_bound_ok_matches_floor_cube_root():
+    rows = exceptional.scan_exceptional(3, 10_000)
+    assert sum(len(cands) for _, cands in rows) == 16
+    for inst, cands in rows:
+        root, _ = arith.int_nth_root(inst.n << inst.n, 3)
+        for c in cands:
+            assert c.bound_ok == (c.p <= root + 1), (inst.n, c.w)
+
+
 @pytest.mark.parametrize("x,u,expected", [(4, 3, (5, 13)), (2, 5, (3, 11))])
 def test_odd_power_cofactor_examples(x, u, expected):
     d, c = exceptional.odd_power_cofactor(x, u)
