@@ -1,8 +1,15 @@
 """Arbitrary-precision integer primitives shared by every other module:
 2-adic valuations, integer roots, perfect-power detection, primality,
-modular Cullen residues, the Proth/Fermat power on C_n (squarings reduced
-through the special form n*2^n = -1 mod C_n, never a long division),
-Brent-cycle factoring, and the ordered process-pool map that the scans share.
+the prime table (a uint32 array, so primes stay below 2**32), modular
+Cullen residues and the prime divisors of C_n in a prime table, the
+Proth/Fermat power on C_n (squarings reduced through the special form
+n*2^n = -1 mod C_n, never a long division), Brent-cycle factoring, and the
+ordered process-pool map that the scans share.
+
+cullen_divisors picks its kernel from the size of the table: a per-prime
+cullen_mod loop up to VECTOR_ABOVE, and a numpy kernel above it.  numpy is
+imported only inside that kernel, so a run that stays at or below the
+default trial limit never pays its memory.
 
 All functions are pure; nothing here holds mutable state, so everything is
 safe to call from any number of worker processes.
@@ -12,9 +19,12 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from multiprocessing import Pool
 
 MR_ROUNDS = 64
@@ -26,21 +36,34 @@ _DET_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _DET_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+# Tables up to this largest prime are scanned by the per-prime cullen_mod
+# loop, larger ones by the numpy kernel.  It is the default trial limit:
+# importing numpy adds about 12 MB to every process that does it, and a
+# default run must not pay that.
+VECTOR_ABOVE = 10**6
+
+
 @lru_cache(maxsize=8)
-def primes_up_to(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, ascending."""
+def primes_up_to(limit: int) -> array:
+    """All primes <= limit, ascending, as an array('I') of 4 bytes per prime.
+
+    The array is cached and shared by every caller; do not modify it.
+    Raises ValueError for limit >= 2**32, before allocating anything.
+    """
+    if limit >= 1 << 32:
+        raise ValueError(f"primes_up_to requires limit < 2**32, got {limit}")
     if limit < 2:
-        return ()
+        return array("I")
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             start = p * p
             sieve[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return tuple(i for i, v in enumerate(sieve) if v)
+    return array("I", compress(range(limit + 1), sieve))
 
 
-_SMALL_PRIMES = primes_up_to(1000)
+_SMALL_PRIMES = tuple(primes_up_to(1000))
 
 
 def v2(x: int) -> int:
@@ -251,6 +274,48 @@ def cullen_mod(n: int, q: int) -> int:
     if q < 2:
         raise ValueError("cullen_mod requires q >= 2")
     return (n % q * pow(2, n, q) + 1) % q
+
+
+def cullen_divisors(n: int, primes: array) -> Iterator[int]:
+    """The primes q of the ascending table primes with q | C_n, ascending.
+
+    A generator, so a caller that stops at the first witness stops the scan
+    there.  Tables whose largest prime is at most VECTOR_ABOVE go through
+    cullen_mod one prime at a time; larger ones through _cullen_divisors_vec.
+    """
+    if primes and primes[-1] > VECTOR_ABOVE:
+        yield from _cullen_divisors_vec(n, primes)
+        return
+    for q in primes:
+        if not cullen_mod(n, q):
+            yield q
+
+
+def _cullen_divisors_vec(n: int, primes: array) -> Iterator[int]:
+    """cullen_divisors over whole blocks of the table in numpy uint64.
+
+    2^n mod q comes from left-to-right binary powering, then C_n mod q =
+    2^n * (n mod q) + 1 mod q.  Every residue is below q < 2**32, so every
+    product is below 2**64 and the arithmetic is exact.  Blocks start at
+    1024 primes and double up to 2**16, so an n with a small witness costs
+    little and the temporaries stay small.  n must fit a uint64.
+    """
+    import numpy as np
+
+    table = np.frombuffer(primes, dtype=np.uint32)
+    bits = bin(n)[3:]  # the leading 1 bit is the starting value 2
+    start, size = 0, 1024
+    while start < len(table):
+        q = table[start : start + size].astype(np.uint64)
+        x = np.full_like(q, 2) % q
+        for bit in bits:
+            x = x * x % q
+            if bit == "1":
+                x = (x << 1) % q
+        hits = q[(x * (np.uint64(n) % q) + 1) % q == 0]
+        yield from hits.tolist()
+        start += size
+        size = min(2 * size, 1 << 16)
 
 
 def _brent_rho(x: int, budget: int) -> tuple[int | None, int]:

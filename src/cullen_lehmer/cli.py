@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trial-limit",
         type=int,
         default=_env("trial-limit", screen.DEFAULT_TRIAL_LIMIT, int),
-        help="scan prime witnesses up to this bound (default 10^6)",
+        help="scan prime witnesses up to this bound, below 2^32 (default 10^6)",
     )
     p_scr.add_argument(
         "--rho-budget",

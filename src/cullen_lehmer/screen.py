@@ -4,8 +4,9 @@ and refute the Lehmer necessary conditions on C_n by witness search.
 For a Lehmer C_n every prime factor q must satisfy (q - 1) | n * 2^n, C_n
 must be squarefree, and C_n must carry at least LEHMER_MIN_OMEGA distinct
 prime factors; C_n must also be composite and, like every Lehmer number, a
-Carmichael number (Lehmer 1932).  The search works in residues (cullen_mod)
-so n near 200,000 never materializes C_n inside the scan loop.
+Carmichael number (Lehmer 1932).  The search works in residues
+(arith.cullen_divisors) so n near 200,000 never materializes C_n inside the
+scan loop.
 There is deliberately no status meaning "the Lehmer property holds": the
 screen can only refute or leave a value undecided.
 """
@@ -61,6 +62,12 @@ class ScreenConfig:
     trial_limit: int = DEFAULT_TRIAL_LIMIT
     rho_budget: int = arith.DEFAULT_RHO_BUDGET
     cn_cap: int = structure.DEFAULT_CN_CAP
+
+    def __post_init__(self) -> None:
+        # checked here, not only in the sieve: a pool worker whose
+        # initializer raises is replaced by another that raises again
+        if not 0 <= self.trial_limit < 1 << 32:
+            raise ValueError(f"trial limit must be in [0, 2**32), got {self.trial_limit}")
 
 
 def config_hash(cfg: ScreenConfig) -> str:
@@ -142,9 +149,7 @@ def witness_search(
         return None
 
     compatible: list[int] = []
-    for q in arith.primes_up_to(trial_limit):
-        if arith.cullen_mod(n, q):
-            continue
+    for q in arith.cullen_divisors(n, arith.primes_up_to(trial_limit)):
         verdict = refute(q)
         if verdict is not None:
             return verdict

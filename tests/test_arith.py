@@ -1,10 +1,11 @@
+import itertools
 import random
 import sys
 
 import pytest
 import sympy
 
-from cullen_lehmer import arith
+from cullen_lehmer import arith, screen
 
 
 @pytest.mark.parametrize("x,expected", [(48, 4), (1, 0), (2**20, 20), (6, 1), (7, 0)])
@@ -182,6 +183,33 @@ def test_cullen_mod_matches_bigint(primes_10k):
         n = rng.randrange(1, 2001)
         q = primes_10k[rng.randrange(len(primes_10k))]
         assert arith.cullen_mod(n, q) == (n * 2**n + 1) % q
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 100, 7919, 30_000])
+def test_primes_up_to_is_a_uint32_table(limit):
+    table = arith.primes_up_to(limit)
+    assert table.typecode == "I" and table.itemsize == 4
+    assert list(table) == list(sympy.sieve.primerange(2, limit + 1))
+
+
+def test_primes_up_to_rejects_limits_past_uint32():
+    # raises before the sieve is allocated; at 2**32 that would be 4 GiB
+    for limit in (2**32, 5 * 10**9):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            arith.primes_up_to(limit)
+
+
+def test_vector_kernel_matches_cullen_mod():
+    # 17984 primes: blocks of 1024, 2048, 4096 and 8192, then a partial one;
+    # for each prime on either side of a block edge, the least n it divides
+    primes = arith.primes_up_to(200_000)
+    edges = [primes[i] for i in (1023, 1024, 3071, 3072, 7167, 7168, 15359, 15360, -1)]
+    rng = random.Random(6)
+    ns = {1, 2, 3, *screen.enumerate_2a3b(12_000), *(rng.randrange(1, 200_001) for _ in range(50))}
+    ns |= {next(n for n in itertools.count(1) if arith.cullen_mod(n, q) == 0) for q in edges}
+    for n in sorted(ns):
+        want = [q for q in primes if arith.cullen_mod(n, q) == 0]
+        assert list(arith._cullen_divisors_vec(n, primes)) == want, n
 
 
 @pytest.mark.parametrize("x,factors", [(1537, {29, 53}), (4609, {11, 419}), (25, {5})])

@@ -185,3 +185,10 @@ def test_unopenable_output_exits_2(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, command, "--output", str(path))
     assert code == 2
     assert err.startswith("error: cannot open results file") and str(path) in err
+
+
+@pytest.mark.parametrize("limit", ["-1", "4294967296", "5000000000"])
+def test_screen_trial_limit_outside_uint32_exits_2(capsys, limit):
+    code, _, err = run_cli(capsys, "screen", "--n-max", "10", "--trial-limit", limit)
+    assert code == 2
+    assert err.startswith("error: ") and "2**32" in err

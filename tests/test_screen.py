@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -244,3 +247,43 @@ def test_fermat_witnesses_recheck_in_bigint():
         cn = structure.cullen_value(v.n)
         assert math.gcd(v.witness, cn) == 1
         assert pow(v.witness, cn - 1, cn) != 1, v.n
+
+
+@pytest.mark.parametrize(
+    "n,status,witness",
+    [(6144, "REFUTED_SHAPE", 1763857), (32768, "REFUTED_SHAPE", 1049057), (96, "UNDECIDED", None)],
+)
+def test_witnesses_only_the_vector_kernel_reaches(n, status, witness):
+    # no witness for these n lies below the default trial limit, so only
+    # the numpy kernel of cullen_divisors scans far enough to find one
+    v = screen.witness_search(n, 2 * 10**6, cn_cap=0)
+    assert (v.status, v.witness) == (status, witness)
+    if witness is not None:
+        assert witness > screen.DEFAULT_TRIAL_LIMIT
+        assert ((n << n) + 1) % witness == 0
+        assert (n << n) % (witness - 1) != 0
+
+
+def test_trial_limit_must_fit_uint32():
+    for limit in (-1, 2**32):
+        with pytest.raises(ValueError, match="trial limit"):
+            screen.ScreenConfig(trial_limit=limit)
+    assert screen.ScreenConfig(trial_limit=2**32 - 1).trial_limit == 2**32 - 1
+
+
+def test_default_screen_never_imports_numpy():
+    # importing numpy adds about 12 MB to a process; a screen at the default
+    # trial limit stays on the per-prime loop and must not pay that
+    src = Path(screen.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from cullen_lehmer import screen\n"
+        "report = screen.screen_set(screen.enumerate_2a3b(3000), screen.ScreenConfig())\n"
+        "assert len(report.verdicts) == 52\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, check=True
+    )
+    assert out.stdout.strip() == "False"
