@@ -6,10 +6,13 @@ Proth/Fermat power on C_n (squarings reduced through the special form
 n*2^n = -1 mod C_n, never a long division), Brent-cycle factoring, and the
 ordered process-pool map that the scans share.
 
-cullen_divisors picks its kernel from the size of the table: a per-prime
-cullen_mod loop up to VECTOR_ABOVE, and a numpy kernel above it.  numpy is
-imported only inside that kernel, so a run that stays at or below the
-default trial limit never pays its memory.
+cullen_divisors has two kernels.  For a table whose largest prime is at
+most VECTOR_ABOVE and n <= GCD_MAX_N it builds C_n (at most 2 KB) and takes
+one gcd with the product of each block of GCD_BLOCK primes (batch trial
+division, Bernstein 2004); the block products are built once per process
+and limit.  Every other scan runs a numpy kernel, which imports numpy
+inside the function: a run at the default trial limit with every
+n <= GCD_MAX_N never pays its memory, one with a larger n does.
 
 All functions are pure; nothing here holds mutable state, so everything is
 safe to call from any number of worker processes.
@@ -18,6 +21,7 @@ safe to call from any number of worker processes.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from array import array
 from collections.abc import Iterator
@@ -36,11 +40,20 @@ _DET_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _DET_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-# Tables up to this largest prime are scanned by the per-prime cullen_mod
-# loop, larger ones by the numpy kernel.  It is the default trial limit:
+# Tables up to this largest prime can be scanned by the gcd kernel, larger
+# ones always go to the numpy kernel.  It is the default trial limit:
 # importing numpy adds about 12 MB to every process that does it, and a
-# default run must not pay that.
+# default run of small n must not pay that.
 VECTOR_ABOVE = 10**6
+
+# A full gcd-kernel scan of the default table grows as n * theta(limit):
+# about 10 ms at n = 2592 and 55 ms at 2^14, against about 10 ms at any n
+# for the numpy kernel once numpy is imported.  Up to this n (C_n of 2 KB)
+# the gcd kernel is kept, so that runs of small n do not import numpy.
+GCD_MAX_N = 1 << 14
+
+# Primes per block of the gcd kernel.
+GCD_BLOCK = 1024
 
 
 @lru_cache(maxsize=8)
@@ -54,13 +67,39 @@ def primes_up_to(limit: int) -> array:
         raise ValueError(f"primes_up_to requires limit < 2**32, got {limit}")
     if limit < 2:
         return array("I")
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return array("I", compress(range(limit + 1), sieve))
+    # sieve[i] stands for the odd number 2*i + 1
+    half = (limit + 1) // 2
+    sieve = bytearray(b"\x01") * half
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, half, p)))
+    table = array("I", [2])
+    table.extend(compress(range(1, limit + 1, 2), sieve))
+    return table
+
+
+@lru_cache(maxsize=8)
+def _block_products(limit: int) -> tuple[int, ...]:
+    """Products of the runs of GCD_BLOCK consecutive primes of
+    primes_up_to(limit), ascending, the last run possibly shorter.
+
+    Each comes from a product tree: the level above multiplies neighbours
+    pairwise, so every product is of two numbers of about the same size.
+    One block at a time, so no list of every prime as an int is ever built.
+    """
+    primes = primes_up_to(limit)
+    products = []
+    for start in range(0, len(primes), GCD_BLOCK):
+        level = primes[start : start + GCD_BLOCK].tolist()
+        while len(level) > 1:
+            if len(level) % 2:
+                level.append(1)
+            level = list(map(operator.mul, level[::2], level[1::2]))
+        products.append(level[0])
+    return tuple(products)
 
 
 _SMALL_PRIMES = tuple(primes_up_to(1000))
@@ -276,19 +315,45 @@ def cullen_mod(n: int, q: int) -> int:
     return (n % q * pow(2, n, q) + 1) % q
 
 
-def cullen_divisors(n: int, primes: array) -> Iterator[int]:
-    """The primes q of the ascending table primes with q | C_n, ascending.
+def prepare_cullen_divisors(limit: int) -> None:
+    """Build and cache what cullen_divisors(n, limit) reads: the prime table
+    and, when the gcd kernel can serve it, the block products.
+
+    A pool initializer calls it in the parent, so forked workers inherit both.
+    """
+    primes = primes_up_to(limit)
+    if primes and primes[-1] <= VECTOR_ABOVE:
+        _block_products(limit)
+
+
+def cullen_divisors(n: int, limit: int) -> Iterator[int]:
+    """The primes q <= limit with q | C_n, ascending, each once.
 
     A generator, so a caller that stops at the first witness stops the scan
-    there.  Tables whose largest prime is at most VECTOR_ABOVE go through
-    cullen_mod one prime at a time; larger ones through _cullen_divisors_vec.
+    there.  With the largest prime at most VECTOR_ABOVE and n <= GCD_MAX_N,
+    g = gcd(C_n, P) for the product P of each block of GCD_BLOCK primes in
+    turn, and only a block with g > 1 is searched for its primes q | g; every
+    other scan goes through _cullen_divisors_vec.
     """
-    if primes and primes[-1] > VECTOR_ABOVE:
+    if n < 1:
+        raise ValueError("cullen_divisors requires n >= 1")
+    primes = primes_up_to(limit)
+    if not primes:
+        return
+    if primes[-1] > VECTOR_ABOVE or n > GCD_MAX_N:
         yield from _cullen_divisors_vec(n, primes)
         return
-    for q in primes:
-        if not cullen_mod(n, q):
-            yield q
+    cn = (n << n) + 1
+    for start, product in zip(range(0, len(primes), GCD_BLOCK), _block_products(limit)):
+        g = math.gcd(cn, product)
+        if g == 1:
+            continue
+        for q in primes[start : start + GCD_BLOCK]:
+            if g % q == 0:
+                yield q
+                g //= q
+                if g == 1:
+                    break
 
 
 def _cullen_divisors_vec(n: int, primes: array) -> Iterator[int]:
@@ -436,18 +501,25 @@ def bounded_factor(
 
 
 @contextmanager
-def ordered_map(fn, items: list, workers: int = 1, initializer=None, initargs: tuple = ()):
+def ordered_map(
+    fn, items: list, workers: int = 1, initializer=None, initargs: tuple = (), *, in_order=True
+):
     """fn over items as an iterator of results in item order, each available
-    as soon as it and every earlier one are done.
+    as soon as it and every earlier one are done; with in_order=False, in
+    the order they are done instead.
 
-    With workers > 1 and more than one item the calls run in a process pool
-    (imap, chunksize 1) whose workers each run initializer(*initargs) first;
-    otherwise they run in this process after one initializer call.
+    initializer(*initargs) runs once in this process first, so an error in
+    it raises here; a pool would replace each worker whose initializer
+    raised with another, and never return.  With workers > 1 and more than
+    one item the calls then run in a process pool (chunksize 1) whose
+    workers each run the initializer too (forked ones find its work done);
+    otherwise they run in this process.
     """
+    if initializer is not None:
+        initializer(*initargs)
     if workers > 1 and len(items) > 1:
         with Pool(workers, initializer, initargs) as pool:
-            yield pool.imap(fn, items, chunksize=1)
+            run = pool.imap if in_order else pool.imap_unordered
+            yield run(fn, items, chunksize=1)
     else:
-        if initializer is not None:
-            initializer(*initargs)
         yield map(fn, items)

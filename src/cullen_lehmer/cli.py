@@ -307,11 +307,9 @@ def cmd_screen(args) -> int:
         workers=args.workers,
         output_path=args.output,
         resume=args.resume,
-        on_verdict=show if args.output is None else None,
     )
-    if args.output is not None:
-        for v in report.verdicts:
-            show(v)
+    for v in report.verdicts:
+        show(v)
 
     emitter.line(_config_line(args))
     emitter.line(

@@ -4,9 +4,11 @@ and refute the Lehmer necessary conditions on C_n by witness search.
 For a Lehmer C_n every prime factor q must satisfy (q - 1) | n * 2^n, C_n
 must be squarefree, and C_n must carry at least LEHMER_MIN_OMEGA distinct
 prime factors; C_n must also be composite and, like every Lehmer number, a
-Carmichael number (Lehmer 1932).  The search works in residues
-(arith.cullen_divisors) so n near 200,000 never materializes C_n inside the
-scan loop.
+Carmichael number (Lehmer 1932).  The prime divisors of C_n up to the trial
+limit come from arith.cullen_divisors: for n <= arith.GCD_MAX_N on a table
+up to arith.VECTOR_ABOVE it takes one gcd of C_n (at most 2 KB) with each
+block product of primes; every other scan runs in residues, so n near
+200,000 never materializes C_n inside it.
 There is deliberately no status meaning "the Lehmer property holds": the
 screen can only refute or leave a value undecided.
 """
@@ -64,8 +66,8 @@ class ScreenConfig:
     cn_cap: int = structure.DEFAULT_CN_CAP
 
     def __post_init__(self) -> None:
-        # checked here, not only in the sieve: a pool worker whose
-        # initializer raises is replaced by another that raises again
+        # checked here, not only in the sieve, so a bad config fails before
+        # anything is opened or computed
         if not 0 <= self.trial_limit < 1 << 32:
             raise ValueError(f"trial limit must be in [0, 2**32), got {self.trial_limit}")
 
@@ -149,7 +151,7 @@ def witness_search(
         return None
 
     compatible: list[int] = []
-    for q in arith.cullen_divisors(n, arith.primes_up_to(trial_limit)):
+    for q in arith.cullen_divisors(n, trial_limit):
         verdict = refute(q)
         if verdict is not None:
             return verdict
@@ -275,7 +277,7 @@ _WORKER_CFG: ScreenConfig | None = None
 def _pool_init(cfg: ScreenConfig) -> None:
     global _WORKER_CFG
     _WORKER_CFG = cfg
-    arith.primes_up_to(cfg.trial_limit)
+    arith.prepare_cullen_divisors(cfg.trial_limit)
 
 
 def _pool_search(n: int) -> Verdict:
@@ -291,14 +293,15 @@ def screen_set(
     workers: int = 1,
     output_path: str | Path | None = None,
     resume: bool = False,
-    on_verdict=None,
 ) -> ScreenReport:
     """Screen every n in n_values; verdicts come back ascending in n
-    regardless of execution order.
+    regardless of execution order, which is largest n first, so the
+    longest C_n does not start last.
 
     With output_path each fresh verdict is appended as one JSONL record and
-    flushed immediately; resume=True first reloads records whose config
-    hash matches and recomputes nothing for them.
+    flushed as soon as it is done, so the file is in completion order;
+    resume=True first reloads records whose config hash matches and
+    recomputes nothing for them.
     """
     start = time.perf_counter()
     wanted = sorted(set(n_values))
@@ -310,7 +313,7 @@ def screen_set(
     if path is not None and resume:
         have = {n: v for n, v in load_records(path, cfg_hash).items() if n in wanted_set}
 
-    todo = [n for n in wanted if n not in have]
+    todo = [n for n in reversed(wanted) if n not in have]
     sink = None
     if path is not None:
         try:
@@ -326,8 +329,10 @@ def screen_set(
             raise RuntimeError(f"cannot open results file {path}: {exc}") from None
 
     try:
-        with arith.ordered_map(_pool_search, todo, workers, _pool_init, (cfg,)) as computed:
-            fresh = _drain(computed, sink, cfg_hash, on_verdict)
+        with arith.ordered_map(
+            _pool_search, todo, workers, _pool_init, (cfg,), in_order=False
+        ) as computed:
+            fresh = _drain(computed, sink, cfg_hash)
     finally:
         if sink is not None:
             sink.close()
@@ -348,7 +353,7 @@ def screen_set(
     )
 
 
-def _drain(verdict_iter, sink, cfg_hash, on_verdict) -> dict[int, Verdict]:
+def _drain(verdict_iter, sink, cfg_hash) -> dict[int, Verdict]:
     fresh: dict[int, Verdict] = {}
     for v in verdict_iter:
         fresh[v.n] = v
@@ -360,6 +365,4 @@ def _drain(verdict_iter, sink, cfg_hash, on_verdict) -> dict[int, Verdict]:
                 raise RuntimeError(
                     f"cannot append result for n={v.n}: {exc}; earlier lines remain valid"
                 ) from None
-        if on_verdict is not None:
-            on_verdict(v)
     return fresh

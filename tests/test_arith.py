@@ -1,6 +1,9 @@
 import itertools
+import math
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -192,6 +195,20 @@ def test_primes_up_to_is_a_uint32_table(limit):
     assert list(table) == list(sympy.sieve.primerange(2, limit + 1))
 
 
+def _naive_primes(limit):
+    # marks every composite, even ones included, up to limit
+    composite = [False] * (limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        for m in range(p * p, limit + 1, p):
+            composite[m] = True
+    return [x for x in range(2, limit + 1) if not composite[x]]
+
+
+def test_primes_up_to_matches_naive_sieve():
+    for limit in [*range(301), 10**6]:
+        assert list(arith.primes_up_to(limit)) == _naive_primes(limit), limit
+
+
 def test_primes_up_to_rejects_limits_past_uint32():
     # raises before the sieve is allocated; at 2**32 that would be 4 GiB
     for limit in (2**32, 5 * 10**9):
@@ -210,6 +227,54 @@ def test_vector_kernel_matches_cullen_mod():
     for n in sorted(ns):
         want = [q for q in primes if arith.cullen_mod(n, q) == 0]
         assert list(arith._cullen_divisors_vec(n, primes)) == want, n
+
+
+def _cullen_divisors_loop(n, limit):
+    return [q for q in arith.primes_up_to(limit) if (n % q * pow(2, n, q) + 1) % q == 0]
+
+
+def test_gcd_kernel_matches_cullen_mod_loop():
+    # 2262 primes: two full blocks and a partial one
+    limit = 20_000
+    for n in sorted({*range(1, 601), *screen.enumerate_2a3b(arith.GCD_MAX_N)}):
+        assert list(arith.cullen_divisors(n, limit)) == _cullen_divisors_loop(n, limit), n
+
+
+def test_gcd_kernel_finds_primes_on_block_edges():
+    # q | C_(q-2) for every odd prime q, so the least such n is below
+    # GCD_MAX_N for the primes of the first two blocks of the default table;
+    # 2, the first prime of all, never divides C_n
+    primes = arith.primes_up_to(10**6)
+    block = arith.GCD_BLOCK
+    edges = [primes[i] for i in (1, block - 1, block, 2 * block - 1)]
+    for q in edges:
+        n = next(n for n in itertools.count(1) if (n % q * pow(2, n, q) + 1) % q == 0)
+        assert n <= arith.GCD_MAX_N
+        found = list(arith.cullen_divisors(n, 10**6))
+        assert q in found and found == _cullen_divisors_loop(n, 10**6), (q, n)
+
+
+@pytest.mark.parametrize("n,q", [(4374, 7), (8192, 3)])
+def test_gcd_kernel_yields_a_square_factor_once(n, q):
+    cn = (n << n) + 1
+    assert cn % (q * q) == 0
+    found = list(arith.cullen_divisors(n, 10**6))
+    assert found.count(q) == 1
+    assert found == _cullen_divisors_loop(n, 10**6)
+
+
+def test_kernel_switches_above_gcd_max_n(monkeypatch):
+    vec_calls = []
+    vec = arith._cullen_divisors_vec
+
+    def spy(n, primes):
+        vec_calls.append(n)
+        return vec(n, primes)
+
+    monkeypatch.setattr(arith, "_cullen_divisors_vec", spy)
+    for n in (arith.GCD_MAX_N, arith.GCD_MAX_N + 1):
+        assert list(arith.cullen_divisors(n, 10**6)) == _cullen_divisors_loop(n, 10**6), n
+    assert vec_calls == [arith.GCD_MAX_N + 1]
 
 
 @pytest.mark.parametrize("x,factors", [(1537, {29, 53}), (4609, {11, 419}), (25, {5})])
@@ -261,3 +326,26 @@ def test_ordered_map_keeps_order_and_runs_initializer():
     with arith.ordered_map(arith.v2, items, 1, seen.append, ("warm",)) as results:
         assert seen == ["warm"]
         assert list(results) == [4, 0, 10, 1, 2, 0]
+
+
+def test_ordered_map_raises_when_the_initializer_raises():
+    # a pool replaces each worker whose initializer raised with another one,
+    # so the error must come from the calling process; the subprocess and
+    # its timeout turn a hang into a failure
+    src = Path(arith.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from cullen_lehmer import arith, screen\n"
+        "def broken(limit):\n"
+        "    raise ValueError('no table')\n"
+        "arith.primes_up_to = broken\n"
+        "try:\n"
+        "    screen.screen_set([6, 9, 12], screen.ScreenConfig(trial_limit=100), workers=2)\n"
+        "except ValueError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "raised no table"

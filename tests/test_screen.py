@@ -128,6 +128,15 @@ def test_screen_set_orders_ascending():
     assert report.undecided == []
 
 
+def test_screen_set_runs_largest_n_first(tmp_path):
+    # the results file is in completion order, which serially is the
+    # execution order; the report stays ascending
+    out = tmp_path / "results.jsonl"
+    report = screen.screen_set([6, 12, 9], screen.ScreenConfig(trial_limit=100), output_path=out)
+    assert [json.loads(line)["n"] for line in out.read_text().splitlines()] == [12, 9, 6]
+    assert [v.n for v in report.verdicts] == [6, 9, 12]
+
+
 def test_screen_set_persists_and_resumes(tmp_path):
     out = tmp_path / "results.jsonl"
     cfg = screen.ScreenConfig(trial_limit=10_000)
@@ -273,7 +282,8 @@ def test_trial_limit_must_fit_uint32():
 
 def test_default_screen_never_imports_numpy():
     # importing numpy adds about 12 MB to a process; a screen at the default
-    # trial limit stays on the per-prime loop and must not pay that
+    # trial limit with every n <= GCD_MAX_N stays on the gcd kernel and must
+    # not pay that
     src = Path(screen.__file__).resolve().parent.parent
     code = (
         "import sys\n"
@@ -281,6 +291,9 @@ def test_default_screen_never_imports_numpy():
         "from cullen_lehmer import screen\n"
         "report = screen.screen_set(screen.enumerate_2a3b(3000), screen.ScreenConfig())\n"
         "assert len(report.verdicts) == 52\n"
+        "big = [n for n in screen.enumerate_2a3b(12000) if n > 3000]\n"
+        "report = screen.screen_set(big, screen.ScreenConfig(rho_budget=0))\n"
+        "assert len(report.verdicts) == 17\n"
         "print('numpy' in sys.modules)\n"
     )
     out = subprocess.run(
