@@ -29,7 +29,6 @@ from .exceptional import (
     ExceptionalCandidate,
     certify_smaller_composite,
     exceptional_candidates,
-    exceptional_relation,
     odd_power_cofactor,
     uniqueness_scan,
 )

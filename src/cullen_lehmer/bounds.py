@@ -12,6 +12,10 @@ form n = 2^alpha * 3^beta with n < 200,000 and k <= 15.  All logarithms are
 natural; comparisons that land near a boundary are re-evaluated with
 50-digit Decimal arithmetic, and everything that can be compared in exact
 integers is.
+
+The two-thirds step, n * 2^n / ((n * 2^n)^(1/3) + 1) > 2^(2n/3), is a
+lemma rather than a computation: it holds exactly for n >= 2, and
+check_two_thirds carries the proof.
 """
 
 from __future__ import annotations
@@ -172,40 +176,19 @@ def q5_exclusion_cap(n_bound: int, q: int) -> float | None:
 
 
 def check_two_thirds(n: int) -> bool:
-    """Exact check of n * 2^n / ((n * 2^n)^(1/3) + 1) > 2^(2n/3).
+    """Whether n * 2^n / ((n * 2^n)^(1/3) + 1) > 2^(2n/3); true exactly
+    for n >= 2.
 
-    Cubing both sides reduces it to D > E * (f^2 + f) with f the real cube
-    root of T = n * 2^n, D = T^3 - 2^(2n) * (T + 1) and E = 3 * 2^(2n).
-
-    f^2 + f is caged between integer bounds at a signed binary scale s.
-    With r = floor(cbrt(T * 2^(3s))), which for s < 0 is the root of
-    floor(T / 2^(-3s)) because floor(cbrt(floor(x / 8^k))) =
-    floor(cbrt(x) / 2^k), f lies in [r, r + 1) * 2^-s.  So D > E * (f^2 + f)
-    holds if it holds with f = (r + 1) / 2^s and fails if it fails with
-    f = r / 2^s; both ends are compared in exact integers, scaled by 2^(2s)
-    when s > 0.  The cage starts coarse, at the s that leaves r about 32
-    bits, since D / E exceeds f^2 + f by a factor of about
-    n^(7/3) * 2^(n/3) / 3; while undecided it halves -s down to 0 and then
-    refines in steps of 8 bits.  The verdict never rests on floating point.
+    Lemma.  Write T = n * 2^n and f = T^(1/3).  Since f >= 1, f + 1 <= 2f,
+    so T / (f + 1) >= T^(2/3) / 2 = n^(2/3) * 2^(2n/3) / 2, which exceeds
+    2^(2n/3) once n^(2/3) > 2, i.e. n^2 > 8: every n >= 3.  For n = 2,
+    T = 8 and f = 2, and the claim 8/3 > 2^(4/3) cubes to 512 > 432.  For
+    n = 1, T = 2 and the claim 2 / (2^(1/3) + 1) > 2^(2/3) rearranges to
+    2 > 2^(2/3) + 2, which is false.
     """
     if n < 1:
         raise ValueError("check_two_thirds requires n >= 1")
-    t = n << n
-    d = t**3 - ((t + 1) << (2 * n))
-    if d <= 0:
-        return False
-    e = 3 << (2 * n)
-    s = -max(t.bit_length() // 3 - 32, 0)
-    while True:
-        up, down = max(s, 0), max(-s, 0)
-        r, _ = arith.int_nth_root((t << (3 * up)) >> (3 * down), 3)
-        lo, hi = r << down, (r + 1) << down
-        lhs = d << (2 * up)
-        if lhs > e * (hi * hi + (hi << up)):
-            return True
-        if lhs <= e * (lo * lo + (lo << up)):
-            return False
-        s = -(-s // 2) if s < 0 else s + 8
+    return n >= 2
 
 
 @dataclass(frozen=True)

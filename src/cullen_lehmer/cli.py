@@ -31,20 +31,26 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _env(name: str, default, cast):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+def _env(name: str, default, cast, choices=None):
+    """The flag's default, overridden by its CULLEN_ variable when set.
+
+    argparse never checks a default against choices, so the value is cast
+    and checked here; a bad one exits 2 like a bad flag."""
+    var = ENV_PREFIX + name.upper().replace("-", "_")
+    raw = os.environ.get(var)
     if raw is None:
         return default
+    if cast is bool:
+        return raw.strip().lower() in ("1", "true", "yes", "on")
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        value = cast(raw)
+        valid = choices is None or value in choices
     except ValueError:
-        print(
-            f"invalid value {raw!r} for {ENV_PREFIX}{name.upper().replace('-', '_')}",
-            file=sys.stderr,
-        )
+        valid = False
+    if not valid:
+        print(f"invalid value {raw!r} for {var}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,10 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        formats = ("human", "jsonl", "csv")
         p.add_argument(
             "--format",
-            choices=("human", "jsonl", "csv"),
-            default=_env("format", "human", str),
+            choices=formats,
+            default=_env("format", "human", str, formats),
             help="report format (default human)",
         )
         p.add_argument(
@@ -100,11 +107,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scr = sub.add_parser("screen", help="witness-search a set of n")
     common(p_scr)
     workers(p_scr)
+    sets = ("pow23", "range", "file")
     p_scr.add_argument(
         "--set",
         dest="which_set",
-        choices=("pow23", "range", "file"),
-        default=_env("set", "pow23", str),
+        choices=sets,
+        default=_env("set", "pow23", str, sets),
         help="pow23: n = 2^a*3^b <= n-max; range: 1..n-max; file: one n per line",
     )
     p_scr.add_argument(
@@ -240,12 +248,11 @@ def cmd_exceptional(args) -> int:
                     "p_bits": c.p.bit_length(),
                     "is_prime": c.is_prime,
                     "certainty": arith.prime_certainty(c.p) if c.is_prime else "composite",
-                    "bound_ok": c.bound_ok,
                 }
                 emitter.record(
                     d,
                     f"n={inst.n}: w={c.w} rho={c.rho} p={c.rho}*2^{c.exponent}+1 "
-                    f"({c.p.bit_length()} bits) prime={c.is_prime} bound_ok={c.bound_ok}",
+                    f"({c.p.bit_length()} bits) prime={c.is_prime}",
                 )
         violations = exceptional.uniqueness_violations(rows)
         emitter.line(
@@ -328,11 +335,10 @@ def cmd_screen(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse uses 2 for usage errors already; normalize --help's 0
+        # argparse and _env use 2 for usage errors already; normalize --help's 0
         return int(exc.code or 0)
     handlers = {"bounds": cmd_bounds, "exceptional": cmd_exceptional, "screen": cmd_screen}
     try:

@@ -3,10 +3,9 @@
 A prime factor p of C_n escapes the generic size bound only when the odd
 part of n is a perfect odd power, n1 = rho^w with w >= 3 odd dividing
 n + alpha, and then p = rho * 2^((n+alpha)/w) + 1 = (n * 2^n)^(1/w) + 1.
-This module enumerates those candidates, checks the linear relation that
-characterizes the configuration, certifies compositeness of all but the
-largest-w candidate via the X^u + 1 cofactor split, and scans ranges of n
-for uniqueness violations (two prime candidates for one n).
+This module enumerates those candidates, certifies compositeness of all but
+the largest-w candidate via the X^u + 1 cofactor split, and scans ranges of
+n for uniqueness violations (two prime candidates for one n).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith, structure
-from .structure import CullenInstance, PrimeShape
+from .structure import CullenInstance
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,8 @@ class ExceptionalCandidate:
     """One admissible (w, rho) pair and the value p it produces.
 
     Invariants: rho**w == n1, w | (n + alpha), (p - 1)**w == n * 2^n.
-    bound_ok records p <= (n * 2^n)^(1/3) + 1.
+    With w >= 3 and p - 1 >= 2 the last gives (p - 1)**3 <= n * 2^n, so
+    every candidate meets the bound p <= (n * 2^n)^(1/3) + 1.
     """
 
     w: int
@@ -31,7 +31,6 @@ class ExceptionalCandidate:
     exponent: int
     p: int
     is_prime: bool
-    bound_ok: bool
 
 
 @dataclass(frozen=True)
@@ -43,27 +42,6 @@ class CompositenessCertificate:
     lam: int
     divisor: int
     cofactor: int
-
-
-def exceptional_relation(
-    inst: CullenInstance, shape: PrimeShape, rho: int, u: int, w: int
-) -> bool:
-    """The relation (2^alpha * rho^w + alpha) * u == w * a tying a prime's
-    shape exponent to the decomposition of n in the exceptional configuration.
-
-    Preconditions (violations raise with a named reason): shape.m == rho**u,
-    n1 == rho**w, and u <= w.  The shape may be hypothetical (non-prime p);
-    only the arithmetic identity is evaluated.
-    """
-    if rho < 3 or rho % 2 == 0:
-        raise ValueError("rho must be odd and >= 3")
-    if shape.m != rho**u:
-        raise ValueError("shape multiplier is not rho**u")
-    if inst.n1 != rho**w:
-        raise ValueError("odd part of n is not rho**w")
-    if u > w:
-        raise ValueError("u exceeds w")
-    return (2**inst.alpha * rho**w + inst.alpha) * u == w * shape.a
 
 
 def exceptional_candidates(inst: CullenInstance) -> list[ExceptionalCandidate]:
@@ -91,9 +69,6 @@ def exceptional_candidates(inst: CullenInstance) -> list[ExceptionalCandidate]:
                 exponent=exponent,
                 p=p,
                 is_prime=arith.is_prime(p),
-                # p - 1 >= 0 is an integer, so p <= floor(cbrt(n * 2^n)) + 1
-                # is the same test as (p - 1)^3 <= n * 2^n
-                bound_ok=(p - 1) ** 3 <= inst.n << inst.n,
             )
         )
     return out

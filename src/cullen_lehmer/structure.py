@@ -23,15 +23,13 @@ class CullenInstance:
     """n together with its even/odd split and the power form of the odd part.
 
     n1_signature is None exactly when n1 == 1 (pure power of two), since a
-    power signature is undefined there.  bit_length is the exact bit length
-    of C_n, available without materializing it.
+    power signature is undefined there.
     """
 
     n: int
     alpha: int
     n1: int
     n1_signature: PowerSignature | None
-    bit_length: int
 
     @property
     def small_n(self) -> bool:
@@ -46,8 +44,7 @@ def decompose(n: int) -> CullenInstance:
     alpha = arith.v2(n)
     n1 = n >> alpha
     sig = arith.power_signature(n1) if n1 >= 2 else None
-    # n*2^n is even with odd part >= 1, so +1 never carries into a new bit
-    return CullenInstance(n, alpha, n1, sig, n + n.bit_length())
+    return CullenInstance(n, alpha, n1, sig)
 
 
 def cullen_value(n: int, cap: int = DEFAULT_CN_CAP) -> int:

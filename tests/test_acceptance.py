@@ -99,7 +99,7 @@ def test_criterion_3_two_thirds_inequality():
     elapsed = time.perf_counter() - t0
     ok = failures == [] and elapsed < 60
     _verdict(
-        "criterion 3 (two-thirds inequality, exact integers)",
+        "criterion 3 (two-thirds inequality, closed-form lemma)",
         ok,
         f"n=3..10000 all hold={not failures} (failures={failures[:5]}), {elapsed:.1f}s < 60s",
     )

@@ -116,8 +116,10 @@ def test_check_two_thirds_matches_highprec_oracle():
 
 
 def _two_thirds_fine_only(n: int) -> bool:
-    # reference cage with no coarse scales: it starts at the full-precision
-    # root of T and only ever refines
+    # exact-integer reference: cubing reduces the inequality to
+    # D > E * (f^2 + f) with f = cbrt(T), T = n * 2^n, D = T^3 - 2^(2n) * (T + 1)
+    # and E = 3 * 2^(2n); f is caged in [r, r + 1) / 2^s with
+    # r = floor(cbrt(T * 2^(3s))), refining s until the cage decides
     t = n << n
     d = t**3 - ((t + 1) << (2 * n))
     if d <= 0:
@@ -137,11 +139,8 @@ def _two_thirds_fine_only(n: int) -> bool:
 
 
 def test_check_two_thirds_matches_fine_only_cage():
-    # n = 92 is the first n whose T = n * 2^n has 99 bits, so the cage
-    # starts at a coarse scale; a stride covers the rest of 1..10000
-    first_coarse = [n for n in range(1, 200) if (n << n).bit_length() // 3 > 32]
-    assert first_coarse[0] == 92
-    ns = {1, 2, 3, *range(85, 100), *range(1, 10_001, 13), 10_000}
+    # small n, a stride over 1..10000 and the top of the final-form range n < 200000
+    ns = {1, 2, 3, *range(85, 100), *range(1, 10_001, 13), 10_000, 139_968, 196_608, 199_999}
     for n in sorted(ns):
         assert bounds.check_two_thirds(n) == _two_thirds_fine_only(n), n
 

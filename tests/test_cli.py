@@ -141,6 +141,19 @@ def test_env_overrides(monkeypatch, capsys):
     assert [r["n"] for r in rows] == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize(
+    "var,value,argv",
+    [("CULLEN_FORMAT", "xml", ("bounds",)), ("CULLEN_SET", "bogus", ("screen", "--n-max", "4"))],
+    ids=["format", "set"],
+)
+def test_env_override_outside_choices_exits_2(monkeypatch, capsys, var, value, argv):
+    monkeypatch.setenv(var, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"invalid value {value!r} for {var}" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["bogus-command"]) == 2
 

@@ -5,55 +5,12 @@ import pytest
 from cullen_lehmer import arith, exceptional, structure
 
 
-def test_relation_holds_for_n3_hypothetical_shape():
-    # n = 3: alpha = 0, n1 = 3 = rho^1; the shape p = 3*2^3 + 1 = 25 is not
-    # prime, but the arithmetic identity itself holds with a = 3
-    inst = structure.decompose(3)
-    shape = structure.PrimeShape(p=25, m=3, a=3)
-    assert exceptional.exceptional_relation(inst, shape, rho=3, u=1, w=1) is True
-
-
-def test_relation_fails_when_exponent_perturbed():
-    inst = structure.decompose(3)
-    shape = structure.PrimeShape(p=3 * 2**4 + 1, m=3, a=4)
-    assert exceptional.exceptional_relation(inst, shape, rho=3, u=1, w=1) is False
-
-
-def test_relation_w1_u1_forces_p_equal_cn():
-    # with w = u = 1 the relation pins a = n + alpha, which makes the shape
-    # value m*2^a + 1 equal to C_n itself
-    for rho, alpha in [(3, 0), (5, 1), (7, 2), (9, 3)]:
-        n = rho << alpha
-        inst = structure.decompose(n)
-        a = n + alpha
-        shape = structure.PrimeShape(p=rho * 2**a + 1, m=rho, a=a)
-        assert exceptional.exceptional_relation(inst, shape, rho=rho, u=1, w=1)
-        assert shape.p == structure.cullen_value(n)
-        bad = structure.PrimeShape(p=rho * 2 ** (a + 1) + 1, m=rho, a=a + 1)
-        assert not exceptional.exceptional_relation(inst, bad, rho=rho, u=1, w=1)
-
-
-def test_relation_precondition_rejections():
-    inst = structure.decompose(27)
-    shape = structure.PrimeShape(p=25, m=3, a=3)
-    with pytest.raises(ValueError, match="rho"):
-        exceptional.exceptional_relation(inst, shape, rho=4, u=1, w=3)
-    with pytest.raises(ValueError, match="multiplier"):
-        exceptional.exceptional_relation(inst, shape, rho=5, u=1, w=3)
-    with pytest.raises(ValueError, match="odd part"):
-        exceptional.exceptional_relation(inst, shape, rho=3, u=1, w=2)
-    big = structure.PrimeShape(p=243 * 2**5 + 1, m=243, a=5)
-    with pytest.raises(ValueError, match="u exceeds"):
-        exceptional.exceptional_relation(inst, big, rho=3, u=5, w=3)
-
-
 def test_candidates_for_27():
     cands = exceptional.exceptional_candidates(structure.decompose(27))
     assert len(cands) == 1
     c = cands[0]
     assert (c.w, c.rho, c.exponent, c.p) == (3, 3, 9, 1537)
     assert c.is_prime is False  # 1537 = 29 * 53
-    assert c.bound_ok is True
 
 
 def test_candidates_empty_cases():
@@ -67,11 +24,15 @@ def test_candidates_empty_cases():
 
 
 def test_candidate_power_identity_over_range():
-    for inst, cands in exceptional.scan_exceptional(3, 3000):
+    rows = exceptional.scan_exceptional(3, 10_000)
+    assert sum(len(cands) for _, cands in rows) == 16
+    for inst, cands in rows:
         for c in cands:
             assert c.rho**c.w == inst.n1
             assert (c.p - 1) ** c.w == inst.n << inst.n
             assert c.w % 2 == 1 and c.w >= 3
+            # the identity with w >= 3 puts p under (n * 2^n)^(1/3) + 1
+            assert (c.p - 1) ** 3 <= inst.n << inst.n
 
 
 def test_bound_equality_at_w3_strict_above():
@@ -84,16 +45,7 @@ def test_bound_equality_at_w3_strict_above():
     (c,) = exceptional.exceptional_candidates(inst)
     assert c.w == 5
     root, _ = arith.int_nth_root(3125 << 3125, 3)
-    assert c.p < root + 1 and c.bound_ok
-
-
-def test_bound_ok_matches_floor_cube_root():
-    rows = exceptional.scan_exceptional(3, 10_000)
-    assert sum(len(cands) for _, cands in rows) == 16
-    for inst, cands in rows:
-        root, _ = arith.int_nth_root(inst.n << inst.n, 3)
-        for c in cands:
-            assert c.bound_ok == (c.p <= root + 1), (inst.n, c.w)
+    assert c.p < root + 1
 
 
 @pytest.mark.parametrize("x,u,expected", [(4, 3, (5, 13)), (2, 5, (3, 11))])
