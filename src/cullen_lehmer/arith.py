@@ -275,35 +275,46 @@ def prime_certainty(x: int) -> str:
     return "proven" if x < _DET_MR_LIMIT else "probable"
 
 
-def proth_power(n: int) -> tuple[int, int] | None:
-    """(a, a^((C_n-1)/2) mod C_n) for the least prime a < 1000 with Jacobi
-    symbol (a/C_n) = -1, or None when there is no such a.
-
-    (C_n-1)/2 = n1*2^(n+alpha-1) for n = n1*2^alpha with n1 odd, so the power
-    is a^n1 followed by n+alpha-1 squarings.  Each square is reduced with
-    n*2^n = -1 (mod C_n): x = (hi*n + lo)*2^n + (x mod 2^n) is congruent to
-    lo*2^n + (x mod 2^n) - hi, a shift and a one-digit divmod instead of a
-    long division.
-    """
+def proth_base(n: int) -> int | None:
+    """The least prime a < 1000 with Jacobi symbol (a/C_n) = -1, or None
+    when there is no such a.  Such an a is coprime to C_n."""
     if n < 1:
-        raise ValueError("proth_power requires n >= 1")
+        raise ValueError("proth_base requires n >= 1")
     cn = (n << n) + 1
-    for a in _SMALL_PRIMES:
-        if _jacobi(a, cn) == -1:
-            break
-    else:
-        return None
-    alpha = v2(n)
+    return next((a for a in _SMALL_PRIMES if _jacobi(a, cn) == -1), None)
+
+
+def cullen_squarings(n: int, t: int, k: int) -> int:
+    """t^(2^k) mod C_n for 0 <= t < C_n, by k squarings.
+
+    Each square is reduced with n*2^n = -1 (mod C_n): x = (hi*n + lo)*2^n +
+    (x mod 2^n) is congruent to lo*2^n + (x mod 2^n) - hi, a shift and a
+    one-digit divmod instead of a long division.
+    """
+    cn = (n << n) + 1
     mask = (1 << n) - 1
-    t = pow(a, n >> alpha, cn)
-    for _ in range(n + alpha - 1):
+    for _ in range(k):
         t *= t
         hi, lo = divmod(t >> n, n)
         t = (lo << n) + (t & mask) - hi
         # lo*2^n + (t & mask) < n*2^n < C_n and hi < C_n: one correction is enough
         if t < 0:
             t += cn
-    return a, t
+    return t
+
+
+def proth_power(n: int) -> tuple[int, int] | None:
+    """(a, a^((C_n-1)/2) mod C_n) for a = proth_base(n), or None when there
+    is no base.
+
+    (C_n-1)/2 = n1*2^(n+alpha-1) for n = n1*2^alpha with n1 odd, so the power
+    is a^n1 followed by n+alpha-1 cullen_squarings.
+    """
+    a = proth_base(n)
+    if a is None:
+        return None
+    alpha = v2(n)
+    return a, cullen_squarings(n, pow(a, n >> alpha, (n << n) + 1), n + alpha - 1)
 
 
 def cullen_mod(n: int, q: int) -> int:

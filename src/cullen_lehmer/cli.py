@@ -308,12 +308,17 @@ def cmd_screen(args) -> int:
             + f"  [trial<={v.trial_limit_used}, rho={v.rho_budget_used}, {v.elapsed:.2f}s]",
         )
 
+    def progress(k: int, total: int, v: screen.Verdict) -> None:
+        # stdout stays ascending and is printed after the run; this shows it moving
+        print(f"[{k}/{total}] n={v.n} {v.status}  {v.elapsed:.1f}s", file=sys.stderr, flush=True)
+
     report = screen.screen_set(
         n_values,
         cfg,
         workers=args.workers,
         output_path=args.output,
         resume=args.resume,
+        progress=progress,
     )
     for v in report.verdicts:
         show(v)

@@ -9,6 +9,11 @@ limit come from arith.cullen_divisors: for n <= arith.GCD_MAX_N on a table
 up to arith.VECTOR_ABOVE it takes one gcd of C_n (at most 2 KB) with each
 block product of primes; every other scan runs in residues, so n near
 200,000 never materializes C_n inside it.
+The shape condition and the distinct-factor count together bound the least
+prime factor r of C_n above the trial limit: with the primes up to it
+divided out, at least j primes r = m*2^i + 1 with m | n1 are left, so
+2^(i*j) < r^j bounds i, and about n/13 squarings of the Proth chain expose
+r (a Pollard p - 1 argument, Pollard 1974).
 There is deliberately no status meaning "the Lehmer property holds": the
 screen can only refute or leave a value undecided.
 """
@@ -19,6 +24,7 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -29,17 +35,26 @@ REFUTED_SHAPE = "REFUTED_SHAPE"
 REFUTED_SQUARE = "REFUTED_SQUARE"
 REFUTED_OMEGA = "REFUTED_OMEGA"
 REFUTED_FERMAT = "REFUTED_FERMAT"
+REFUTED_LEAST_PRIME = "REFUTED_LEAST_PRIME"
 PRIME_CN = "PRIME_CN"
 UNDECIDED = "UNDECIDED"
 
 STATUSES = frozenset(
-    {REFUTED_SHAPE, REFUTED_SQUARE, REFUTED_OMEGA, REFUTED_FERMAT, PRIME_CN, UNDECIDED}
+    {
+        REFUTED_SHAPE,
+        REFUTED_SQUARE,
+        REFUTED_OMEGA,
+        REFUTED_FERMAT,
+        REFUTED_LEAST_PRIME,
+        PRIME_CN,
+        UNDECIDED,
+    }
 )
 
 DEFAULT_TRIAL_LIMIT = 10**6
 
 # Hashed into every config, so --resume never mixes verdicts of two ladders.
-ALGORITHM_VERSION = 2
+ALGORITHM_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -93,6 +108,22 @@ def enumerate_2a3b(n_max: int) -> list[int]:
     return out
 
 
+def _least_prime_squarings(rest: int, j: int, steps: int) -> int | None:
+    """The squarings I after which a Lehmer C_n shows its least prime factor
+    above the trial limit, or None when I would save nothing.
+
+    rest is C_n over its compatible primes up to the trial limit, and
+    j = LEHMER_MIN_OMEGA minus their count.  A Lehmer C_n has at least j
+    distinct primes in rest, each r = m*2^i + 1 with m | n1; the least has
+    2^(i*j) < r^j <= rest, so i <= I = rest.bit_length() // j.  None when
+    rest == 1, j < 1 or I >= steps, the squarings of the full Proth power.
+    """
+    if rest == 1 or j < 1:
+        return None
+    k = rest.bit_length() // j
+    return k if k < steps else None
+
+
 def witness_search(
     n: int,
     trial_limit: int = DEFAULT_TRIAL_LIMIT,
@@ -103,11 +134,15 @@ def witness_search(
     """Deterministic verdict for one n.
 
     Order: ascending prime residues up to trial_limit testing the shape and
-    squarefree conditions; then, when n <= cn_cap, one Proth/Fermat modexp
-    on C_n = n1*2^(n+alpha) + 1, a Proth number since n1 < 2^(n+alpha): it
-    proves C_n prime or refutes the Carmichael condition; only when C_n
-    passes it, a budgeted factorization whose factors get the same tests,
-    then the distinct-factor count.
+    squarefree conditions; then, when n <= cn_cap, the Proth chain on
+    C_n = n1*2^(n+alpha) + 1 (a Proth number, since n1 < 2^(n+alpha)) with
+    base a, (a/C_n) = -1: a^n1 followed by n+alpha-1 squarings.  After the
+    first I of them (_least_prime_squarings) one gcd with R, C_n over the
+    primes the scan found, refutes C_n when it is 1 (REFUTED_LEAST_PRIME);
+    otherwise the same chain runs on to a^((C_n-1)/2), which proves C_n
+    prime or refutes the Carmichael condition; only when C_n passes it, a
+    budgeted factorization whose factors get the same tests, then the
+    distinct-factor count.
     UNDECIDED is the honest fallback when every budget runs dry.
     """
     if n < 1:
@@ -164,9 +199,27 @@ def witness_search(
             f"C_{n} above materialization cap {cn_cap} and no witness below {trial_limit}",
         )
     cn = structure.cullen_value(n, cn_cap)
-    proth = arith.proth_power(n)
-    if proth is not None:
-        a, t = proth
+    rest = cn // math.prod(compatible)
+    a = arith.proth_base(n)
+    if a is not None:
+        steps = n + inst.alpha - 1
+        t = pow(a, inst.n1, cn)
+        j = LEHMER_MIN_OMEGA - len(compatible)
+        k = _least_prime_squarings(rest, j, steps)
+        if k is not None:
+            t = arith.cullen_squarings(n, t, k)
+            if math.gcd(t - 1, rest) == 1:
+                divided = f" / ({'*'.join(map(str, compatible))})" if compatible else ""
+                return done(
+                    REFUTED_LEAST_PRIME,
+                    a,
+                    f"gcd({a}^(n1*2^{k}) - 1, R) = 1 for R = C_{n}{divided} and Jacobi "
+                    f"({a}/C_{n}) = -1; a Lehmer C_{n} would have j = {LEHMER_MIN_OMEGA} - "
+                    f"{len(compatible)} = {j} or more distinct primes in R, the least "
+                    f"r = m*2^i + 1 with m | n1 = {inst.n1} and i <= R.bit_length() // j = {k}, "
+                    "and r would divide that gcd",
+                )
+        t = arith.cullen_squarings(n, t, steps - (k or 0))
         if t == cn - 1:
             return done(
                 PRIME_CN,
@@ -181,9 +234,6 @@ def witness_search(
                 "Carmichael number, so it is not a Lehmer number",
             )
 
-    rest = cn
-    for q in compatible:
-        rest //= q
     result = arith.bounded_factor(rest, (), rho_budget)
     rho_used = result.rho_used
     for q in sorted(result.factors):
@@ -293,6 +343,7 @@ def screen_set(
     workers: int = 1,
     output_path: str | Path | None = None,
     resume: bool = False,
+    progress: Callable[[int, int, Verdict], None] | None = None,
 ) -> ScreenReport:
     """Screen every n in n_values; verdicts come back ascending in n
     regardless of execution order, which is largest n first, so the
@@ -301,7 +352,8 @@ def screen_set(
     With output_path each fresh verdict is appended as one JSONL record and
     flushed as soon as it is done, so the file is in completion order;
     resume=True first reloads records whose config hash matches and
-    recomputes nothing for them.
+    recomputes nothing for them.  progress(k, total, verdict) is called for
+    the k-th fresh verdict of total, in completion order.
     """
     start = time.perf_counter()
     wanted = sorted(set(n_values))
@@ -332,7 +384,7 @@ def screen_set(
         with arith.ordered_map(
             _pool_search, todo, workers, _pool_init, (cfg,), in_order=False
         ) as computed:
-            fresh = _drain(computed, sink, cfg_hash)
+            fresh = _drain(computed, sink, cfg_hash, progress, len(todo))
     finally:
         if sink is not None:
             sink.close()
@@ -353,7 +405,7 @@ def screen_set(
     )
 
 
-def _drain(verdict_iter, sink, cfg_hash) -> dict[int, Verdict]:
+def _drain(verdict_iter, sink, cfg_hash, progress, total) -> dict[int, Verdict]:
     fresh: dict[int, Verdict] = {}
     for v in verdict_iter:
         fresh[v.n] = v
@@ -365,4 +417,6 @@ def _drain(verdict_iter, sink, cfg_hash) -> dict[int, Verdict]:
                 raise RuntimeError(
                     f"cannot append result for n={v.n}: {exc}; earlier lines remain valid"
                 ) from None
+        if progress is not None:
+            progress(len(fresh), total, v)
     return fresh

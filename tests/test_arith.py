@@ -164,6 +164,19 @@ def test_proth_power_matches_sympy_on_cullen_numbers():
         assert (t == cn - 1) == sympy.isprime(cn), n
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 141, 600, 3072])
+def test_cullen_squarings_resume_from_a_checkpoint(n):
+    # the least-prime stage stops the chain after k squarings and the Fermat
+    # stage runs on from there; both halves must compose to one chain
+    cn = (n << n) + 1
+    rng = random.Random(n)
+    for t in (0, 1, cn - 1, rng.randrange(cn), rng.randrange(cn)):
+        for k in (0, 1, 7, 40):
+            first = arith.cullen_squarings(n, t, k)
+            assert first == pow(t, 1 << k, cn)
+            assert arith.cullen_squarings(n, first, 9) == pow(t, 1 << (k + 9), cn)
+
+
 def test_strong_lucas_battery():
     for p in sympy.primerange(5, 2000):
         assert arith._strong_lucas(p), p

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -69,6 +70,30 @@ def test_screen_range_matches_module(capsys):
     for r in rows:
         v = screen.witness_search(r["n"])
         assert (r["status"], r["witness"]) == (v.status, v.witness)
+
+
+def test_screen_reports_progress_on_stderr(tmp_path, capsys):
+    out_file = tmp_path / "res.jsonl"
+    argv = ("screen", "--set", "pow23", "--n-max", "30", "--trial-limit", "10000",
+            "--format", "jsonl")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    lines = [line for line in err.splitlines() if line.startswith("[")]
+    assert len(lines) == len(records) == 12
+    seen = {}
+    for k, line in enumerate(lines, 1):
+        m = re.fullmatch(r"\[(\d+)/12\] n=(\d+) (\w+)  \d+\.\ds", line)
+        assert m and int(m[1]) == k, line
+        seen[int(m[2])] = m[3]
+    assert seen == {r["n"]: r["status"] for r in records}
+    # stdout and the results file carry only records, as before
+    code, out_with_file, _ = run_cli(capsys, *argv, "--output", str(out_file))
+    assert code == 0
+    assert sorted(json.loads(line)["n"] for line in out_file.read_text().splitlines()) == sorted(
+        seen
+    )
+    assert all(line.startswith("n=") for line in out_with_file.splitlines()[:12])
 
 
 def test_screen_file_set(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +42,7 @@ def test_status_space_cannot_express_success():
         "REFUTED_SQUARE",
         "REFUTED_OMEGA",
         "REFUTED_FERMAT",
+        "REFUTED_LEAST_PRIME",
         "PRIME_CN",
         "UNDECIDED",
     }
@@ -57,12 +60,38 @@ def test_status_space_cannot_express_success():
         (6, "REFUTED_SHAPE", 11),
         (9, "REFUTED_SHAPE", 11),
         (12, "REFUTED_SHAPE", 19),
-        (141, "PRIME_CN", None),
+        # C_141 is prime, but it cannot have 14 prime factors
+        (141, "REFUTED_LEAST_PRIME", 5),
     ],
 )
 def test_witness_search_examples(n, status, witness):
     v = screen.witness_search(n)
     assert (v.status, v.witness) == (status, witness)
+
+
+@functools.cache
+def _primes_to(limit):
+    return tuple(sympy.sieve.primerange(2, limit + 1))
+
+
+def _recheck_least_prime(v):
+    """Re-derive a REFUTED_LEAST_PRIME verdict from its definition: F by
+    plain trial division, R = C_n / prod(F), I = R.bit_length() // j."""
+    n, a = v.n, v.witness
+    cn = n * 2**n + 1
+    found = [q for q in _primes_to(v.trial_limit_used) if cn % q == 0]
+    assert all(cn % (q * q) and (cn - 1) % (q - 1) == 0 for q in found), n
+    rest = cn // math.prod(found)
+    j = 14 - len(found)
+    i = rest.bit_length() // j
+    n1 = n
+    while n1 % 2 == 0:
+        n1 //= 2
+    assert sympy.jacobi_symbol(a, cn) == -1
+    assert math.gcd(pow(a, n1 << i, cn) - 1, rest) == 1, n
+    # the record alone names I, j and the primes divided out
+    assert f"{a}^(n1*2^{i}) - 1" in v.reason and f"= {j} or more" in v.reason
+    assert (f"C_{n} / ({'*'.join(map(str, found))})" if found else f"R = C_{n} and") in v.reason
 
 
 def test_refuted_witnesses_verify_in_bigint(verdicts_500):
@@ -77,8 +106,10 @@ def test_refuted_witnesses_verify_in_bigint(verdicts_500):
         elif v.status == "REFUTED_FERMAT":
             assert math.gcd(v.witness, cn) == 1
             assert pow(v.witness, cn - 1, cn) != 1
+        elif v.status == "REFUTED_LEAST_PRIME":
+            _recheck_least_prime(v)
         elif v.status == "PRIME_CN":
-            assert n in (1, 141) and "proven" in v.reason
+            assert n == 1 and "proven" in v.reason
 
 
 def test_undecided_accounts_for_budget(verdicts_500):
@@ -91,9 +122,10 @@ def test_undecided_accounts_for_budget(verdicts_500):
 
 
 def test_omega_reason_carries_verified_factorization(monkeypatch):
-    # with every C_n passing the Fermat stage, factoring has to decide; the
-    # shape witnesses it learns must not be thrown away
-    monkeypatch.setattr(arith, "proth_power", lambda x: (2, 1))
+    # with every power of the Proth chain reading 1, the least-prime gcd is R
+    # and C_n passes the Fermat stage, so factoring has to decide; the shape
+    # witnesses it learns must not be thrown away
+    monkeypatch.setattr(arith, "cullen_squarings", lambda n, t, k: 1)
     for n in (37, 62, 96, 100, 104, 108, 122, 124, 132, 158, 196):
         v = screen.witness_search(n)
         cn = structure.cullen_value(n)
@@ -246,16 +278,91 @@ def test_resume_skips_records_of_other_algorithm_versions(tmp_path, monkeypatch)
 
 
 def test_fermat_witnesses_recheck_in_bigint():
-    # the special-form squaring chain serves these sizes; re-check each
-    # refutation with a plain pow on the materialized C_n
+    # the least-prime stage decides every C_n the residue scan leaves in
+    # (3000, 8000]; re-derive each verdict with plain pow and trial division
     ns = [n for n in screen.enumerate_2a3b(8000) if n > 3000]
     report = screen.screen_set(ns, screen.ScreenConfig(rho_budget=0))
-    fermat = [v for v in report.verdicts if v.status == "REFUTED_FERMAT"]
-    assert [v.n for v in fermat] == [3072, 3888, 6144, 6912, 7776]
-    for v in fermat:
-        cn = structure.cullen_value(v.n)
-        assert math.gcd(v.witness, cn) == 1
-        assert pow(v.witness, cn - 1, cn) != 1, v.n
+    least = [v for v in report.verdicts if v.status == "REFUTED_LEAST_PRIME"]
+    assert [v.n for v in least] == [3072, 3888, 6144, 6912, 7776]
+    for v in least:
+        _recheck_least_prime(v)
+
+
+# the Fermat witnesses of the ladder without the least-prime stage
+_FERMAT_WITNESSES = {3072: 5, 3888: 13, 6144: 7, 6912: 5, 7776: 5}
+
+
+def test_least_prime_stage_inconclusive_falls_back_to_fermat(monkeypatch):
+    monkeypatch.setattr(screen, "_least_prime_squarings", lambda rest, j, steps: None)
+    ns = [n for n in screen.enumerate_2a3b(8000) if n > 3000]
+    report = screen.screen_set(ns, screen.ScreenConfig(rho_budget=0))
+    fermat = {v.n: v.witness for v in report.verdicts if v.status == "REFUTED_FERMAT"}
+    assert fermat == _FERMAT_WITNESSES
+    for n, a in fermat.items():
+        cn = structure.cullen_value(n)
+        assert math.gcd(a, cn) == 1
+        assert pow(a, cn - 1, cn) != 1, n
+    v = screen.witness_search(141)
+    assert v.status == "PRIME_CN" and "proven" in v.reason
+
+
+@pytest.mark.parametrize("n", [3072, 6144])
+def test_inconclusive_gcd_continues_the_same_chain(monkeypatch, n):
+    # with no trial division, the small compatible prime of C_n (7 = 3*2 + 1
+    # for 3072, 5 = 4 + 1 for 6144) stays in R and divides the early gcd, so
+    # the chain must run on from its checkpoint to the Fermat test
+    calls = []
+    squarings = arith.cullen_squarings
+    monkeypatch.setattr(
+        arith, "cullen_squarings", lambda m, t, k: calls.append(k) or squarings(m, t, k)
+    )
+    v = screen.witness_search(n, trial_limit=0)
+    assert (v.status, v.witness) == ("REFUTED_FERMAT", _FERMAT_WITNESSES[n])
+    cn = structure.cullen_value(n)
+    i = cn.bit_length() // 14
+    steps = n + arith.v2(n) - 1
+    assert calls == [i, steps - i]
+    assert math.gcd(pow(v.witness, (n >> arith.v2(n)) << i, cn) - 1, cn) > 1
+    assert pow(v.witness, cn - 1, cn) != 1
+
+
+@pytest.mark.parametrize("found_count", [0, 1, 5, 13])
+def test_least_prime_lemma_never_fires_on_its_premise(found_count):
+    # any squarefree N = prod(F) * R, with R a product of at least
+    # j = 14 - |F| distinct primes r = 3^e*2^i + 1 (e <= 12, so m | n1 = 3^12),
+    # has the least prime of R in gcd(a^(n1*2^I) - 1, R) for every base a
+    # coprime to N, with I from the screen's own bound; no Cullen number here
+    rng = random.Random(found_count)
+    n1 = 3**12
+    shaped = sorted(
+        r
+        for e in range(13)
+        for i in range(1, 300)
+        if (r := 3**e * 2**i + 1) > 3 and sympy.isprime(r)
+    )
+    small = [r for r in shaped if r < 2**16]
+    large = [r for r in shaped if r >= 2**16]
+    j = 14 - found_count
+    for trial in range(12):
+        found = rng.sample(small, found_count)
+        size = j + rng.randrange(3)
+        if trial % 2:
+            # neighbours in size keep the least prime's i close to I
+            start = rng.randrange(len(large) - size)
+            picked = large[start : start + size]
+        else:
+            picked = rng.sample(large, size)
+        rest = math.prod(picked)
+        big_n = math.prod(found) * rest
+        k = screen._least_prime_squarings(rest, j, 10**9)
+        assert k == rest.bit_length() // j
+        least = min(picked)
+        assert arith.v2(least - 1) <= k
+        bases = [a for a in sympy.primerange(2, 60) if big_n % a][:5]
+        assert len(bases) == 5
+        for a in bases:
+            g = math.gcd(pow(a, n1 << k, big_n) - 1, rest)
+            assert g > 1 and g % least == 0, (found_count, trial, a)
 
 
 @pytest.mark.parametrize(
