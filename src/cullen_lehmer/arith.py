@@ -10,9 +10,13 @@ cullen_divisors has two kernels.  For a table whose largest prime is at
 most VECTOR_ABOVE and n <= GCD_MAX_N it builds C_n (at most 2 KB) and takes
 one gcd with the product of each block of GCD_BLOCK primes (batch trial
 division, Bernstein 2004); the block products are built once per process
-and limit.  Every other scan runs a numpy kernel, which imports numpy
-inside the function: a run at the default trial limit with every
-n <= GCD_MAX_N never pays its memory, one with a larger n does.
+and limit.  Every other scan runs a numpy kernel: binary powering of
+2^n mod q over blocks of primes, in float64 with balanced residues for
+blocks of primes below FLOAT_BELOW = 2**26, in uint64 for blocks holding a
+larger one.  It imports numpy inside the function, so a run at the default
+trial limit with every n <= GCD_MAX_N never pays its memory, one with a
+larger n does; a table past VECTOR_ABOVE imports it in
+prepare_cullen_divisors, before a pool forks.
 
 All functions are pure; nothing here holds mutable state, so everything is
 safe to call from any number of worker processes.
@@ -47,13 +51,19 @@ _DET_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 VECTOR_ABOVE = 10**6
 
 # A full gcd-kernel scan of the default table grows as n * theta(limit):
-# about 10 ms at n = 2592 and 55 ms at 2^14, against about 10 ms at any n
+# about 9 ms at n = 2592 and 45-55 ms at 2^14, against about 4 ms at any n
 # for the numpy kernel once numpy is imported.  Up to this n (C_n of 2 KB)
 # the gcd kernel is kept, so that runs of small n do not import numpy.
 GCD_MAX_N = 1 << 14
 
 # Primes per block of the gcd kernel.
 GCD_BLOCK = 1024
+
+# Blocks of the numpy kernel whose largest prime is below this run in
+# float64: balanced residues |x| <= (q+1)/2 <= 2**25 keep every doubled
+# square 2*x^2 <= 2**51 below 2**53, exact in a double.  Blocks holding a
+# larger prime (the table reaches 2**32) run in uint64.
+FLOAT_BELOW = 1 << 26
 
 
 @lru_cache(maxsize=8)
@@ -328,13 +338,19 @@ def cullen_mod(n: int, q: int) -> int:
 
 def prepare_cullen_divisors(limit: int) -> None:
     """Build and cache what cullen_divisors(n, limit) reads: the prime table
-    and, when the gcd kernel can serve it, the block products.
+    and, when the gcd kernel can serve it, the block products; when only the
+    numpy kernel can, import numpy.
 
-    A pool initializer calls it in the parent, so forked workers inherit both.
+    A pool initializer calls it in the parent, so forked workers inherit all
+    of it instead of each paying for it.
     """
     primes = primes_up_to(limit)
-    if primes and primes[-1] <= VECTOR_ABOVE:
+    if not primes:
+        return
+    if primes[-1] <= VECTOR_ABOVE:
         _block_products(limit)
+    else:
+        import numpy  # noqa: F401  (every scan of this table runs the numpy kernel)
 
 
 def cullen_divisors(n: int, limit: int) -> Iterator[int]:
@@ -368,30 +384,90 @@ def cullen_divisors(n: int, limit: int) -> Iterator[int]:
 
 
 def _cullen_divisors_vec(n: int, primes: array) -> Iterator[int]:
-    """cullen_divisors over whole blocks of the table in numpy uint64.
+    """cullen_divisors over whole blocks of the table in numpy.
 
-    2^n mod q comes from left-to-right binary powering, then C_n mod q =
-    2^n * (n mod q) + 1 mod q.  Every residue is below q < 2**32, so every
-    product is below 2**64 and the arithmetic is exact.  Blocks start at
-    1024 primes and double up to 2**16, so an n with a small witness costs
-    little and the temporaries stay small.  n must fit a uint64.
+    Blocks start at 1024 primes and double up to 2**16, so an n with a
+    small witness costs little and the temporaries stay small.  n mod q
+    comes from Horner's rule over the 32-bit limbs of n in uint64 (each
+    step is below q * 2**32 <= 2**64), so every n >= 1 works.  2^n mod q
+    comes from left-to-right binary powering, then C_n mod q =
+    2^n * (n mod q) + 1 mod q, on one of two paths:
+
+    - A block whose largest prime is below FLOAT_BELOW = 2**26 runs in
+      float64 with balanced residues |x| <= (q+1)/2 <= 2**25, reduced by
+      x - rint(x * fl(1/q)) * q (Shoup's floating-point quotient, as in
+      NTL's MulMod).  Every step is exact.  Each square or doubled square s
+      has |s| <= 2*((q+1)/2)^2 <= 2**51 < 2**53.  s * fl(1/q) is within
+      relative 2**-52 of s/q, where |s/q| < 2**25 + 1, so the rint quotient
+      est is the integer nearest s/q, or, where s/q lies within about 2**-27
+      of a half-integer, the other neighbour; either way the integer
+      s - est*q is below q/2 + 1 in magnitude, so at most (q+1)/2.  And
+      |est*q| < 2**53 and |x * (n mod q)| < 2**51, so every product and
+      difference is exact.  x starts at 2, within (q+1)/2 for every q >= 3
+      (for q = 2 no value exceeds 8).
+    - Any other block runs in uint64 with residues below q < 2**32, so every
+      product is below 2**64; each step is one hardware % per element.
     """
     import numpy as np
 
     table = np.frombuffer(primes, dtype=np.uint32)
     bits = bin(n)[3:]  # the leading 1 bit is the starting value 2
+    limbs = [n >> shift & 0xFFFFFFFF for shift in range((n.bit_length() - 1) & ~31, -1, -32)]
     start, size = 0, 1024
     while start < len(table):
-        q = table[start : start + size].astype(np.uint64)
-        x = np.full_like(q, 2) % q
-        for bit in bits:
-            x = x * x % q
-            if bit == "1":
-                x = (x << 1) % q
-        hits = q[(x * (np.uint64(n) % q) + 1) % q == 0]
-        yield from hits.tolist()
+        block = table[start : start + size]
+        q = block.astype(np.uint64)
+        n_mod_q = np.zeros_like(q)
+        for limb in limbs:
+            n_mod_q = ((n_mod_q << 32) + limb) % q
+        if block[-1] < FLOAT_BELOW:
+            hit = _cullen_zero_float(bits, q.astype(np.float64), n_mod_q.astype(np.float64))
+        else:
+            hit = _cullen_zero_uint64(bits, q, n_mod_q)
+        yield from block[hit].tolist()
         start += size
         size = min(2 * size, 1 << 16)
+
+
+def _cullen_zero_float(bits: str, q, n_mod_q):
+    """C_n mod q == 0 for each prime q < FLOAT_BELOW of a float64 array, n
+    given by the bits after its leading 1 and by n mod q; see
+    _cullen_divisors_vec for why every step is exact."""
+    import numpy as np
+
+    inv = 1.0 / q
+    est = np.empty_like(q)
+
+    def reduce(x):
+        np.multiply(x, inv, out=est)
+        np.rint(est, out=est)
+        np.multiply(est, q, out=est)
+        np.subtract(x, est, out=x)
+
+    x = np.full_like(q, 2.0)
+    for bit in bits:
+        np.multiply(x, x, out=x)
+        if bit == "1":
+            np.add(x, x, out=x)
+        reduce(x)
+    np.multiply(x, n_mod_q, out=x)
+    reduce(x)
+    # |x| <= (q+1)/2, so -1 mod q is x = -1, or x = q - 1 for q <= 3
+    x += 1
+    return (x == 0) | (x == q)
+
+
+def _cullen_zero_uint64(bits: str, q, n_mod_q):
+    """C_n mod q == 0 for each prime q < 2**32 of a uint64 array, n given by
+    the bits after its leading 1 and by n mod q."""
+    import numpy as np
+
+    x = np.full_like(q, 2) % q
+    for bit in bits:
+        x = x * x % q
+        if bit == "1":
+            x = (x << 1) % q
+    return (x * n_mod_q + 1) % q == 0
 
 
 def _brent_rho(x: int, budget: int) -> tuple[int | None, int]:

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -237,9 +238,38 @@ def test_vector_kernel_matches_cullen_mod():
     rng = random.Random(6)
     ns = {1, 2, 3, *screen.enumerate_2a3b(12_000), *(rng.randrange(1, 200_001) for _ in range(50))}
     ns |= {next(n for n in itertools.count(1) if arith.cullen_mod(n, q) == 0) for q in edges}
+    # n mod q comes from the 32-bit limbs of n, never from a machine integer
+    ns |= {2**63 + 1, 2**64, 2**64 + 1}
     for n in sorted(ns):
         want = [q for q in primes if arith.cullen_mod(n, q) == 0]
         assert list(arith._cullen_divisors_vec(n, primes)) == want, n
+
+
+def test_vector_kernel_exact_on_both_sides_of_the_float_cut():
+    # tables[0] is one 1024-prime block ending at the largest prime below
+    # FLOAT_BELOW, so it runs in float64 at the top of its range; tables[1]
+    # has a float64 block of 1024 primes below the cut, then a uint64 block
+    # that mixes the next 400 with primes above the cut and the largest
+    # primes below 2**32
+    cut = arith.FLOAT_BELOW
+    below = list(sympy.primerange(cut - 30_000, cut))
+    above = list(sympy.primerange(cut, cut + 10_000))
+    top = list(sympy.primerange(2**32 - 8_000, 2**32))
+    assert len(below) > 1024 + 400 and above and top
+    tables = [array("I", below[-1024:]), array("I", below[-1424:] + above + top)]
+    # q | C_(q-2) for every odd prime q, so each path must report a hit: the
+    # first two in float64, the rest in uint64
+    hit_primes = [below[-1424 + 1023], below[-1], above[0], above[-1], top[-1]]
+    rng = random.Random(26)
+    ns = {1, 2, 3, 96, 139968, 2**64 + 1, *(rng.randrange(1, 2**33) for _ in range(10))}
+    ns |= {q - 2 for q in hit_primes}
+    hits = [set(), set()]
+    for table, found in zip(tables, hits):
+        for n in sorted(ns):
+            want = [q for q in table if arith.cullen_mod(n, q) == 0]
+            assert list(arith._cullen_divisors_vec(n, table)) == want, n
+            found.update(want)
+    assert below[-1] in hits[0] and set(hit_primes) <= hits[1]
 
 
 def _cullen_divisors_loop(n, limit):

@@ -104,6 +104,16 @@ def test_screen_file_set(tmp_path, capsys):
     assert out.index("n=6") < out.index("n=9") < out.index("n=12")
 
 
+def test_screen_file_set_takes_n_past_uint64(tmp_path, capsys):
+    # C_(2^64) = 2^(2^64 + 64) + 1 has the factor 274177 of 2^64 + 1, and
+    # 274176 = 1071*2^8 is not a divisor of n*2^n, a power of two
+    nf = tmp_path / "ns.txt"
+    nf.write_text(f"{2**64}\n")
+    code, out, _ = run_cli(capsys, "screen", "--set", "file", "--n-file", str(nf), "--cn-cap", "0")
+    assert code == 0
+    assert f"n={2**64}: REFUTED_SHAPE witness=274177" in out
+
+
 def test_screen_file_set_requires_file(capsys):
     code, _, err = run_cli(capsys, "screen", "--set", "file")
     assert code == 2

@@ -365,6 +365,43 @@ def test_least_prime_lemma_never_fires_on_its_premise(found_count):
             assert g > 1 and g % least == 0, (found_count, trial, a)
 
 
+# Residue-only verdicts at trial limit 10^7 for all 113 n = 2^a*3^b < 200,000,
+# pinned from the uint64-only numpy kernel: n -> least witness
+_RESIDUE_SHAPE = {
+    4: 13, 6: 11, 8: 683, 9: 11, 12: 19, 16: 61681, 18: 11, 24: 11, 27: 29, 32: 1777,
+    48: 379, 54: 29, 72: 41, 81: 83, 144: 53, 162: 11, 192: 11383, 216: 937, 243: 59,
+    256: 97, 288: 379, 384: 246223, 432: 2953, 486: 971, 512: 501203, 576: 1117,
+    972: 362293, 1024: 397, 1152: 11, 1296: 41, 1458: 108643, 1536: 59, 1944: 251, 2048: 59,
+    2187: 439, 2304: 101, 3456: 31, 4096: 504337, 4608: 137, 5184: 92693, 6144: 1763857,
+    6561: 11, 8748: 32719, 9216: 6841, 12288: 307, 13122: 4457, 13824: 31, 15552: 52501,
+    16384: 13, 17496: 11, 19683: 11, 20736: 281, 23328: 21577, 24576: 35339, 27648: 31,
+    31104: 79, 32768: 1049057, 34992: 132511, 52488: 11, 55296: 50363, 62208: 231067,
+    65536: 5441, 69984: 11, 73728: 465163, 78732: 31, 82944: 12049, 93312: 4153, 98304: 103,
+    104976: 9137, 110592: 3511, 118098: 6571, 124416: 11, 131072: 43, 147456: 4801,
+    165888: 89, 177147: 11, 186624: 29, 196608: 37,
+}
+_RESIDUE_SQUARE = {
+    2: 3, 3: 5, 36: 37, 64: 5, 128: 3, 864: 5, 1728: 7, 4374: 7, 5832: 19, 8192: 3,
+    11664: 5, 36864: 5, 39366: 5, 59049: 17, 157464: 5,
+}
+_RESIDUE_UNDECIDED = [
+    1, 96, 108, 324, 648, 729, 768, 2592, 2916, 3072, 3888, 6912, 7776, 10368, 18432, 26244,
+    41472, 46656, 49152, 139968,
+]
+
+
+def test_residue_only_verdicts_at_ten_million():
+    # a table past VECTOR_ABOVE: every scan runs the numpy kernel, in two
+    # workers forked after the parent imported numpy
+    want = {n: (screen.REFUTED_SHAPE, q) for n, q in _RESIDUE_SHAPE.items()}
+    want |= {n: (screen.REFUTED_SQUARE, q) for n, q in _RESIDUE_SQUARE.items()}
+    want |= {n: (screen.UNDECIDED, None) for n in _RESIDUE_UNDECIDED}
+    assert (len(_RESIDUE_SHAPE), len(_RESIDUE_SQUARE), len(want)) == (78, 15, 113)
+    cfg = screen.ScreenConfig(trial_limit=10**7, cn_cap=0)
+    report = screen.screen_set(screen.enumerate_2a3b(199_999), cfg, workers=2)
+    assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
+
+
 @pytest.mark.parametrize(
     "n,status,witness",
     [(6144, "REFUTED_SHAPE", 1763857), (32768, "REFUTED_SHAPE", 1049057), (96, "UNDECIDED", None)],
