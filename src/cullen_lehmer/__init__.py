@@ -40,8 +40,10 @@ from .screen import (
     witness_search,
 )
 from .structure import (
+    CountBound,
     CullenInstance,
     PrimeShape,
+    count_bound,
     cullen_value,
     decompose,
     prime_shape,

@@ -1,10 +1,9 @@
 """Arbitrary-precision integer primitives shared by every other module:
 2-adic valuations, integer roots, perfect-power detection, primality,
 the prime table (a uint32 array, so primes stay below 2**32), modular
-Cullen residues and the prime divisors of C_n in a prime table, the
-Proth/Fermat power on C_n (squarings reduced through the special form
-n*2^n = -1 mod C_n, never a long division), Brent-cycle factoring, and the
-ordered process-pool map that the scans share.
+Cullen residues and the prime divisors of C_n in a prime table,
+Brent-cycle factoring, and the ordered process-pool map that the scans
+share.
 
 cullen_divisors has two kernels.  For a table whose largest prime is at
 most VECTOR_ABOVE and n <= GCD_MAX_N it builds C_n (at most 2 KB) and takes
@@ -283,48 +282,6 @@ def is_prime(x: int) -> bool:
 def prime_certainty(x: int) -> str:
     """'proven' when the is_prime answer is deterministic, else 'probable'."""
     return "proven" if x < _DET_MR_LIMIT else "probable"
-
-
-def proth_base(n: int) -> int | None:
-    """The least prime a < 1000 with Jacobi symbol (a/C_n) = -1, or None
-    when there is no such a.  Such an a is coprime to C_n."""
-    if n < 1:
-        raise ValueError("proth_base requires n >= 1")
-    cn = (n << n) + 1
-    return next((a for a in _SMALL_PRIMES if _jacobi(a, cn) == -1), None)
-
-
-def cullen_squarings(n: int, t: int, k: int) -> int:
-    """t^(2^k) mod C_n for 0 <= t < C_n, by k squarings.
-
-    Each square is reduced with n*2^n = -1 (mod C_n): x = (hi*n + lo)*2^n +
-    (x mod 2^n) is congruent to lo*2^n + (x mod 2^n) - hi, a shift and a
-    one-digit divmod instead of a long division.
-    """
-    cn = (n << n) + 1
-    mask = (1 << n) - 1
-    for _ in range(k):
-        t *= t
-        hi, lo = divmod(t >> n, n)
-        t = (lo << n) + (t & mask) - hi
-        # lo*2^n + (t & mask) < n*2^n < C_n and hi < C_n: one correction is enough
-        if t < 0:
-            t += cn
-    return t
-
-
-def proth_power(n: int) -> tuple[int, int] | None:
-    """(a, a^((C_n-1)/2) mod C_n) for a = proth_base(n), or None when there
-    is no base.
-
-    (C_n-1)/2 = n1*2^(n+alpha-1) for n = n1*2^alpha with n1 odd, so the power
-    is a^n1 followed by n+alpha-1 cullen_squarings.
-    """
-    a = proth_base(n)
-    if a is None:
-        return None
-    alpha = v2(n)
-    return a, cullen_squarings(n, pow(a, n >> alpha, (n << n) + 1), n + alpha - 1)
 
 
 def cullen_mod(n: int, q: int) -> int:

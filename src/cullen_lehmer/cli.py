@@ -129,7 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rho-budget",
         type=int,
         default=_env("rho-budget", arith.DEFAULT_RHO_BUDGET, int),
-        help="rho iterations, spent only when C_n passes the Fermat test (default 10^6)",
+        help="rho iterations, spent only for an n <= --cn-cap whose count bound "
+        "reaches 14 (default 10^6)",
     )
     p_scr.add_argument(
         "--cn-cap",

@@ -3,17 +3,14 @@ and refute the Lehmer necessary conditions on C_n by witness search.
 
 For a Lehmer C_n every prime factor q must satisfy (q - 1) | n * 2^n, C_n
 must be squarefree, and C_n must carry at least LEHMER_MIN_OMEGA distinct
-prime factors; C_n must also be composite and, like every Lehmer number, a
-Carmichael number (Lehmer 1932).  The prime divisors of C_n up to the trial
-limit come from arith.cullen_divisors: for n <= arith.GCD_MAX_N on a table
-up to arith.VECTOR_ABOVE it takes one gcd of C_n (at most 2 KB) with each
-block product of primes; every other scan runs in residues, so n near
+prime factors (Cohen & Hagis 1980).  The prime divisors of C_n up to the
+trial limit come from arith.cullen_divisors: for n <= arith.GCD_MAX_N on a
+table up to arith.VECTOR_ABOVE it takes one gcd of C_n (at most 2 KB) with
+each block product of primes; every other scan runs in residues, so n near
 200,000 never materializes C_n inside it.
-The shape condition and the distinct-factor count together bound the least
-prime factor r of C_n above the trial limit: with the primes up to it
-divided out, at least j primes r = m*2^i + 1 with m | n1 are left, so
-2^(i*j) < r^j bounds i, and about n/13 squarings of the Proth chain expose
-r (a Pollard p - 1 argument, Pollard 1974).
+The Lehmer property also bounds the distinct primes of C_n by
+structure.count_bound(n), the paper's count step evaluated at n; a bound
+below LEHMER_MIN_OMEGA refutes C_n without building it.
 There is deliberately no status meaning "the Lehmer property holds": the
 screen can only refute or leave a value undecided.
 """
@@ -33,20 +30,16 @@ from .bounds import LEHMER_MIN_OMEGA
 
 REFUTED_SHAPE = "REFUTED_SHAPE"
 REFUTED_SQUARE = "REFUTED_SQUARE"
+REFUTED_COUNT = "REFUTED_COUNT"
 REFUTED_OMEGA = "REFUTED_OMEGA"
-REFUTED_FERMAT = "REFUTED_FERMAT"
-REFUTED_LEAST_PRIME = "REFUTED_LEAST_PRIME"
-PRIME_CN = "PRIME_CN"
 UNDECIDED = "UNDECIDED"
 
 STATUSES = frozenset(
     {
         REFUTED_SHAPE,
         REFUTED_SQUARE,
+        REFUTED_COUNT,
         REFUTED_OMEGA,
-        REFUTED_FERMAT,
-        REFUTED_LEAST_PRIME,
-        PRIME_CN,
         UNDECIDED,
     }
 )
@@ -54,7 +47,7 @@ STATUSES = frozenset(
 DEFAULT_TRIAL_LIMIT = 10**6
 
 # Hashed into every config, so --resume never mixes verdicts of two ladders.
-ALGORITHM_VERSION = 3
+ALGORITHM_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -108,22 +101,6 @@ def enumerate_2a3b(n_max: int) -> list[int]:
     return out
 
 
-def _least_prime_squarings(rest: int, j: int, steps: int) -> int | None:
-    """The squarings I after which a Lehmer C_n shows its least prime factor
-    above the trial limit, or None when I would save nothing.
-
-    rest is C_n over its compatible primes up to the trial limit, and
-    j = LEHMER_MIN_OMEGA minus their count.  A Lehmer C_n has at least j
-    distinct primes in rest, each r = m*2^i + 1 with m | n1; the least has
-    2^(i*j) < r^j <= rest, so i <= I = rest.bit_length() // j.  None when
-    rest == 1, j < 1 or I >= steps, the squarings of the full Proth power.
-    """
-    if rest == 1 or j < 1:
-        return None
-    k = rest.bit_length() // j
-    return k if k < steps else None
-
-
 def witness_search(
     n: int,
     trial_limit: int = DEFAULT_TRIAL_LIMIT,
@@ -134,15 +111,11 @@ def witness_search(
     """Deterministic verdict for one n.
 
     Order: ascending prime residues up to trial_limit testing the shape and
-    squarefree conditions; then, when n <= cn_cap, the Proth chain on
-    C_n = n1*2^(n+alpha) + 1 (a Proth number, since n1 < 2^(n+alpha)) with
-    base a, (a/C_n) = -1: a^n1 followed by n+alpha-1 squarings.  After the
-    first I of them (_least_prime_squarings) one gcd with R, C_n over the
-    primes the scan found, refutes C_n when it is 1 (REFUTED_LEAST_PRIME);
-    otherwise the same chain runs on to a^((C_n-1)/2), which proves C_n
-    prime or refutes the Carmichael condition; only when C_n passes it, a
-    budgeted factorization whose factors get the same tests, then the
-    distinct-factor count.
+    squarefree conditions; then the count bound of structure.count_bound,
+    which refutes C_n when it is below LEHMER_MIN_OMEGA (REFUTED_COUNT,
+    witness the bound); then, only when n <= cn_cap, a budgeted
+    factorization of C_n over the primes the scan found, whose factors get
+    the same tests, then the distinct-factor count.
     UNDECIDED is the honest fallback when every budget runs dry.
     """
     if n < 1:
@@ -192,48 +165,25 @@ def witness_search(
             return verdict
         compatible.append(q)
 
+    count = structure.count_bound(n)
+    if count.bound < LEHMER_MIN_OMEGA:
+        gammas = ", ".join(map(str, count.gammas)) or "none"
+        return done(
+            REFUTED_COUNT,
+            count.bound,
+            f"a Lehmer C_{n} has at most Omega(n1) + #{{gamma : F_gamma | C_{n}}} <= "
+            f"{count.n1_omega} + {len(count.gammas)} = {count.bound} < {LEHMER_MIN_OMEGA} "
+            f"distinct prime factors: n1 = {inst.n1}, gamma = {gammas}",
+        )
     if n > cn_cap:
         return done(
             UNDECIDED,
             None,
-            f"C_{n} above materialization cap {cn_cap} and no witness below {trial_limit}",
+            f"C_{n} above materialization cap {cn_cap}, no witness below {trial_limit} "
+            f"and count bound {count.bound} >= {LEHMER_MIN_OMEGA}",
         )
     cn = structure.cullen_value(n, cn_cap)
     rest = cn // math.prod(compatible)
-    a = arith.proth_base(n)
-    if a is not None:
-        steps = n + inst.alpha - 1
-        t = pow(a, inst.n1, cn)
-        j = LEHMER_MIN_OMEGA - len(compatible)
-        k = _least_prime_squarings(rest, j, steps)
-        if k is not None:
-            t = arith.cullen_squarings(n, t, k)
-            if math.gcd(t - 1, rest) == 1:
-                divided = f" / ({'*'.join(map(str, compatible))})" if compatible else ""
-                return done(
-                    REFUTED_LEAST_PRIME,
-                    a,
-                    f"gcd({a}^(n1*2^{k}) - 1, R) = 1 for R = C_{n}{divided} and Jacobi "
-                    f"({a}/C_{n}) = -1; a Lehmer C_{n} would have j = {LEHMER_MIN_OMEGA} - "
-                    f"{len(compatible)} = {j} or more distinct primes in R, the least "
-                    f"r = m*2^i + 1 with m | n1 = {inst.n1} and i <= R.bit_length() // j = {k}, "
-                    "and r would divide that gcd",
-                )
-        t = arith.cullen_squarings(n, t, steps - (k or 0))
-        if t == cn - 1:
-            return done(
-                PRIME_CN,
-                None,
-                f"C_{n} is prime (proven: Proth test, base {a}); Lehmer numbers are composite",
-            )
-        if t * t % cn != 1:
-            return done(
-                REFUTED_FERMAT,
-                a,
-                f"{a}^(C_{n} - 1) != 1 mod C_{n} with gcd({a}, C_{n}) = 1: C_{n} is not a "
-                "Carmichael number, so it is not a Lehmer number",
-            )
-
     result = arith.bounded_factor(rest, (), rho_budget)
     rho_used = result.rho_used
     for q in sorted(result.factors):

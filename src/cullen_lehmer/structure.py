@@ -95,3 +95,49 @@ def shape_divides(shape: PrimeShape, inst: CullenInstance) -> bool:
     Equivalent to m | n1 and a <= n + alpha because m is odd.
     """
     return inst.n1 % shape.m == 0 and shape.a <= inst.n + inst.alpha
+
+
+@dataclass(frozen=True)
+class CountBound:
+    """The count step at one n: a Lehmer C_n has at most
+    n1_omega + len(gammas) distinct prime factors."""
+
+    n1_omega: int
+    gammas: tuple[int, ...]
+
+    @property
+    def bound(self) -> int:
+        return self.n1_omega + len(self.gammas)
+
+
+def count_bound(n: int) -> CountBound:
+    """Bound the number of distinct primes of a Lehmer C_n by
+    Omega(n1) + #{gamma : F_gamma | C_n}.
+
+    Proof.  Let N = C_n and N - 1 = n*2^n = n1*2^(n+alpha).  For each
+    prime p | N write p - 1 = m_p*2^(i_p) with m_p odd.  The Lehmer
+    property phi(N) | N - 1, with prod(p - 1) | phi(N) over the distinct
+    primes (squarefree or not), gives prod(m_p) | n1.  So at most
+    Omega(n1) of the primes have m_p > 1.  A prime with m_p = 1 is
+    2^i + 1, so i = 2^gamma and p = F_gamma = 2^(2^gamma) + 1.  No fact
+    about which F_gamma are prime is used.
+
+    Only gamma with L = 2^gamma <= n.bit_length() can have F_gamma | C_n,
+    so each test is a cullen_mod with a modulus of at most 2n + 1.  For
+    L > n.bit_length(), so n < 2^(L-1), let F = F_gamma: 2^L = -1 (mod F)
+    gives 2^n = e*2^s with s = n mod L, e = +-1, and 2^-s = -2^(L-s), so
+    F | C_n means n = e*2^(L-s) (mod F).  For s = 0 that is n = 2^L (too
+    large) or n = 1 (but then s = 1).  For s >= 1 and e = -1 it is
+    n = 2^L - 2^(L-s) + 1 > 2^(L-1), too large.  For e = 1 it is n = 2^k
+    with 1 <= k = L - s < L; k >= gamma would give s = 0, so s = 2^k and
+    2^gamma = k + 2^k, impossible since 2^gamma - 2^k >= 2^k > k.
+
+    n1_omega is Omega(n1) from arith.bounded_factor with its default
+    budget; a cofactor c it leaves unfactored counts c.bit_length(), an
+    upper bound on its prime factors.
+    """
+    split = arith.bounded_factor(arith.odd_part(n))
+    omega = sum(split.factors.values()) + (0 if split.complete else split.cofactor.bit_length())
+    span = n.bit_length().bit_length()
+    gammas = tuple(g for g in range(span) if arith.cullen_mod(n, (1 << (1 << g)) + 1) == 0)
+    return CountBound(omega, gammas)

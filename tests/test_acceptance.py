@@ -126,24 +126,14 @@ def _oracle_verdict(n: int, trial_limit: int, search: screen.Verdict):
             return "REFUTED_SHAPE", q
         if e >= 2:
             return "REFUTED_SQUARE", q
-    # the base is the least prime with Jacobi (a/N) = -1, so gcd(a, N) = 1
-    base = next(a for a in sympy.primerange(2, 1000) if sympy.jacobi_symbol(a, cn) == -1)
-    # a Lehmer C_n has j = 14 - |F| or more distinct primes r = m*2^i + 1
-    # (m | n1) in R = C_n / prod(F); the least has 2^(i*j) < R, and its
-    # r - 1 divides n1*2^I, so r | gcd(a^(n1*2^I) - 1, R)
-    rest = cn // math.prod(q for q, _ in found)
-    j = bounds.LEHMER_MIN_OMEGA - len(found)
+    # a Lehmer C_n has at most Omega(n1) primes p with p - 1 not a power of
+    # two, since prod(odd part of p - 1) | n1; every other one is a Fermat
+    # number F_gamma | C_n with 2^gamma <= n + alpha
     alpha = (n & -n).bit_length() - 1
-    if rest > 1 and j >= 1 and rest.bit_length() // j < n + alpha - 1:
-        i = rest.bit_length() // j
-        if math.gcd(pow(base, (n >> alpha) << i, cn) - 1, rest) == 1:
-            return "REFUTED_LEAST_PRIME", base
-    if sympy.isprime(cn):
-        return "PRIME_CN", None
-    # a Lehmer number is a Carmichael number, so a^(N-1) != 1 with a coprime
-    # to N refutes it
-    if pow(base, cn - 1, cn) != 1:
-        return "REFUTED_FERMAT", base
+    omega_n1 = sum(sympy.factorint(n >> alpha).values())
+    fermat = sum(cn % (2 ** 2**g + 1) == 0 for g in range((n + alpha).bit_length()))
+    if omega_n1 + fermat < bounds.LEHMER_MIN_OMEGA:
+        return "REFUTED_COUNT", omega_n1 + fermat
     rest = cn
     for q, e in found:
         rest //= q**e

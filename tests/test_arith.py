@@ -142,42 +142,6 @@ def test_seeding_never_builds_a_decimal_string():
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize(
-    "n,expected",
-    # C_1 = 3; C_2 = 3^2 and C_3 = 5^2: no Jacobi symbol is -1; C_141 is prime
-    [(1, (2, 2)), (2, None), (3, None), (141, (5, 141 << 141))],
-)
-def test_proth_power_examples(n, expected):
-    assert arith.proth_power(n) == expected
-
-
-def test_proth_power_matches_sympy_on_cullen_numbers():
-    for n in [*range(1, 601), 3072, 6144, 6912]:
-        cn = (n << n) + 1
-        found = arith.proth_power(n)
-        if n in (2, 3):
-            assert found is None
-            continue
-        a, t = found
-        assert t == pow(a, cn >> 1, cn), n
-        assert sympy.jacobi_symbol(a, cn) == -1
-        assert all(sympy.jacobi_symbol(b, cn) != -1 for b in sympy.primerange(2, a))
-        assert (t == cn - 1) == sympy.isprime(cn), n
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 141, 600, 3072])
-def test_cullen_squarings_resume_from_a_checkpoint(n):
-    # the least-prime stage stops the chain after k squarings and the Fermat
-    # stage runs on from there; both halves must compose to one chain
-    cn = (n << n) + 1
-    rng = random.Random(n)
-    for t in (0, 1, cn - 1, rng.randrange(cn), rng.randrange(cn)):
-        for k in (0, 1, 7, 40):
-            first = arith.cullen_squarings(n, t, k)
-            assert first == pow(t, 1 << k, cn)
-            assert arith.cullen_squarings(n, first, 9) == pow(t, 1 << (k + 9), cn)
-
-
 def test_strong_lucas_battery():
     for p in sympy.primerange(5, 2000):
         assert arith._strong_lucas(p), p

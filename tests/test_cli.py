@@ -120,14 +120,15 @@ def test_screen_file_set_requires_file(capsys):
     assert "--n-file" in err
 
 
-def test_screen_undecided_exit_codes(capsys):
-    # C_132 has no shape or square witness below 200, and above the
-    # materialization cap only residue witnesses count, so it stays undecided
-    args = ("screen", "--set", "range", "--n-max", "132", "--trial-limit", "200",
-            "--cn-cap", "100")
+def test_screen_undecided_exit_codes(tmp_path, capsys):
+    # n = 3^13*5 has count bound 14 and no residue witness below 10^6, and
+    # above the materialization cap nothing else runs, so it stays undecided
+    nf = tmp_path / "ns.txt"
+    nf.write_text("7971615\n")
+    args = ("screen", "--set", "file", "--n-file", str(nf), "--cn-cap", "0")
     code, out, err = run_cli(capsys, *args)
     assert code == 1
-    assert "n=132: UNDECIDED" in out
+    assert "n=7971615: UNDECIDED" in out
     code, _, _ = run_cli(capsys, *args, "--allow-undecided")
     assert code == 0
 

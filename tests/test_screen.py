@@ -1,7 +1,4 @@
-import functools
 import json
-import math
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -40,10 +37,8 @@ def test_status_space_cannot_express_success():
     assert screen.STATUSES == {
         "REFUTED_SHAPE",
         "REFUTED_SQUARE",
+        "REFUTED_COUNT",
         "REFUTED_OMEGA",
-        "REFUTED_FERMAT",
-        "REFUTED_LEAST_PRIME",
-        "PRIME_CN",
         "UNDECIDED",
     }
     with pytest.raises(ValueError):
@@ -53,15 +48,16 @@ def test_status_space_cannot_express_success():
 @pytest.mark.parametrize(
     "n,status,witness",
     [
-        (1, "PRIME_CN", None),
+        # C_1 = 3 = F_0 and n1 = 1: at most one prime factor
+        (1, "REFUTED_COUNT", 1),
         (2, "REFUTED_SQUARE", 3),
         (3, "REFUTED_SQUARE", 5),
         (4, "REFUTED_SHAPE", 13),
         (6, "REFUTED_SHAPE", 11),
         (9, "REFUTED_SHAPE", 11),
         (12, "REFUTED_SHAPE", 19),
-        # C_141 is prime, but it cannot have 14 prime factors
-        (141, "REFUTED_LEAST_PRIME", 5),
+        # C_141 is prime; n1 = 3*47 and no F_gamma divides it, so at most 2
+        (141, "REFUTED_COUNT", 2),
     ],
 )
 def test_witness_search_examples(n, status, witness):
@@ -69,29 +65,18 @@ def test_witness_search_examples(n, status, witness):
     assert (v.status, v.witness) == (status, witness)
 
 
-@functools.cache
-def _primes_to(limit):
-    return tuple(sympy.sieve.primerange(2, limit + 1))
-
-
-def _recheck_least_prime(v):
-    """Re-derive a REFUTED_LEAST_PRIME verdict from its definition: F by
-    plain trial division, R = C_n / prod(F), I = R.bit_length() // j."""
-    n, a = v.n, v.witness
-    cn = n * 2**n + 1
-    found = [q for q in _primes_to(v.trial_limit_used) if cn % q == 0]
-    assert all(cn % (q * q) and (cn - 1) % (q - 1) == 0 for q in found), n
-    rest = cn // math.prod(found)
-    j = 14 - len(found)
-    i = rest.bit_length() // j
-    n1 = n
-    while n1 % 2 == 0:
-        n1 //= 2
-    assert sympy.jacobi_symbol(a, cn) == -1
-    assert math.gcd(pow(a, n1 << i, cn) - 1, rest) == 1, n
-    # the record alone names I, j and the primes divided out
-    assert f"{a}^(n1*2^{i}) - 1" in v.reason and f"= {j} or more" in v.reason
-    assert (f"C_{n} / ({'*'.join(map(str, found))})" if found else f"R = C_{n} and") in v.reason
+def _recheck_count(v):
+    """Re-derive a REFUTED_COUNT verdict from its definition: Omega(n1) by
+    sympy.factorint and F_gamma | C_n on the materialized C_n."""
+    n = v.n
+    alpha = arith.v2(n)
+    cn = (n << n) + 1
+    omega = sum(sympy.factorint(n >> alpha).values())
+    gammas = [g for g in range((n + alpha).bit_length()) if cn % ((1 << (1 << g)) + 1) == 0]
+    assert v.witness == omega + len(gammas) < 14, n
+    # the record alone names Omega(n1) and the gammas counted
+    assert f"<= {omega} + {len(gammas)} = {v.witness} < 14" in v.reason, n
+    assert v.reason.split(";")[0].endswith(f"gamma = {', '.join(map(str, gammas)) or 'none'}"), n
 
 
 def test_refuted_witnesses_verify_in_bigint(verdicts_500):
@@ -103,13 +88,9 @@ def test_refuted_witnesses_verify_in_bigint(verdicts_500):
             assert (cn - 1) % (v.witness - 1) != 0
         elif v.status == "REFUTED_SQUARE":
             assert cn % (v.witness * v.witness) == 0
-        elif v.status == "REFUTED_FERMAT":
-            assert math.gcd(v.witness, cn) == 1
-            assert pow(v.witness, cn - 1, cn) != 1
-        elif v.status == "REFUTED_LEAST_PRIME":
-            _recheck_least_prime(v)
-        elif v.status == "PRIME_CN":
-            assert n == 1 and "proven" in v.reason
+        else:
+            assert v.status == "REFUTED_COUNT", n
+            _recheck_count(v)
 
 
 def test_undecided_accounts_for_budget(verdicts_500):
@@ -122,10 +103,9 @@ def test_undecided_accounts_for_budget(verdicts_500):
 
 
 def test_omega_reason_carries_verified_factorization(monkeypatch):
-    # with every power of the Proth chain reading 1, the least-prime gcd is R
-    # and C_n passes the Fermat stage, so factoring has to decide; the shape
-    # witnesses it learns must not be thrown away
-    monkeypatch.setattr(arith, "cullen_squarings", lambda n, t, k: 1)
+    # with the count stage unable to refute, factoring has to decide; the
+    # shape witnesses it learns must not be thrown away
+    monkeypatch.setattr(structure, "count_bound", lambda n: structure.CountBound(14, ()))
     for n in (37, 62, 96, 100, 104, 108, 122, 124, 132, 158, 196):
         v = screen.witness_search(n)
         cn = structure.cullen_value(n)
@@ -277,92 +257,25 @@ def test_resume_skips_records_of_other_algorithm_versions(tmp_path, monkeypatch)
     assert report.computed == 2 and report.reused == 0
 
 
-def test_fermat_witnesses_recheck_in_bigint():
-    # the least-prime stage decides every C_n the residue scan leaves in
-    # (3000, 8000]; re-derive each verdict with plain pow and trial division
-    ns = [n for n in screen.enumerate_2a3b(8000) if n > 3000]
-    report = screen.screen_set(ns, screen.ScreenConfig(rho_budget=0))
-    least = [v for v in report.verdicts if v.status == "REFUTED_LEAST_PRIME"]
-    assert [v.n for v in least] == [3072, 3888, 6144, 6912, 7776]
-    for v in least:
-        _recheck_least_prime(v)
+def test_count_stage_decides_what_the_residue_scan_leaves():
+    # every n = 2^a*3^b in (3000, 12000] the residue scan leaves goes to the
+    # count stage, with C_n never built
+    ns = [n for n in screen.enumerate_2a3b(12000) if n > 3000]
+    report = screen.screen_set(ns, screen.ScreenConfig(cn_cap=0))
+    count = [v for v in report.verdicts if v.status == "REFUTED_COUNT"]
+    assert [v.n for v in count] == [3072, 3888, 6144, 6912, 7776, 10368]
+    for v in count:
+        _recheck_count(v)
 
 
-# the Fermat witnesses of the ladder without the least-prime stage
-_FERMAT_WITNESSES = {3072: 5, 3888: 13, 6144: 7, 6912: 5, 7776: 5}
-
-
-def test_least_prime_stage_inconclusive_falls_back_to_fermat(monkeypatch):
-    monkeypatch.setattr(screen, "_least_prime_squarings", lambda rest, j, steps: None)
-    ns = [n for n in screen.enumerate_2a3b(8000) if n > 3000]
-    report = screen.screen_set(ns, screen.ScreenConfig(rho_budget=0))
-    fermat = {v.n: v.witness for v in report.verdicts if v.status == "REFUTED_FERMAT"}
-    assert fermat == _FERMAT_WITNESSES
-    for n, a in fermat.items():
-        cn = structure.cullen_value(n)
-        assert math.gcd(a, cn) == 1
-        assert pow(a, cn - 1, cn) != 1, n
-    v = screen.witness_search(141)
-    assert v.status == "PRIME_CN" and "proven" in v.reason
-
-
-@pytest.mark.parametrize("n", [3072, 6144])
-def test_inconclusive_gcd_continues_the_same_chain(monkeypatch, n):
-    # with no trial division, the small compatible prime of C_n (7 = 3*2 + 1
-    # for 3072, 5 = 4 + 1 for 6144) stays in R and divides the early gcd, so
-    # the chain must run on from its checkpoint to the Fermat test
-    calls = []
-    squarings = arith.cullen_squarings
-    monkeypatch.setattr(
-        arith, "cullen_squarings", lambda m, t, k: calls.append(k) or squarings(m, t, k)
-    )
-    v = screen.witness_search(n, trial_limit=0)
-    assert (v.status, v.witness) == ("REFUTED_FERMAT", _FERMAT_WITNESSES[n])
-    cn = structure.cullen_value(n)
-    i = cn.bit_length() // 14
-    steps = n + arith.v2(n) - 1
-    assert calls == [i, steps - i]
-    assert math.gcd(pow(v.witness, (n >> arith.v2(n)) << i, cn) - 1, cn) > 1
-    assert pow(v.witness, cn - 1, cn) != 1
-
-
-@pytest.mark.parametrize("found_count", [0, 1, 5, 13])
-def test_least_prime_lemma_never_fires_on_its_premise(found_count):
-    # any squarefree N = prod(F) * R, with R a product of at least
-    # j = 14 - |F| distinct primes r = 3^e*2^i + 1 (e <= 12, so m | n1 = 3^12),
-    # has the least prime of R in gcd(a^(n1*2^I) - 1, R) for every base a
-    # coprime to N, with I from the screen's own bound; no Cullen number here
-    rng = random.Random(found_count)
-    n1 = 3**12
-    shaped = sorted(
-        r
-        for e in range(13)
-        for i in range(1, 300)
-        if (r := 3**e * 2**i + 1) > 3 and sympy.isprime(r)
-    )
-    small = [r for r in shaped if r < 2**16]
-    large = [r for r in shaped if r >= 2**16]
-    j = 14 - found_count
-    for trial in range(12):
-        found = rng.sample(small, found_count)
-        size = j + rng.randrange(3)
-        if trial % 2:
-            # neighbours in size keep the least prime's i close to I
-            start = rng.randrange(len(large) - size)
-            picked = large[start : start + size]
-        else:
-            picked = rng.sample(large, size)
-        rest = math.prod(picked)
-        big_n = math.prod(found) * rest
-        k = screen._least_prime_squarings(rest, j, 10**9)
-        assert k == rest.bit_length() // j
-        least = min(picked)
-        assert arith.v2(least - 1) <= k
-        bases = [a for a in sympy.primerange(2, 60) if big_n % a][:5]
-        assert len(bases) == 5
-        for a in bases:
-            g = math.gcd(pow(a, n1 << k, big_n) - 1, rest)
-            assert g > 1 and g % least == 0, (found_count, trial, a)
+@pytest.mark.parametrize("n", [7_971_615, 19_131_876])
+def test_count_bound_of_fourteen_stays_undecided(n):
+    # 3^13*5 and 4*3^14 have Omega(n1) = 14, the Lehmer minimum, and no
+    # residue witness below the default trial limit
+    assert structure.count_bound(n).bound == 14
+    v = screen.witness_search(n, cn_cap=0)
+    assert v.status == "UNDECIDED"
+    assert "count bound 14 >= 14" in v.reason
 
 
 # Residue-only verdicts at trial limit 10^7 for all 113 n = 2^a*3^b < 200,000,
@@ -384,10 +297,12 @@ _RESIDUE_SQUARE = {
     2: 3, 3: 5, 36: 37, 64: 5, 128: 3, 864: 5, 1728: 7, 4374: 7, 5832: 19, 8192: 3,
     11664: 5, 36864: 5, 39366: 5, 59049: 17, 157464: 5,
 }
-_RESIDUE_UNDECIDED = [
-    1, 96, 108, 324, 648, 729, 768, 2592, 2916, 3072, 3888, 6912, 7776, 10368, 18432, 26244,
-    41472, 46656, 49152, 139968,
-]
+# n -> count bound, from sympy.factorint and C_n % F_gamma in big ints, for
+# the 20 n with no residue witness below 10^7
+_RESIDUE_COUNT = {
+    1: 1, 96: 1, 108: 3, 324: 6, 648: 4, 729: 6, 768: 1, 2592: 4, 2916: 6, 3072: 1, 3888: 5,
+    6912: 3, 7776: 5, 10368: 4, 18432: 2, 26244: 9, 41472: 4, 46656: 6, 49152: 1, 139968: 7,
+}
 
 
 def test_residue_only_verdicts_at_ten_million():
@@ -395,7 +310,7 @@ def test_residue_only_verdicts_at_ten_million():
     # workers forked after the parent imported numpy
     want = {n: (screen.REFUTED_SHAPE, q) for n, q in _RESIDUE_SHAPE.items()}
     want |= {n: (screen.REFUTED_SQUARE, q) for n, q in _RESIDUE_SQUARE.items()}
-    want |= {n: (screen.UNDECIDED, None) for n in _RESIDUE_UNDECIDED}
+    want |= {n: (screen.REFUTED_COUNT, k) for n, k in _RESIDUE_COUNT.items()}
     assert (len(_RESIDUE_SHAPE), len(_RESIDUE_SQUARE), len(want)) == (78, 15, 113)
     cfg = screen.ScreenConfig(trial_limit=10**7, cn_cap=0)
     report = screen.screen_set(screen.enumerate_2a3b(199_999), cfg, workers=2)
@@ -404,14 +319,15 @@ def test_residue_only_verdicts_at_ten_million():
 
 @pytest.mark.parametrize(
     "n,status,witness",
-    [(6144, "REFUTED_SHAPE", 1763857), (32768, "REFUTED_SHAPE", 1049057), (96, "UNDECIDED", None)],
+    [(6144, "REFUTED_SHAPE", 1763857), (32768, "REFUTED_SHAPE", 1049057), (96, "REFUTED_COUNT", 1)],
 )
 def test_witnesses_only_the_vector_kernel_reaches(n, status, witness):
     # no witness for these n lies below the default trial limit, so only
-    # the numpy kernel of cullen_divisors scans far enough to find one
+    # the numpy kernel of cullen_divisors scans far enough to find one; 96
+    # has none below 2*10^6 and goes to the count stage
     v = screen.witness_search(n, 2 * 10**6, cn_cap=0)
     assert (v.status, v.witness) == (status, witness)
-    if witness is not None:
+    if status == "REFUTED_SHAPE":
         assert witness > screen.DEFAULT_TRIAL_LIMIT
         assert ((n << n) + 1) % witness == 0
         assert (n << n) % (witness - 1) != 0

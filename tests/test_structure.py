@@ -1,8 +1,11 @@
+import math
 import random
+import time
 
 import pytest
+import sympy
 
-from cullen_lehmer import arith, structure
+from cullen_lehmer import arith, screen, structure
 
 
 def test_decompose_examples():
@@ -116,3 +119,74 @@ def test_shape_divides_matches_bigint(primes_10k):
 def test_cullen_one_mod_three_when_three_divides_n():
     for n in range(3, 30_000, 3):
         assert arith.cullen_mod(n, 3) == 1
+
+
+def _count_oracle(n):
+    """(Omega(n1), gammas) from sympy.factorint and C_n % F_gamma on the
+    materialized C_n."""
+    alpha = (n & -n).bit_length() - 1
+    cn = (n << n) + 1
+    omega = sum(sympy.factorint(n >> alpha).values())
+    span = (n + alpha).bit_length()
+    return omega, tuple(g for g in range(span) if cn % ((1 << (1 << g)) + 1) == 0)
+
+
+def test_count_bound_matches_bigint_oracle():
+    pow23 = screen.enumerate_2a3b(199_999)
+    for n in [*range(1, 3001), *pow23, *(1 << k for k in range(21))]:
+        got = structure.count_bound(n)
+        assert (got.n1_omega, got.gammas) == _count_oracle(n), n
+    # the count step at n refutes every candidate the cascade leaves
+    bounds = {n: structure.count_bound(n).bound for n in pow23}
+    assert len(bounds) == 113 and max(bounds.values()) == 11
+
+
+@pytest.mark.parametrize("base", [1 << 64, 1 << 100], ids=["2^64", "2^100"])
+def test_count_bound_far_past_uint64(base):
+    # F_gamma | C_n for gamma <= 14 against cullen_mod on the built F_gamma;
+    # count_bound tests only the gamma with 2^gamma <= n.bit_length(), here
+    # gamma <= 6, and the lemma says no larger one divides
+    rng = random.Random(base.bit_length())
+    ns = [base, base + 1, base - 1, 3 * (base >> 2)]
+    ns += [base + rng.getrandbits(40) for _ in range(20)]
+    for n in ns:
+        start = time.perf_counter()
+        got = structure.count_bound(n)
+        assert time.perf_counter() - start < 1.0, n
+        want = tuple(g for g in range(15) if arith.cullen_mod(n, (1 << (1 << g)) + 1) == 0)
+        assert got.gammas == want, n
+    # C_(2^64) = 2^(2^64 + 64) + 1 with 2^64 + 64 = 64 * odd, so F_6 divides it
+    assert structure.count_bound(1 << 64).gammas == (6,)
+
+
+@pytest.mark.parametrize("n1", [3**12, 3**5 * 5**2 * 7, 3 * 5 * 7 * 11 * 13])
+def test_count_lemma_holds_on_its_premise(n1):
+    # any product N of distinct primes with prod(p - 1) | n1*2^E has at most
+    # Omega(n1) primes with p - 1 not a power of two; the rest are Fermat
+    # primes; no Cullen number here
+    exponent = 1000
+    divisors = [m for m in range(3, n1 + 1, 2) if n1 % m == 0]
+    fermat = [3, 5, 17, 257, 65537]
+    shaped = [p for m in divisors for i in range(1, 200) if sympy.isprime(p := m * 2**i + 1)]
+    omega = sum(sympy.factorint(n1).values())
+    rng = random.Random(n1)
+    sharp = 0
+    for trial in range(200):
+        if trial % 2:
+            # the least multipliers first: the bound is reached when each
+            # prime of n1 goes to its own p
+            pool = sorted(fermat + shaped, key=lambda p: (arith.odd_part(p - 1), rng.random()))
+        else:
+            pool = fermat + rng.sample(shaped, 40)
+            rng.shuffle(pool)
+        picked = []
+        for p in pool:
+            # greedily keep every prime the premise still allows
+            if (n1 << exponent) % math.prod(q - 1 for q in [*picked, p]) == 0:
+                picked.append(p)
+        assert (n1 << exponent) % math.prod(p - 1 for p in picked) == 0
+        powers = [p for p in picked if (p - 1) & (p - 2) == 0]
+        assert all(p in fermat for p in powers)
+        assert len(picked) - len(powers) <= omega, picked
+        sharp += len(picked) - len(powers) == omega
+    assert sharp > 0
