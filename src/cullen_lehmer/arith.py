@@ -1,9 +1,8 @@
 """Arbitrary-precision integer primitives shared by every other module:
 2-adic valuations, integer roots, perfect-power detection, primality,
 the prime table (a uint32 array, so primes stay below 2**32), modular
-Cullen residues and the prime divisors of C_n in a prime table,
-Brent-cycle factoring, and the ordered process-pool map that the scans
-share.
+Cullen residues and the prime divisors of C_n in a prime table, and
+Brent-cycle factoring.
 
 cullen_divisors has two kernels.  For a table whose largest prime is at
 most VECTOR_ABOVE and n <= GCD_MAX_N it builds C_n (at most 2 KB) and takes
@@ -28,11 +27,9 @@ import operator
 import random
 from array import array
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from multiprocessing import Pool
 
 MR_ROUNDS = 64
 DEFAULT_RHO_BUDGET = 10**6
@@ -542,28 +539,3 @@ def bounded_factor(
             stack.append(f)
             stack.append(t // f)
     return FactorResult(factors, leftovers, rho_used)
-
-
-@contextmanager
-def ordered_map(
-    fn, items: list, workers: int = 1, initializer=None, initargs: tuple = (), *, in_order=True
-):
-    """fn over items as an iterator of results in item order, each available
-    as soon as it and every earlier one are done; with in_order=False, in
-    the order they are done instead.
-
-    initializer(*initargs) runs once in this process first, so an error in
-    it raises here; a pool would replace each worker whose initializer
-    raised with another, and never return.  With workers > 1 and more than
-    one item the calls then run in a process pool (chunksize 1) whose
-    workers each run the initializer too (forked ones find its work done);
-    otherwise they run in this process.
-    """
-    if initializer is not None:
-        initializer(*initargs)
-    if workers > 1 and len(items) > 1:
-        with Pool(workers, initializer, initargs) as pool:
-            run = pool.imap if in_order else pool.imap_unordered
-            yield run(fn, items, chunksize=1)
-    else:
-        yield map(fn, items)

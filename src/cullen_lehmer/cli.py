@@ -30,6 +30,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# the spellings a boolean override accepts, compared case-insensitively
+_BOOL_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False
+)
+
 
 def _env(name: str, default, cast, choices=None):
     """The flag's default, overridden by its CULLEN_ variable when set.
@@ -40,12 +45,10 @@ def _env(name: str, default, cast, choices=None):
     raw = os.environ.get(var)
     if raw is None:
         return default
-    if cast is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
     try:
-        value = cast(raw)
+        value = _BOOL_WORDS[raw.strip().lower()] if cast is bool else cast(raw)
         valid = choices is None or value in choices
-    except ValueError:
+    except (KeyError, ValueError):
         valid = False
     if not valid:
         print(f"invalid value {raw!r} for {var}", file=sys.stderr)
@@ -77,14 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "is also the resumable results file",
         )
 
-    def workers(p):
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=_env("workers", 1, int),
-            help="worker processes for scans and screens (default 1)",
-        )
-
     p_bounds = sub.add_parser("bounds", help="run the exclusion cascade")
     common(p_bounds)
     p_bounds.add_argument(
@@ -96,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exc = sub.add_parser("exceptional", help="exceptional-prime candidates and uniqueness")
     common(p_exc)
-    workers(p_exc)
     p_exc.add_argument(
         "--n-max",
         type=int,
@@ -106,7 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scr = sub.add_parser("screen", help="witness-search a set of n")
     common(p_scr)
-    workers(p_scr)
+    p_scr.add_argument(
+        "--workers",
+        type=int,
+        default=_env("workers", 1, int),
+        help="worker processes for the screen (default 1)",
+    )
     sets = ("pow23", "range", "file")
     p_scr.add_argument(
         "--set",
@@ -237,7 +236,7 @@ def cmd_exceptional(args) -> int:
     emitter = _Emitter(args.format, args.output)
     try:
         emitter.line(_config_line(args))
-        rows = exceptional.scan_exceptional(3, args.n_max, args.workers)
+        rows = exceptional.scan_exceptional(3, args.n_max)
         for inst, cands in rows:
             for c in cands:
                 d = {

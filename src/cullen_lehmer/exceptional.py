@@ -5,7 +5,9 @@ part of n is a perfect odd power, n1 = rho^w with w >= 3 odd dividing
 n + alpha, and then p = rho * 2^((n+alpha)/w) + 1 = (n * 2^n)^(1/w) + 1.
 This module enumerates those candidates, certifies compositeness of all but
 the largest-w candidate via the X^u + 1 cofactor split, and scans ranges of
-n for uniqueness violations (two prime candidates for one n).
+n for uniqueness violations (two prime candidates for one n).  A scan lists
+the odd powers n1 = t^w of the range and visits only their multiples
+n1 * 2^a, the only n that can carry a candidate.
 """
 
 from __future__ import annotations
@@ -123,25 +125,30 @@ def certify_smaller_composite(
 ScanRow = tuple[CullenInstance, list[ExceptionalCandidate]]
 
 
-def _scan_range(n_range: tuple[int, int]) -> list[ScanRow]:
-    lo, hi = n_range
-    out = []
-    for n in range(lo, hi + 1):
+def scan_exceptional(n_lo: int, n_hi: int) -> list[ScanRow]:
+    """(instance, candidates) for every n in [n_lo, n_hi] with candidates,
+    ascending in n.
+
+    Only the n = n1 * 2^a with n1 = t^w <= n_hi (t >= 3 and w >= 3 odd) are
+    visited, about n_hi^(1/3) / 2 bases t.  That is complete: candidates
+    need an odd w >= 3 dividing the signature exponent e of n1 = base^e,
+    and then base >= 3 is odd, so n1 = (base^(e/w))^w is a listed power.
+    """
+    powers, t = set(), 3
+    while t**3 <= n_hi:
+        x = t**3
+        while x <= n_hi:
+            powers.add(x)
+            x *= t * t
+        t += 2
+    ns = (n1 << a for n1 in powers for a in range((n_hi // n1).bit_length()))
+    rows = []
+    for n in sorted(n for n in ns if n >= n_lo):
         inst = structure.decompose(n)
         cands = exceptional_candidates(inst)
         if cands:
-            out.append((inst, cands))
-    return out
-
-
-def scan_exceptional(n_lo: int, n_hi: int, workers: int = 1) -> list[ScanRow]:
-    """(instance, candidates) for every n in [n_lo, n_hi] with candidates,
-    ascending in n; workers > 1 splits the range over that many processes."""
-    size = max(1, n_hi - n_lo + 1)
-    step = max(1, size // (workers * 8)) if workers > 1 else size
-    chunks = [(lo, min(lo + step - 1, n_hi)) for lo in range(n_lo, n_hi + 1, step)]
-    with arith.ordered_map(_scan_range, chunks, workers) as parts:
-        return [row for part in parts for row in part]
+            rows.append((inst, cands))
+    return rows
 
 
 def uniqueness_violations(rows: list[ScanRow]) -> list[int]:
@@ -158,7 +165,7 @@ def uniqueness_violations(rows: list[ScanRow]) -> list[int]:
     return violations
 
 
-def uniqueness_scan(n_max: int, workers: int = 1) -> list[int]:
+def uniqueness_scan(n_max: int) -> list[int]:
     """All n in [3, n_max] carrying two or more prime exceptional candidates.
 
     The underlying uniqueness theorem predicts an empty list; whatever is
@@ -166,4 +173,4 @@ def uniqueness_scan(n_max: int, workers: int = 1) -> list[int]:
     """
     if n_max < 3:
         raise ValueError("uniqueness_scan requires n_max >= 3")
-    return uniqueness_violations(scan_exceptional(3, n_max, workers))
+    return uniqueness_violations(scan_exceptional(3, n_max))

@@ -22,7 +22,9 @@ import json
 import math
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from multiprocessing import Pool
 from pathlib import Path
 
 from . import arith, structure
@@ -271,6 +273,22 @@ def load_records(path: Path, cfg_hash: str) -> dict[int, Verdict]:
     return found
 
 
+@contextmanager
+def _pool_map(fn, items: list, workers: int, initializer, initargs: tuple):
+    """fn over items, results in the order they are done: in a pool of
+    workers (chunksize 1) if workers > 1 and there are two items or more,
+    else here.  initializer(*initargs) runs here first, so its error raises
+    here: a pool would replace each worker whose initializer raised with
+    another, and never return.  Pool workers run it too (forked ones find
+    its work done)."""
+    initializer(*initargs)
+    if workers > 1 and len(items) > 1:
+        with Pool(workers, initializer, initargs) as pool:
+            yield pool.imap_unordered(fn, items, chunksize=1)
+    else:
+        yield map(fn, items)
+
+
 _WORKER_CFG: ScreenConfig | None = None
 
 
@@ -331,9 +349,7 @@ def screen_set(
             raise RuntimeError(f"cannot open results file {path}: {exc}") from None
 
     try:
-        with arith.ordered_map(
-            _pool_search, todo, workers, _pool_init, (cfg,), in_order=False
-        ) as computed:
+        with _pool_map(_pool_search, todo, workers, _pool_init, (cfg,)) as computed:
             fresh = _drain(computed, sink, cfg_hash, progress, len(todo))
     finally:
         if sink is not None:

@@ -325,16 +325,6 @@ def test_bounded_factor_complete_and_partial():
     assert res.rho_used <= 100
 
 
-def test_ordered_map_keeps_order_and_runs_initializer():
-    items = [48, 7, 1024, 6, 12, 1]
-    with arith.ordered_map(arith.v2, items, workers=2) as results:
-        assert list(results) == [arith.v2(x) for x in items]
-    seen = []
-    with arith.ordered_map(arith.v2, items, 1, seen.append, ("warm",)) as results:
-        assert seen == ["warm"]
-        assert list(results) == [4, 0, 10, 1, 2, 0]
-
-
 def test_ordered_map_raises_when_the_initializer_raises():
     # a pool replaces each worker whose initializer raised with another one,
     # so the error must come from the calling process; the subprocess and

@@ -80,10 +80,6 @@ def test_uniqueness_scan_small_range_empty():
         exceptional.uniqueness_scan(2)
 
 
-def test_uniqueness_scan_worker_parity():
-    assert exceptional.uniqueness_scan(5000, workers=2) == exceptional.uniqueness_scan(5000)
-
-
 def test_uniqueness_scan_through_first_multi_candidate():
     # 19683 lies inside this range, so the scan itself runs the in-scan
     # compositeness cross-check on a real multi-candidate n
@@ -112,10 +108,28 @@ def test_certification_requires_two_candidates():
         exceptional.certify_smaller_composite(inst, cands)
 
 
-def test_scan_exceptional_worker_parity():
-    def key(rows):
-        return [(inst.n, [(c.w, c.p, c.is_prime) for c in cands]) for inst, cands in rows]
+def _scan_every_n(n_lo, n_hi):
+    """The scan by definition: decompose and candidates for every n."""
+    rows = []
+    for n in range(n_lo, n_hi + 1):
+        inst = structure.decompose(n)
+        cands = exceptional.exceptional_candidates(inst)
+        if cands:
+            rows.append((inst, cands))
+    return rows
 
-    serial = exceptional.scan_exceptional(3, 3000)
-    assert key(exceptional.scan_exceptional(3, 3000, workers=2)) == key(serial)
-    assert exceptional.uniqueness_violations(serial) == []
+
+@pytest.mark.parametrize("n_lo,n_hi", [(3, 30_000), (19_000, 20_000), (27, 27), (28, 26)])
+def test_scan_exceptional_matches_every_n_scan(n_lo, n_hi):
+    def key(rows):
+        return [
+            (inst.n, [(c.w, c.rho, c.exponent, c.p, c.is_prime) for c in cands])
+            for inst, cands in rows
+        ]
+
+    expected = _scan_every_n(n_lo, n_hi)
+    assert key(exceptional.scan_exceptional(n_lo, n_hi)) == key(expected)
+    if n_lo <= 19683 <= n_hi:
+        # the first n with two admissible w (3 and 9) is in the window
+        assert any(inst.n == 19683 and len(cands) == 2 for inst, cands in expected)
+    assert exceptional.uniqueness_violations(expected) == []

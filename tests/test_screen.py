@@ -239,6 +239,16 @@ def test_verdicts_independent_of_worker_count():
     assert strip(solo) == strip(duo)
 
 
+def test_pool_map_runs_initializer_in_caller():
+    items = [48, 7, 1024, 6, 12, 1]
+    for workers in (1, 2):
+        seen = []
+        with screen._pool_map(arith.v2, items, workers, seen.append, ("warm",)) as results:
+            assert seen == ["warm"]
+            # results come in completion order, so only the multiset is promised
+            assert sorted(results) == [0, 0, 1, 2, 4, 10]
+
+
 def test_config_hash_tracks_fields():
     a = screen.ScreenConfig()
     b = screen.ScreenConfig(trial_limit=10**5)
