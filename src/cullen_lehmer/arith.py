@@ -295,8 +295,8 @@ def prepare_cullen_divisors(limit: int) -> None:
     and, when the gcd kernel can serve it, the block products; when only the
     numpy kernel can, import numpy.
 
-    A pool initializer calls it in the parent, so forked workers inherit all
-    of it instead of each paying for it.
+    screen_set calls it before a pool forks, so forked workers inherit all of
+    it instead of each paying for it.
     """
     primes = primes_up_to(limit)
     if not primes:

@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=_env("workers", 1, int),
-        help="worker processes for the screen (default 1)",
+        help="worker processes for the screen, at least 1 (default 1)",
     )
     sets = ("pow23", "range", "file")
     p_scr.add_argument(

@@ -4,10 +4,8 @@ and refute the Lehmer necessary conditions on C_n by witness search.
 For a Lehmer C_n every prime factor q must satisfy (q - 1) | n * 2^n, C_n
 must be squarefree, and C_n must carry at least LEHMER_MIN_OMEGA distinct
 prime factors (Cohen & Hagis 1980).  The prime divisors of C_n up to the
-trial limit come from arith.cullen_divisors: for n <= arith.GCD_MAX_N on a
-table up to arith.VECTOR_ABOVE it takes one gcd of C_n (at most 2 KB) with
-each block product of primes; every other scan runs in residues, so n near
-200,000 never materializes C_n inside it.
+trial limit come from arith.cullen_divisors, which picks the kernel that
+scans them.
 The Lehmer property also bounds the distinct primes of C_n by
 structure.count_bound(n), the paper's count step evaluated at n; a bound
 below LEHMER_MIN_OMEGA refutes C_n without building it.
@@ -17,13 +15,13 @@ screen can only refute or leave a value undecided.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import time
 from collections.abc import Callable
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -103,22 +101,16 @@ def enumerate_2a3b(n_max: int) -> list[int]:
     return out
 
 
-def witness_search(
-    n: int,
-    trial_limit: int = DEFAULT_TRIAL_LIMIT,
-    rho_budget: int = arith.DEFAULT_RHO_BUDGET,
-    *,
-    cn_cap: int = structure.DEFAULT_CN_CAP,
-) -> Verdict:
-    """Deterministic verdict for one n.
+def witness_search(n: int, cfg: ScreenConfig = ScreenConfig()) -> Verdict:
+    """Deterministic verdict for one n under the budgets of cfg.
 
-    Order: ascending prime residues up to trial_limit testing the shape and
-    squarefree conditions; then the count bound of structure.count_bound,
+    Order: ascending prime residues up to cfg.trial_limit testing the shape
+    and squarefree conditions; then the count bound of structure.count_bound,
     which refutes C_n when it is below LEHMER_MIN_OMEGA (REFUTED_COUNT,
-    witness the bound); then, only when n <= cn_cap, a budgeted
-    factorization of C_n over the primes the scan found, whose factors get
-    the same tests, then the distinct-factor count.
-    UNDECIDED is the honest fallback when every budget runs dry.
+    witness the bound); then, only when n <= cfg.cn_cap, a factorization of
+    C_n over the primes the scan found, with at most cfg.rho_budget rho
+    iterations, whose factors get the same tests, then the distinct-factor
+    count.  UNDECIDED is the honest fallback when every budget runs dry.
     """
     if n < 1:
         raise ValueError("witness_search requires n >= 1")
@@ -132,7 +124,7 @@ def witness_search(
             status=status,
             witness=witness,
             reason=reason + note,
-            trial_limit_used=trial_limit,
+            trial_limit_used=cfg.trial_limit,
             rho_budget_used=rho_used,
             elapsed=time.perf_counter() - start,
         )
@@ -140,7 +132,7 @@ def witness_search(
     def refute(q, rho_used=0):
         """The shape or square refutation carried by a prime q | C_n, or None."""
         found = ""
-        if q > trial_limit:
+        if q > cfg.trial_limit:
             found = f"; {q} is a {arith.prime_certainty(q)} prime found by factoring"
         shape = structure.PrimeShape(q, arith.odd_part(q - 1), arith.v2(q - 1))
         if not structure.shape_divides(shape, inst):
@@ -161,7 +153,7 @@ def witness_search(
         return None
 
     compatible: list[int] = []
-    for q in arith.cullen_divisors(n, trial_limit):
+    for q in arith.cullen_divisors(n, cfg.trial_limit):
         verdict = refute(q)
         if verdict is not None:
             return verdict
@@ -177,16 +169,16 @@ def witness_search(
             f"{count.n1_omega} + {len(count.gammas)} = {count.bound} < {LEHMER_MIN_OMEGA} "
             f"distinct prime factors: n1 = {inst.n1}, gamma = {gammas}",
         )
-    if n > cn_cap:
+    if n > cfg.cn_cap:
         return done(
             UNDECIDED,
             None,
-            f"C_{n} above materialization cap {cn_cap}, no witness below {trial_limit} "
+            f"C_{n} above materialization cap {cfg.cn_cap}, no witness below {cfg.trial_limit} "
             f"and count bound {count.bound} >= {LEHMER_MIN_OMEGA}",
         )
-    cn = structure.cullen_value(n, cn_cap)
+    cn = structure.cullen_value(n, cfg.cn_cap)
     rest = cn // math.prod(compatible)
-    result = arith.bounded_factor(rest, (), rho_budget)
+    result = arith.bounded_factor(rest, (), cfg.rho_budget)
     rho_used = result.rho_used
     for q in sorted(result.factors):
         verdict = refute(q, rho_used)
@@ -241,15 +233,7 @@ def record_dict(v: Verdict, cfg_hash: str) -> dict:
 
 
 def _verdict_from_record(d: dict) -> Verdict:
-    return Verdict(
-        n=d["n"],
-        status=d["status"],
-        witness=d["witness"],
-        reason=d["reason"],
-        trial_limit_used=d["trial_limit_used"],
-        rho_budget_used=d["rho_budget_used"],
-        elapsed=d["elapsed"],
-    )
+    return Verdict(**{f.name: d[f.name] for f in fields(Verdict)})
 
 
 def load_records(path: Path, cfg_hash: str) -> dict[int, Verdict]:
@@ -273,37 +257,6 @@ def load_records(path: Path, cfg_hash: str) -> dict[int, Verdict]:
     return found
 
 
-@contextmanager
-def _pool_map(fn, items: list, workers: int, initializer, initargs: tuple):
-    """fn over items, results in the order they are done: in a pool of
-    workers (chunksize 1) if workers > 1 and there are two items or more,
-    else here.  initializer(*initargs) runs here first, so its error raises
-    here: a pool would replace each worker whose initializer raised with
-    another, and never return.  Pool workers run it too (forked ones find
-    its work done)."""
-    initializer(*initargs)
-    if workers > 1 and len(items) > 1:
-        with Pool(workers, initializer, initargs) as pool:
-            yield pool.imap_unordered(fn, items, chunksize=1)
-    else:
-        yield map(fn, items)
-
-
-_WORKER_CFG: ScreenConfig | None = None
-
-
-def _pool_init(cfg: ScreenConfig) -> None:
-    global _WORKER_CFG
-    _WORKER_CFG = cfg
-    arith.prepare_cullen_divisors(cfg.trial_limit)
-
-
-def _pool_search(n: int) -> Verdict:
-    cfg = _WORKER_CFG
-    assert cfg is not None
-    return witness_search(n, cfg.trial_limit, cfg.rho_budget, cn_cap=cfg.cn_cap)
-
-
 def screen_set(
     n_values: list[int],
     cfg: ScreenConfig = ScreenConfig(),
@@ -317,12 +270,16 @@ def screen_set(
     regardless of execution order, which is largest n first, so the
     longest C_n does not start last.
 
+    workers >= 1 is an upper bound: a pool never has more processes than
+    there are values to compute, and one value or one worker runs here.
     With output_path each fresh verdict is appended as one JSONL record and
     flushed as soon as it is done, so the file is in completion order;
     resume=True first reloads records whose config hash matches and
     recomputes nothing for them.  progress(k, total, verdict) is called for
     the k-th fresh verdict of total, in completion order.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
     wanted = sorted(set(n_values))
     wanted_set = set(wanted)
@@ -334,6 +291,10 @@ def screen_set(
         have = {n: v for n, v in load_records(path, cfg_hash).items() if n in wanted_set}
 
     todo = [n for n in reversed(wanted) if n not in have]
+    if todo:
+        # built before the results file is opened, so a failed build leaves
+        # it as it was; forked workers inherit the cached table
+        arith.prepare_cullen_divisors(cfg.trial_limit)
     sink = None
     if path is not None:
         try:
@@ -348,9 +309,17 @@ def screen_set(
         except OSError as exc:
             raise RuntimeError(f"cannot open results file {path}: {exc}") from None
 
+    # witness_search is looked up here, at call time, so a wrapper set on
+    # the module attribute sees every call
+    search = functools.partial(witness_search, cfg=cfg)
+    processes = min(workers, len(todo))
     try:
-        with _pool_map(_pool_search, todo, workers, _pool_init, (cfg,)) as computed:
-            fresh = _drain(computed, sink, cfg_hash, progress, len(todo))
+        if processes > 1:
+            with Pool(processes) as pool:
+                computed = pool.imap_unordered(search, todo, chunksize=1)
+                fresh = _drain(computed, sink, cfg_hash, progress, len(todo))
+        else:
+            fresh = _drain(map(search, todo), sink, cfg_hash, progress, len(todo))
     finally:
         if sink is not None:
             sink.close()

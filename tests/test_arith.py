@@ -1,10 +1,8 @@
 import itertools
 import math
 import random
-import subprocess
 import sys
 from array import array
-from pathlib import Path
 
 import pytest
 import sympy
@@ -323,26 +321,3 @@ def test_bounded_factor_complete_and_partial():
     assert res.factors[3] == 2
     assert res.cofactor == hard
     assert res.rho_used <= 100
-
-
-def test_ordered_map_raises_when_the_initializer_raises():
-    # a pool replaces each worker whose initializer raised with another one,
-    # so the error must come from the calling process; the subprocess and
-    # its timeout turn a hang into a failure
-    src = Path(arith.__file__).resolve().parent.parent
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "from cullen_lehmer import arith, screen\n"
-        "def broken(limit):\n"
-        "    raise ValueError('no table')\n"
-        "arith.primes_up_to = broken\n"
-        "try:\n"
-        "    screen.screen_set([6, 9, 12], screen.ScreenConfig(trial_limit=100), workers=2)\n"
-        "except ValueError as exc:\n"
-        "    print('raised', exc)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
-    )
-    assert out.stdout.strip() == "raised no table"

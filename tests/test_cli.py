@@ -244,6 +244,15 @@ def test_unopenable_output_exits_2(tmp_path, capsys, command):
     assert err.startswith("error: cannot open results file") and str(path) in err
 
 
+@pytest.mark.parametrize("env,argv", [(None, ["--workers", "0"]), ("0", []), ("-3", [])])
+def test_screen_workers_below_one_exits_2(monkeypatch, capsys, env, argv):
+    if env is not None:
+        monkeypatch.setenv("CULLEN_WORKERS", env)
+    code, out, err = run_cli(capsys, "screen", "--n-max", "10", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: workers must be at least 1")
+
+
 @pytest.mark.parametrize("limit", ["-1", "4294967296", "5000000000"])
 def test_screen_trial_limit_outside_uint32_exits_2(capsys, limit):
     code, _, err = run_cli(capsys, "screen", "--n-max", "10", "--trial-limit", limit)

@@ -115,7 +115,7 @@ def test_omega_reason_carries_verified_factorization(monkeypatch):
         assert (cn - 1) % (q - 1) != 0 and sympy.isprime(q)
         assert f"{arith.prime_certainty(q)} prime found by factoring" in v.reason
 
-    v = screen.witness_search(132, rho_budget=10)
+    v = screen.witness_search(132, screen.ScreenConfig(rho_budget=10))
     assert (v.status, v.rho_budget_used) == ("UNDECIDED", 10)
     assert "unfactored after 10 rho iterations" in v.reason
 
@@ -239,14 +239,74 @@ def test_verdicts_independent_of_worker_count():
     assert strip(solo) == strip(duo)
 
 
-def test_pool_map_runs_initializer_in_caller():
-    items = [48, 7, 1024, 6, 12, 1]
-    for workers in (1, 2):
-        seen = []
-        with screen._pool_map(arith.v2, items, workers, seen.append, ("warm",)) as results:
-            assert seen == ["warm"]
-            # results come in completion order, so only the multiset is promised
-            assert sorted(results) == [0, 0, 1, 2, 4, 10]
+def test_pool_never_larger_than_the_values_to_compute(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        """Records its process count and computes here, so no process starts."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(screen, "Pool", FakePool)
+    cfg = screen.ScreenConfig(trial_limit=100)
+    assert screen.screen_set([6, 9], cfg, workers=64).computed == 2
+    assert screen.screen_set([6, 9, 12], cfg, workers=2).computed == 3
+    assert screen.screen_set([6], cfg, workers=64).computed == 1  # one value runs here
+    assert sizes == [2, 2]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_raise(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        screen.screen_set([6], workers=workers)
+
+
+def test_failed_table_build_leaves_results_file_unchanged(tmp_path, monkeypatch):
+    out = tmp_path / "results.jsonl"
+    cfg = screen.ScreenConfig(trial_limit=100)
+    screen.screen_set([6], cfg, output_path=out)
+    before = out.read_bytes()
+
+    def broken(limit):
+        raise ValueError("no table")
+
+    monkeypatch.setattr(arith, "primes_up_to", broken)
+    with pytest.raises(ValueError, match="no table"):
+        screen.screen_set([6, 9], cfg, output_path=out)
+    assert out.read_bytes() == before
+
+
+def test_table_build_error_raises_from_a_two_worker_screen():
+    # the table is built in the caller before any pool starts, so its error
+    # raises there instead of hanging a pool; the subprocess and its
+    # timeout turn a hang into a failure
+    src = Path(screen.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from cullen_lehmer import arith, screen\n"
+        "def broken(limit):\n"
+        "    raise ValueError('no table')\n"
+        "arith.primes_up_to = broken\n"
+        "try:\n"
+        "    screen.screen_set([6, 9, 12], screen.ScreenConfig(trial_limit=100), workers=2)\n"
+        "except ValueError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "raised no table"
 
 
 def test_config_hash_tracks_fields():
@@ -283,7 +343,7 @@ def test_count_bound_of_fourteen_stays_undecided(n):
     # 3^13*5 and 4*3^14 have Omega(n1) = 14, the Lehmer minimum, and no
     # residue witness below the default trial limit
     assert structure.count_bound(n).bound == 14
-    v = screen.witness_search(n, cn_cap=0)
+    v = screen.witness_search(n, screen.ScreenConfig(cn_cap=0))
     assert v.status == "UNDECIDED"
     assert "count bound 14 >= 14" in v.reason
 
@@ -335,7 +395,7 @@ def test_witnesses_only_the_vector_kernel_reaches(n, status, witness):
     # no witness for these n lies below the default trial limit, so only
     # the numpy kernel of cullen_divisors scans far enough to find one; 96
     # has none below 2*10^6 and goes to the count stage
-    v = screen.witness_search(n, 2 * 10**6, cn_cap=0)
+    v = screen.witness_search(n, screen.ScreenConfig(trial_limit=2 * 10**6, cn_cap=0))
     assert (v.status, v.witness) == (status, witness)
     if status == "REFUTED_SHAPE":
         assert witness > screen.DEFAULT_TRIAL_LIMIT
