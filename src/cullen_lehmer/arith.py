@@ -13,8 +13,8 @@ and limit.  Every other scan runs a numpy kernel: binary powering of
 blocks of primes below FLOAT_BELOW = 2**26, in uint64 for blocks holding a
 larger one.  It imports numpy inside the function, so a run at the default
 trial limit with every n <= GCD_MAX_N never pays its memory, one with a
-larger n does; a table past VECTOR_ABOVE imports it in
-prepare_cullen_divisors, before a pool forks.
+larger n does; prepare_cullen_divisors imports it before a pool forks
+whenever some n of the run will reach the numpy kernel.
 
 All functions are pure; nothing here holds mutable state, so everything is
 safe to call from any number of worker processes.
@@ -26,7 +26,7 @@ import math
 import operator
 import random
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -290,10 +290,16 @@ def cullen_mod(n: int, q: int) -> int:
     return (n % q * pow(2, n, q) + 1) % q
 
 
-def prepare_cullen_divisors(limit: int) -> None:
-    """Build and cache what cullen_divisors(n, limit) reads: the prime table
-    and, when the gcd kernel can serve it, the block products; when only the
-    numpy kernel can, import numpy.
+def _numpy_kernel(n: int, primes: array) -> bool:
+    """Whether cullen_divisors(n, ...) scans the table primes with the
+    numpy kernel rather than the gcd kernel."""
+    return primes[-1] > VECTOR_ABOVE or n > GCD_MAX_N
+
+
+def prepare_cullen_divisors(limit: int, n_values: Iterable[int]) -> None:
+    """Build and cache what cullen_divisors(n, limit) reads for each n in
+    n_values: the prime table; the block products, when some n runs the gcd
+    kernel; numpy, when some n runs the numpy kernel.
 
     screen_set calls it before a pool forks, so forked workers inherit all of
     it instead of each paying for it.
@@ -301,10 +307,11 @@ def prepare_cullen_divisors(limit: int) -> None:
     primes = primes_up_to(limit)
     if not primes:
         return
-    if primes[-1] <= VECTOR_ABOVE:
+    kernels = {_numpy_kernel(n, primes) for n in n_values}
+    if False in kernels:
         _block_products(limit)
-    else:
-        import numpy  # noqa: F401  (every scan of this table runs the numpy kernel)
+    if True in kernels:
+        import numpy  # noqa: F401
 
 
 def cullen_divisors(n: int, limit: int) -> Iterator[int]:
@@ -321,7 +328,7 @@ def cullen_divisors(n: int, limit: int) -> Iterator[int]:
     primes = primes_up_to(limit)
     if not primes:
         return
-    if primes[-1] > VECTOR_ABOVE or n > GCD_MAX_N:
+    if _numpy_kernel(n, primes):
         yield from _cullen_divisors_vec(n, primes)
         return
     cn = (n << n) + 1

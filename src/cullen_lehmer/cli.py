@@ -4,12 +4,14 @@
     cullen-lehmer exceptional  enumerate exceptional-prime candidates and
                                check uniqueness over a range of n
     cullen-lehmer screen       refute the Lehmer necessary conditions on a
-                               set of n by residue witness search
+                               set of n by residue scan and count bound
 
-Every flag can also be set through an environment variable with the
-CULLEN_ prefix (flag --trial-limit  ->  CULLEN_TRIAL_LIMIT); explicit
-flags win.  Exit codes: 0 clean, 1 a check failed (uniqueness violation,
-incomplete cascade, undecided n), 2 usage or configuration errors.
+Each flag of the subcommand being run can also be set through an
+environment variable with the CULLEN_ prefix (flag --trial-limit  ->
+CULLEN_TRIAL_LIMIT); the variables of other subcommands' flags are not
+read, and explicit flags win.  Exit codes: 0 clean, 1 a check failed
+(uniqueness violation, incomplete cascade, undecided n), 2 usage or
+configuration errors.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import arith, bounds, exceptional, screen, structure
+from . import arith, bounds, exceptional, screen
 
 ENV_PREFIX = "CULLEN_"
 
@@ -36,46 +38,56 @@ _BOOL_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
 )
 
 
-def _env(name: str, default, cast, choices=None):
-    """The flag's default, overridden by its CULLEN_ variable when set.
+class _EnvParser(argparse.ArgumentParser):
+    """An ArgumentParser whose flags default to their CULLEN_ variables.
 
-    argparse never checks a default against choices, so the value is cast
-    and checked here; a bad one exits 2 like a bad flag."""
-    var = ENV_PREFIX + name.upper().replace("-", "_")
-    raw = os.environ.get(var)
-    if raw is None:
-        return default
-    try:
-        value = _BOOL_WORDS[raw.strip().lower()] if cast is bool else cast(raw)
-        valid = choices is None or value in choices
-    except (KeyError, ValueError):
-        valid = False
-    if not valid:
-        print(f"invalid value {raw!r} for {var}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return value
+    Only the flags of the parser being run are read, so an override meant
+    for another subcommand is never looked at.  argparse never checks a
+    default, so each value is cast with the flag's own type (a switch takes
+    _BOOL_WORDS) and checked against its choices; a bad one exits 2 like a
+    bad flag."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace = argparse.Namespace() if namespace is None else namespace
+        for action in self._actions:
+            if not action.option_strings or action.default is argparse.SUPPRESS:
+                continue
+            var = ENV_PREFIX + action.option_strings[-1].lstrip("-").upper().replace("-", "_")
+            raw = os.environ.get(var)
+            if raw is None:
+                continue
+            try:
+                if action.nargs == 0:
+                    value = _BOOL_WORDS[raw.strip().lower()]
+                else:
+                    value = action.type(raw) if action.type else raw
+                valid = action.choices is None or value in action.choices
+            except (KeyError, ValueError):
+                valid = False
+            if not valid:
+                self.exit(EXIT_USAGE, f"invalid value {raw!r} for {var}\n")
+            setattr(namespace, action.dest, value)
+        return super().parse_known_args(args, namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _EnvParser(
         prog="cullen-lehmer",
         description="Screens Cullen numbers n*2^n + 1 against the Lehmer totient condition.",
-        epilog=f"Every flag has an environment override: {ENV_PREFIX}<FLAG> "
-        f"(e.g. {ENV_PREFIX}TRIAL_LIMIT); explicit flags win.",
+        epilog=f"Every flag of the subcommand being run has an environment override: "
+        f"{ENV_PREFIX}<FLAG> (e.g. {ENV_PREFIX}TRIAL_LIMIT); explicit flags win.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        formats = ("human", "jsonl", "csv")
         p.add_argument(
             "--format",
-            choices=formats,
-            default=_env("format", "human", str, formats),
+            choices=("human", "jsonl", "csv"),
+            default="human",
             help="report format (default human)",
         )
         p.add_argument(
             "--output",
-            default=_env("output", None, str),
             help="write records to this file instead of stdout; for screen this "
             "is also the resumable results file",
         )
@@ -85,17 +97,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument(
         "--min-omega",
         type=int,
-        default=_env("min-omega", bounds.LEHMER_MIN_OMEGA, int),
+        default=bounds.LEHMER_MIN_OMEGA,
         help="distinct-prime-factor lower bound for Lehmer numbers (default 14)",
     )
 
     p_exc = sub.add_parser("exceptional", help="exceptional-prime candidates and uniqueness")
     common(p_exc)
     p_exc.add_argument(
-        "--n-max",
-        type=int,
-        default=_env("n-max", 10_000, int),
-        help="scan 3 <= n <= n_max (default 10000)",
+        "--n-max", type=int, default=10_000, help="scan 3 <= n <= n_max (default 10000)"
     )
 
     p_scr = sub.add_parser("screen", help="witness-search a set of n")
@@ -103,50 +112,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scr.add_argument(
         "--workers",
         type=int,
-        default=_env("workers", 1, int),
+        default=1,
         help="worker processes for the screen, at least 1 (default 1)",
     )
-    sets = ("pow23", "range", "file")
     p_scr.add_argument(
         "--set",
         dest="which_set",
-        choices=sets,
-        default=_env("set", "pow23", str, sets),
+        choices=("pow23", "range", "file"),
+        default="pow23",
         help="pow23: n = 2^a*3^b <= n-max; range: 1..n-max; file: one n per line",
     )
-    p_scr.add_argument(
-        "--n-max", type=int, default=_env("n-max", 3000, int), help="range cap (default 3000)"
-    )
-    p_scr.add_argument("--n-file", default=_env("n-file", None, str), help="file of n values")
+    p_scr.add_argument("--n-max", type=int, default=3000, help="range cap (default 3000)")
+    p_scr.add_argument("--n-file", help="file of n values")
     p_scr.add_argument(
         "--trial-limit",
         type=int,
-        default=_env("trial-limit", screen.DEFAULT_TRIAL_LIMIT, int),
+        default=screen.DEFAULT_TRIAL_LIMIT,
         help="scan prime witnesses up to this bound, below 2^32 (default 10^6)",
     )
     p_scr.add_argument(
-        "--rho-budget",
-        type=int,
-        default=_env("rho-budget", arith.DEFAULT_RHO_BUDGET, int),
-        help="rho iterations, spent only for an n <= --cn-cap whose count bound "
-        "reaches 14 (default 10^6)",
-    )
-    p_scr.add_argument(
-        "--cn-cap",
-        type=int,
-        default=_env("cn-cap", structure.DEFAULT_CN_CAP, int),
-        help="materialize C_n only for n up to this cap (default 300000)",
-    )
-    p_scr.add_argument(
-        "--resume",
-        action="store_true",
-        default=_env("resume", False, bool),
-        help="reuse matching records already in --output",
+        "--resume", action="store_true", help="reuse matching records already in --output"
     )
     p_scr.add_argument(
         "--allow-undecided",
         action="store_true",
-        default=_env("allow-undecided", False, bool),
         help="exit 0 even when some n stay undecided",
     )
     return parser
@@ -290,9 +279,7 @@ def cmd_screen(args) -> int:
         print("--resume requires --output", file=sys.stderr)
         return EXIT_USAGE
 
-    cfg = screen.ScreenConfig(
-        trial_limit=args.trial_limit, rho_budget=args.rho_budget, cn_cap=args.cn_cap
-    )
+    cfg = screen.ScreenConfig(trial_limit=args.trial_limit)
     cfg_hash = screen.config_hash(cfg)
 
     stream_fmt = args.format if args.output is None else "human"
@@ -343,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse and _env use 2 for usage errors already; normalize --help's 0
+        # argparse and _EnvParser use 2 for usage errors already; normalize --help's 0
         return int(exc.code or 0)
     handlers = {"bounds": cmd_bounds, "exceptional": cmd_exceptional, "screen": cmd_screen}
     try:

@@ -294,7 +294,7 @@ def screen_set(
     if todo:
         # built before the results file is opened, so a failed build leaves
         # it as it was; forked workers inherit the cached table
-        arith.prepare_cullen_divisors(cfg.trial_limit)
+        arith.prepare_cullen_divisors(cfg.trial_limit, todo)
     sink = None
     if path is not None:
         try:

@@ -109,7 +109,7 @@ def test_screen_file_set_takes_n_past_uint64(tmp_path, capsys):
     # 274176 = 1071*2^8 is not a divisor of n*2^n, a power of two
     nf = tmp_path / "ns.txt"
     nf.write_text(f"{2**64}\n")
-    code, out, _ = run_cli(capsys, "screen", "--set", "file", "--n-file", str(nf), "--cn-cap", "0")
+    code, out, _ = run_cli(capsys, "screen", "--set", "file", "--n-file", str(nf))
     assert code == 0
     assert f"n={2**64}: REFUTED_SHAPE witness=274177" in out
 
@@ -122,13 +122,14 @@ def test_screen_file_set_requires_file(capsys):
 
 def test_screen_undecided_exit_codes(tmp_path, capsys):
     # n = 3^13*5 has count bound 14 and no residue witness below 10^6, and
-    # above the materialization cap nothing else runs, so it stays undecided
+    # above the default materialization cap nothing else runs, so it stays
+    # undecided
     nf = tmp_path / "ns.txt"
     nf.write_text("7971615\n")
-    args = ("screen", "--set", "file", "--n-file", str(nf), "--cn-cap", "0")
+    args = ("screen", "--set", "file", "--n-file", str(nf))
     code, out, err = run_cli(capsys, *args)
     assert code == 1
-    assert "n=7971615: UNDECIDED" in out
+    assert "n=7971615: UNDECIDED" in out and "cap 300000" in out
     code, _, _ = run_cli(capsys, *args, "--allow-undecided")
     assert code == 0
 
@@ -233,7 +234,28 @@ def test_flags_only_where_read(capsys):
     assert cli.main(["screen", "--min-omega", "3"]) == 2
     assert cli.main(["screen", "--mr-rounds", "8"]) == 2
     assert cli.main(["exceptional", "--workers", "2"]) == 2
+    assert cli.main(["screen", "--cn-cap", "0"]) == 2
+    assert cli.main(["screen", "--rho-budget", "5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "var,argv,reader",
+    [
+        ("CULLEN_TRIAL_LIMIT", ("bounds",), ("screen", "--n-max", "4")),
+        ("CULLEN_TRIAL_LIMIT", ("exceptional", "--n-max", "5"), ("screen", "--n-max", "4")),
+        ("CULLEN_MIN_OMEGA", ("screen", "--n-max", "4"), ("bounds",)),
+    ],
+    ids=["bounds", "exceptional", "screen"],
+)
+def test_env_override_of_another_subcommand_is_not_read(monkeypatch, capsys, var, argv, reader):
+    monkeypatch.setenv(var, "x")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and var not in err
+    # the subcommand that has the flag still rejects the value
+    code, out, err = run_cli(capsys, *reader)
+    assert (code, out) == (2, "")
+    assert f"invalid value 'x' for {var}" in err
 
 
 @pytest.mark.parametrize("command", ["bounds", "exceptional"])

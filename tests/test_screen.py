@@ -410,23 +410,41 @@ def test_trial_limit_must_fit_uint32():
     assert screen.ScreenConfig(trial_limit=2**32 - 1).trial_limit == 2**32 - 1
 
 
-def test_default_screen_never_imports_numpy():
-    # importing numpy adds about 12 MB to a process; a screen at the default
-    # trial limit with every n <= GCD_MAX_N stays on the gcd kernel and must
-    # not pay that
+def _numpy_imported_after(run: str) -> bool:
+    """Whether a fresh interpreter has numpy in sys.modules after run, with
+    screen imported."""
     src = Path(screen.__file__).resolve().parent.parent
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "from cullen_lehmer import screen\n"
-        "report = screen.screen_set(screen.enumerate_2a3b(3000), screen.ScreenConfig())\n"
-        "assert len(report.verdicts) == 52\n"
-        "big = [n for n in screen.enumerate_2a3b(12000) if n > 3000]\n"
-        "report = screen.screen_set(big, screen.ScreenConfig(rho_budget=0))\n"
-        "assert len(report.verdicts) == 17\n"
+        f"{run}"
         "print('numpy' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, check=True
     )
-    assert out.stdout.strip() == "False"
+    return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def test_default_screen_never_imports_numpy():
+    # importing numpy adds about 12 MB to a process; a screen at the default
+    # trial limit with every n <= GCD_MAX_N stays on the gcd kernel and must
+    # not pay that
+    assert not _numpy_imported_after(
+        "report = screen.screen_set(screen.enumerate_2a3b(3000), screen.ScreenConfig())\n"
+        "assert len(report.verdicts) == 52\n"
+        "big = [n for n in screen.enumerate_2a3b(12000) if n > 3000]\n"
+        "report = screen.screen_set(big, screen.ScreenConfig(rho_budget=0))\n"
+        "assert len(report.verdicts) == 17\n"
+    )
+
+
+def test_default_screen_past_gcd_max_n_imports_numpy_before_the_fork():
+    # 18432 and up run the numpy kernel at the default trial limit; the
+    # parent imports numpy once, so the forked workers do not each pay it
+    assert _numpy_imported_after(
+        "report = screen.screen_set(screen.enumerate_2a3b(20000), screen.ScreenConfig(),"
+        " workers=2)\n"
+        "assert len(report.verdicts) == 77 and not report.undecided\n"
+    )
