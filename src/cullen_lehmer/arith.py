@@ -11,10 +11,14 @@ division, Bernstein 2004); the block products are built once per process
 and limit.  Every other scan runs a numpy kernel: binary powering of
 2^n mod q over blocks of primes, in float64 with balanced residues for
 blocks of primes below FLOAT_BELOW = 2**26, in uint64 for blocks holding a
-larger one.  It imports numpy inside the function, so a run at the default
-trial limit with every n <= GCD_MAX_N never pays its memory, one with a
-larger n does; prepare_cullen_divisors imports it before a pool forks
-whenever some n of the run will reach the numpy kernel.
+larger one.
+
+numpy is imported inside the functions that use it, never at module level:
+by the numpy kernel, by prepare_cullen_divisors (before a pool forks,
+whenever some n of the run will reach that kernel) and by primes_up_to for
+a limit above VECTOR_ABOVE, whose sieve reads its primes out with numpy.
+So a run at the default trial limit with every n <= GCD_MAX_N never pays
+numpy's memory, and one with a larger n or a larger limit does.
 
 All functions are pure; nothing here holds mutable state, so everything is
 safe to call from any number of worker processes.
@@ -55,11 +59,19 @@ GCD_MAX_N = 1 << 14
 # Primes per block of the gcd kernel.
 GCD_BLOCK = 1024
 
+# Odd numbers per segment of the prime sieve, one byte each.
+SIEVE_SEGMENT = 1 << 17
+
 # Blocks of the numpy kernel whose largest prime is below this run in
 # float64: balanced residues |x| <= (q+1)/2 <= 2**25 keep every doubled
 # square 2*x^2 <= 2**51 below 2**53, exact in a double.  Blocks holding a
 # larger prime (the table reaches 2**32) run in uint64.
 FLOAT_BELOW = 1 << 26
+
+# The numpy kernel's powering starts at 2^lead for a leading bit-prefix of n
+# with value lead <= LEAD_MAX, which keeps the start value within the float64
+# path's 2**51 bound and its quotient within 2**25 + 1.
+LEAD_MAX = 25
 
 
 @lru_cache(maxsize=8)
@@ -71,20 +83,59 @@ def primes_up_to(limit: int) -> array:
     """
     if limit >= 1 << 32:
         raise ValueError(f"primes_up_to requires limit < 2**32, got {limit}")
+    return _sieve(limit)
+
+
+def _sieve(limit: int) -> array:
+    """primes_up_to(limit), uncached: an odd-only sieve in segments of
+    SIEVE_SEGMENT odd numbers, crossed off by the odd primes up to
+    isqrt(limit) (found by the same sieve).
+
+    Each segment's primes are read out with itertools.compress, or, for a
+    limit above VECTOR_ABOVE, with numpy, which every scan of a table with
+    a prime past VECTOR_ABOVE runs anyway; compress would spend most of the
+    sieve's time building one int per odd number.
+    """
+    table = array("I")
     if limit < 2:
-        return array("I")
-    # sieve[i] stands for the odd number 2*i + 1
+        return table
+    table.append(2)
+    odd_primes = _sieve(math.isqrt(limit))[1:]
+    # segment[j] stands for the odd number 2*(lo + j) + 1
     half = (limit + 1) // 2
-    sieve = bytearray(b"\x01") * half
-    sieve[0] = 0
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if sieve[i]:
-            p = 2 * i + 1
+    for lo in range(0, half, SIEVE_SEGMENT):
+        hi = min(lo + SIEVE_SEGMENT, half)
+        segment = bytearray(b"\x01") * (hi - lo)
+        if lo == 0:
+            segment[0] = 0
+        for p in odd_primes:
+            # the odd multiples of p are the indices i = p // 2 (mod p);
+            # cross off from p^2, at index p^2 // 2
             start = p * p // 2
-            sieve[start::p] = bytes(len(range(start, half, p)))
-    table = array("I", [2])
-    table.extend(compress(range(1, limit + 1, 2), sieve))
+            if start >= hi:
+                break
+            if start < lo:
+                start = lo + (start - lo) % p
+            segment[start - lo :: p] = bytes(len(range(start, hi, p)))
+        if limit > VECTOR_ABOVE:
+            table.frombytes(_numpy_readout(segment, lo))
+        else:
+            table.extend(compress(range(2 * lo + 1, 2 * hi, 2), segment))
     return table
+
+
+def _numpy_readout(segment: bytearray, lo: int) -> bytes:
+    """The odd numbers 2*(lo + j) + 1 with segment[j] set, as uint32 bytes.
+
+    A function of its own so that its arrays are freed before the next
+    segment is allocated: kept alive across segments they fragment the
+    heap and raise the peak RSS of the process.
+    """
+    import numpy as np
+
+    # every number of the table is below 2**32, so uint32 holds it
+    found = np.flatnonzero(np.frombuffer(segment, dtype=np.uint8)).astype(np.uint32)
+    return (2 * found + (2 * lo + 1)).tobytes()
 
 
 @lru_cache(maxsize=8)
@@ -348,52 +399,62 @@ def _cullen_divisors_vec(n: int, primes: array) -> Iterator[int]:
     """cullen_divisors over whole blocks of the table in numpy.
 
     Blocks start at 1024 primes and double up to 2**16, so an n with a
-    small witness costs little and the temporaries stay small.  n mod q
-    comes from Horner's rule over the 32-bit limbs of n in uint64 (each
+    small witness costs little and the temporaries stay small.  n mod q is
+    n itself in a block whose smallest prime exceeds n; in any other block
+    it comes from Horner's rule over the 32-bit limbs of n in uint64 (each
     step is below q * 2**32 <= 2**64), so every n >= 1 works.  2^n mod q
-    comes from left-to-right binary powering, then C_n mod q =
-    2^n * (n mod q) + 1 mod q, on one of two paths:
+    comes from left-to-right binary powering that starts at 2^lead, for
+    the longest leading bit-prefix of n whose value lead is at most
+    LEAD_MAX = 25, reduced once; then C_n mod q = 2^n * (n mod q) + 1
+    mod q, on one of two paths:
 
     - A block whose largest prime is below FLOAT_BELOW = 2**26 runs in
       float64 with balanced residues |x| <= (q+1)/2 <= 2**25, reduced by
       x - rint(x * fl(1/q)) * q (Shoup's floating-point quotient, as in
-      NTL's MulMod).  Every step is exact.  Each square or doubled square s
-      has |s| <= 2*((q+1)/2)^2 <= 2**51 < 2**53.  s * fl(1/q) is within
-      relative 2**-52 of s/q, where |s/q| < 2**25 + 1, so the rint quotient
-      est is the integer nearest s/q, or, where s/q lies within about 2**-27
-      of a half-integer, the other neighbour; either way the integer
-      s - est*q is below q/2 + 1 in magnitude, so at most (q+1)/2.  And
-      |est*q| < 2**53 and |x * (n mod q)| < 2**51, so every product and
-      difference is exact.  x starts at 2, within (q+1)/2 for every q >= 3
-      (for q = 2 no value exceeds 8).
+      NTL's MulMod).  Every step is exact.  The start value 2^lead <= 2**25
+      and each square or doubled square s have |s| <= 2**51 < 2**53
+      (for the squares, |s| <= 2*((q+1)/2)^2).  s * fl(1/q) is within
+      relative 2**-52 of s/q, where |s/q| < 2**25 + 1 (for the start value
+      because q >= 2), so the rint quotient est is the integer nearest s/q,
+      or, where s/q lies within about 2**-27 of a half-integer, the other
+      neighbour; either way the integer s - est*q is below q/2 + 1 in
+      magnitude, so at most (q+1)/2.  And |est*q| < 2**53 and
+      |x * (n mod q)| < 2**51, so every product and difference is exact.
     - Any other block runs in uint64 with residues below q < 2**32, so every
       product is below 2**64; each step is one hardware % per element.
     """
     import numpy as np
 
     table = np.frombuffer(primes, dtype=np.uint32)
-    bits = bin(n)[3:]  # the leading 1 bit is the starting value 2
+    bits = bin(n)[2:]
+    cut = 5 if int(bits[:5], 2) <= LEAD_MAX else 4
+    lead, bits = int(bits[:cut], 2), bits[cut:]
     limbs = [n >> shift & 0xFFFFFFFF for shift in range((n.bit_length() - 1) & ~31, -1, -32)]
     start, size = 0, 1024
     while start < len(table):
         block = table[start : start + size]
         q = block.astype(np.uint64)
-        n_mod_q = np.zeros_like(q)
-        for limb in limbs:
-            n_mod_q = ((n_mod_q << 32) + limb) % q
-        if block[-1] < FLOAT_BELOW:
-            hit = _cullen_zero_float(bits, q.astype(np.float64), n_mod_q.astype(np.float64))
+        # n mod q = n needs every q of the block above n: n mod n is 0
+        if int(block[0]) > n:
+            n_mod_q = np.uint64(n)
         else:
-            hit = _cullen_zero_uint64(bits, q, n_mod_q)
+            n_mod_q = np.zeros_like(q)
+            for limb in limbs:
+                n_mod_q = ((n_mod_q << 32) + limb) % q
+        if block[-1] < FLOAT_BELOW:
+            hit = _cullen_zero_float(lead, bits, q.astype(np.float64), n_mod_q.astype(np.float64))
+        else:
+            hit = _cullen_zero_uint64(lead, bits, q, n_mod_q)
         yield from block[hit].tolist()
         start += size
         size = min(2 * size, 1 << 16)
 
 
-def _cullen_zero_float(bits: str, q, n_mod_q):
+def _cullen_zero_float(lead: int, bits: str, q, n_mod_q):
     """C_n mod q == 0 for each prime q < FLOAT_BELOW of a float64 array, n
-    given by the bits after its leading 1 and by n mod q; see
-    _cullen_divisors_vec for why every step is exact."""
+    given by its leading prefix value lead <= LEAD_MAX, the bits after that
+    prefix, and n mod q; see _cullen_divisors_vec for why every step is
+    exact."""
     import numpy as np
 
     inv = 1.0 / q
@@ -405,7 +466,8 @@ def _cullen_zero_float(bits: str, q, n_mod_q):
         np.multiply(est, q, out=est)
         np.subtract(x, est, out=x)
 
-    x = np.full_like(q, 2.0)
+    x = np.full_like(q, 2.0**lead)
+    reduce(x)
     for bit in bits:
         np.multiply(x, x, out=x)
         if bit == "1":
@@ -418,12 +480,13 @@ def _cullen_zero_float(bits: str, q, n_mod_q):
     return (x == 0) | (x == q)
 
 
-def _cullen_zero_uint64(bits: str, q, n_mod_q):
+def _cullen_zero_uint64(lead: int, bits: str, q, n_mod_q):
     """C_n mod q == 0 for each prime q < 2**32 of a uint64 array, n given by
-    the bits after its leading 1 and by n mod q."""
+    its leading prefix value lead <= LEAD_MAX, the bits after that prefix,
+    and n mod q."""
     import numpy as np
 
-    x = np.full_like(q, 2) % q
+    x = np.full_like(q, 1 << lead) % q
     for bit in bits:
         x = x * x % q
         if bit == "1":

@@ -164,7 +164,25 @@ def test_cullen_mod_matches_bigint(primes_10k):
         assert arith.cullen_mod(n, q) == (n * 2**n + 1) % q
 
 
-@pytest.mark.parametrize("limit", [0, 1, 2, 3, 100, 7919, 30_000])
+def _segment_edges_past_vector_above():
+    # the sieve's segments start at the odd numbers 2*k*SIEVE_SEGMENT + 1
+    span = 2 * arith.SIEVE_SEGMENT
+    edge = -(-arith.VECTOR_ABOVE // span) * span
+    return [edge - 1, edge, edge + 1, edge + 2, edge + span + 1]
+
+
+# past VECTOR_ABOVE each segment's primes are read out with numpy; 1009 is
+# the largest prime sieving a table to 1009^2
+@pytest.mark.parametrize(
+    "limit",
+    [
+        *(0, 1, 2, 3, 100, 7919, 30_000),
+        arith.VECTOR_ABOVE + 1,
+        *_segment_edges_past_vector_above(),
+        1009**2,
+        2_000_003,
+    ],
+)
 def test_primes_up_to_is_a_uint32_table(limit):
     table = arith.primes_up_to(limit)
     assert table.typecode == "I" and table.itemsize == 4
@@ -192,6 +210,20 @@ def test_primes_up_to_rejects_limits_past_uint32():
             arith.primes_up_to(limit)
 
 
+def _kernel_edge_ns(table, block_starts):
+    """n at the edges of the numpy kernel's start value and of its n mod q:
+    leading bit-prefix values 12, 24, 25 (LEAD_MAX), 26 and 27; 2^k and
+    2^k - 1; n equal to a table prime (n mod q = 0 for that q), among them
+    the first prime of each block starting at an index of block_starts; and
+    an n between the first and last prime of each such block."""
+    ns = {12, 24, 25, 26, 27}
+    ns |= {(v << s) + low for v in ns for s in (1, 7, 40) for low in (0, (1 << s) - 1)}
+    ns |= {2**k + d for k in (1, 4, 5, 6, 17, 32, 33, 64) for d in (0, -1)}
+    ns |= {table[i] for i in (0, 1, 2, 1023, -1, *block_starts)}
+    ns |= {table[i + 500] + 1 for i in block_starts}
+    return ns
+
+
 def test_vector_kernel_matches_cullen_mod():
     # 17984 primes: blocks of 1024, 2048, 4096 and 8192, then a partial one;
     # for each prime on either side of a block edge, the least n it divides
@@ -202,6 +234,7 @@ def test_vector_kernel_matches_cullen_mod():
     ns |= {next(n for n in itertools.count(1) if arith.cullen_mod(n, q) == 0) for q in edges}
     # n mod q comes from the 32-bit limbs of n, never from a machine integer
     ns |= {2**63 + 1, 2**64, 2**64 + 1}
+    ns |= _kernel_edge_ns(primes, (1024, 3072))
     for n in sorted(ns):
         want = [q for q in primes if arith.cullen_mod(n, q) == 0]
         assert list(arith._cullen_divisors_vec(n, primes)) == want, n
@@ -226,8 +259,9 @@ def test_vector_kernel_exact_on_both_sides_of_the_float_cut():
     ns = {1, 2, 3, 96, 139968, 2**64 + 1, *(rng.randrange(1, 2**33) for _ in range(10))}
     ns |= {q - 2 for q in hit_primes}
     hits = [set(), set()]
-    for table, found in zip(tables, hits):
-        for n in sorted(ns):
+    for table, found, block_starts in zip(tables, hits, [(0,), (0, 1024)]):
+        # for tables[1], the n mod q edges fall on both paths
+        for n in sorted(ns | _kernel_edge_ns(table, block_starts)):
             want = [q for q in table if arith.cullen_mod(n, q) == 0]
             assert list(arith._cullen_divisors_vec(n, table)) == want, n
             found.update(want)
