@@ -433,16 +433,18 @@ def _cullen_divisors_vec(n: int, primes: array) -> Iterator[int]:
     start, size = 0, 1024
     while start < len(table):
         block = table[start : start + size]
-        q = block.astype(np.uint64)
+        in_float = block[-1] < FLOAT_BELOW
         # n mod q = n needs every q of the block above n: n mod n is 0
-        if int(block[0]) > n:
-            n_mod_q = np.uint64(n)
+        n_below = int(block[0]) > n
+        q = None if in_float and n_below else block.astype(np.uint64)
+        if n_below:
+            n_mod_q = n
         else:
-            n_mod_q = np.zeros_like(q)
+            n_mod_q = 0
             for limb in limbs:
                 n_mod_q = ((n_mod_q << 32) + limb) % q
-        if block[-1] < FLOAT_BELOW:
-            hit = _cullen_zero_float(lead, bits, q.astype(np.float64), n_mod_q.astype(np.float64))
+        if in_float:
+            hit = _cullen_zero_float(lead, bits, block.astype(np.float64), n_mod_q)
         else:
             hit = _cullen_zero_uint64(lead, bits, q, n_mod_q)
         yield from block[hit].tolist()
@@ -460,21 +462,20 @@ def _cullen_zero_float(lead: int, bits: str, q, n_mod_q):
     inv = 1.0 / q
     est = np.empty_like(q)
 
-    def reduce(x):
+    def reduce(x, out=None):
         np.multiply(x, inv, out=est)
         np.rint(est, out=est)
         np.multiply(est, q, out=est)
-        np.subtract(x, est, out=x)
+        return np.subtract(x, est, out=out)
 
-    x = np.full_like(q, 2.0**lead)
-    reduce(x)
+    x = reduce(2.0**lead)
     for bit in bits:
         np.multiply(x, x, out=x)
         if bit == "1":
             np.add(x, x, out=x)
-        reduce(x)
+        reduce(x, out=x)
     np.multiply(x, n_mod_q, out=x)
-    reduce(x)
+    reduce(x, out=x)
     # |x| <= (q+1)/2, so -1 mod q is x = -1, or x = q - 1 for q <= 3
     x += 1
     return (x == 0) | (x == q)
@@ -486,7 +487,7 @@ def _cullen_zero_uint64(lead: int, bits: str, q, n_mod_q):
     and n mod q."""
     import numpy as np
 
-    x = np.full_like(q, 1 << lead) % q
+    x = np.uint64(1 << lead) % q
     for bit in bits:
         x = x * x % q
         if bit == "1":

@@ -6,12 +6,8 @@
     cullen-lehmer screen       refute the Lehmer necessary conditions on a
                                set of n by residue scan and count bound
 
-Each flag of the subcommand being run can also be set through an
-environment variable with the CULLEN_ prefix (flag --trial-limit  ->
-CULLEN_TRIAL_LIMIT); the variables of other subcommands' flags are not
-read, and explicit flags win.  Exit codes: 0 clean, 1 a check failed
-(uniqueness violation, incomplete cascade, undecided n), 2 usage or
-configuration errors.
+Exit codes: 0 clean, 1 a check failed (uniqueness violation, incomplete
+cascade, undecided n), 2 usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -26,56 +22,15 @@ from pathlib import Path
 
 from . import arith, bounds, exceptional, screen
 
-ENV_PREFIX = "CULLEN_"
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# the spellings a boolean override accepts, compared case-insensitively
-_BOOL_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
-    ("0", "false", "no", "off"), False
-)
-
-
-class _EnvParser(argparse.ArgumentParser):
-    """An ArgumentParser whose flags default to their CULLEN_ variables.
-
-    Only the flags of the parser being run are read, so an override meant
-    for another subcommand is never looked at.  argparse never checks a
-    default, so each value is cast with the flag's own type (a switch takes
-    _BOOL_WORDS) and checked against its choices; a bad one exits 2 like a
-    bad flag."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace = argparse.Namespace() if namespace is None else namespace
-        for action in self._actions:
-            if not action.option_strings or action.default is argparse.SUPPRESS:
-                continue
-            var = ENV_PREFIX + action.option_strings[-1].lstrip("-").upper().replace("-", "_")
-            raw = os.environ.get(var)
-            if raw is None:
-                continue
-            try:
-                if action.nargs == 0:
-                    value = _BOOL_WORDS[raw.strip().lower()]
-                else:
-                    value = action.type(raw) if action.type else raw
-                valid = action.choices is None or value in action.choices
-            except (KeyError, ValueError):
-                valid = False
-            if not valid:
-                self.exit(EXIT_USAGE, f"invalid value {raw!r} for {var}\n")
-            setattr(namespace, action.dest, value)
-        return super().parse_known_args(args, namespace)
-
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _EnvParser(
+    parser = argparse.ArgumentParser(
         prog="cullen-lehmer",
         description="Screens Cullen numbers n*2^n + 1 against the Lehmer totient condition.",
-        epilog=f"Every flag of the subcommand being run has an environment override: "
-        f"{ENV_PREFIX}<FLAG> (e.g. {ENV_PREFIX}TRIAL_LIMIT); explicit flags win.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -123,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pow23: n = 2^a*3^b <= n-max; range: 1..n-max; file: one n per line",
     )
     p_scr.add_argument("--n-max", type=int, default=3000, help="range cap (default 3000)")
-    p_scr.add_argument("--n-file", help="file of n values")
+    p_scr.add_argument("--n-file", help="file of n values, read only with --set file")
     p_scr.add_argument(
         "--trial-limit",
         type=int,
@@ -268,6 +223,9 @@ def cmd_screen(args) -> int:
         except ValueError:
             print(f"{args.n_file} must contain one integer per line", file=sys.stderr)
             return EXIT_USAGE
+    elif args.n_file:
+        print("--n-file is read only with --set file", file=sys.stderr)
+        return EXIT_USAGE
     elif args.which_set == "range":
         n_values = list(range(1, args.n_max + 1))
     else:
@@ -282,8 +240,7 @@ def cmd_screen(args) -> int:
     cfg = screen.ScreenConfig(trial_limit=args.trial_limit)
     cfg_hash = screen.config_hash(cfg)
 
-    stream_fmt = args.format if args.output is None else "human"
-    emitter = _Emitter(stream_fmt, None)
+    emitter = _Emitter(args.format, None)
 
     def show(v: screen.Verdict) -> None:
         d = screen.record_dict(v, cfg_hash)
@@ -330,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse and _EnvParser use 2 for usage errors already; normalize --help's 0
+        # argparse uses 2 for usage errors already; normalize --help's 0
         return int(exc.code or 0)
     handlers = {"bounds": cmd_bounds, "exceptional": cmd_exceptional, "screen": cmd_screen}
     try:

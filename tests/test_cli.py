@@ -90,10 +90,12 @@ def test_screen_reports_progress_on_stderr(tmp_path, capsys):
     # stdout and the results file carry only records, as before
     code, out_with_file, _ = run_cli(capsys, *argv, "--output", str(out_file))
     assert code == 0
-    assert sorted(json.loads(line)["n"] for line in out_file.read_text().splitlines()) == sorted(
-        seen
+    in_file = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert sorted(r["n"] for r in in_file) == sorted(seen)
+    # stdout follows --format with or without --output
+    assert [json.loads(line) for line in out_with_file.splitlines()] == sorted(
+        in_file, key=lambda r: r["n"]
     )
-    assert all(line.startswith("n=") for line in out_with_file.splitlines()[:12])
 
 
 def test_screen_file_set(tmp_path, capsys):
@@ -118,6 +120,14 @@ def test_screen_file_set_requires_file(capsys):
     code, _, err = run_cli(capsys, "screen", "--set", "file")
     assert code == 2
     assert "--n-file" in err
+
+
+def test_screen_n_file_without_file_set_exits_2(tmp_path, capsys):
+    nf = tmp_path / "ns.txt"
+    nf.write_text("7\n")
+    code, out, err = run_cli(capsys, "screen", "--n-file", str(nf), "--n-max", "10")
+    assert (code, out) == (2, "")
+    assert "--set file" in err
 
 
 def test_screen_undecided_exit_codes(tmp_path, capsys):
@@ -166,46 +176,16 @@ def test_screen_resume_skips_lines_that_are_not_records(tmp_path, capsys, line):
     assert "12 reused, 0 computed" in out
 
 
-def test_env_overrides(monkeypatch, capsys):
+def test_cullen_environment_variables_are_ignored(monkeypatch, capsys):
+    from cullen_lehmer import screen
+
     monkeypatch.setenv("CULLEN_N_MAX", "20")
-    code, out, _ = run_cli(capsys, "screen", "--set", "pow23", "--format", "jsonl")
+    monkeypatch.setenv("CULLEN_FORMAT", "xml")
+    monkeypatch.setenv("CULLEN_WORKERS", "0")
+    code, out, _ = run_cli(capsys, "screen", "--set", "pow23")
     assert code == 0
-    rows = [json.loads(line) for line in out.strip().splitlines()]
-    assert [r["n"] for r in rows] == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
-    # explicit flags win over the environment
-    code, out, _ = run_cli(capsys, "screen", "--set", "pow23", "--n-max", "4", "--format", "jsonl")
-    rows = [json.loads(line) for line in out.strip().splitlines()]
-    assert [r["n"] for r in rows] == [1, 2, 3, 4]
-
-
-@pytest.mark.parametrize(
-    "var,value,argv",
-    [
-        ("CULLEN_FORMAT", "xml", ("bounds",)),
-        ("CULLEN_SET", "bogus", ("screen", "--n-max", "4")),
-        ("CULLEN_ALLOW_UNDECIDED", "yse", ("screen", "--n-max", "4")),
-        ("CULLEN_RESUME", "2", ("screen", "--n-max", "4")),
-    ],
-    ids=["format", "set", "allow-undecided", "resume"],
-)
-def test_env_override_outside_choices_exits_2(monkeypatch, capsys, var, value, argv):
-    monkeypatch.setenv(var, value)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert f"invalid value {value!r} for {var}" in err
-
-
-@pytest.mark.parametrize(
-    "value,expected",
-    [("1", True), ("TRUE", True), ("yes", True), (" On ", True),
-     ("0", False), ("False", False), ("NO", False), ("off", False)],
-)
-def test_env_boolean_spellings(monkeypatch, value, expected):
-    monkeypatch.setenv("CULLEN_RESUME", value)
-    monkeypatch.setenv("CULLEN_ALLOW_UNDECIDED", value)
-    args = cli._build_parser().parse_args(["screen"])
-    assert (args.resume, args.allow_undecided) == (expected, expected)
+    ns = [int(m) for m in re.findall(r"^n=(\d+):", out, re.M)]
+    assert ns == screen.enumerate_2a3b(3000) and len(ns) == 52
 
 
 def test_usage_error_exit_code(capsys):
@@ -239,25 +219,6 @@ def test_flags_only_where_read(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "var,argv,reader",
-    [
-        ("CULLEN_TRIAL_LIMIT", ("bounds",), ("screen", "--n-max", "4")),
-        ("CULLEN_TRIAL_LIMIT", ("exceptional", "--n-max", "5"), ("screen", "--n-max", "4")),
-        ("CULLEN_MIN_OMEGA", ("screen", "--n-max", "4"), ("bounds",)),
-    ],
-    ids=["bounds", "exceptional", "screen"],
-)
-def test_env_override_of_another_subcommand_is_not_read(monkeypatch, capsys, var, argv, reader):
-    monkeypatch.setenv(var, "x")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 0 and var not in err
-    # the subcommand that has the flag still rejects the value
-    code, out, err = run_cli(capsys, *reader)
-    assert (code, out) == (2, "")
-    assert f"invalid value 'x' for {var}" in err
-
-
 @pytest.mark.parametrize("command", ["bounds", "exceptional"])
 def test_unopenable_output_exits_2(tmp_path, capsys, command):
     path = tmp_path / "missing-dir" / "x.jsonl"
@@ -266,11 +227,9 @@ def test_unopenable_output_exits_2(tmp_path, capsys, command):
     assert err.startswith("error: cannot open results file") and str(path) in err
 
 
-@pytest.mark.parametrize("env,argv", [(None, ["--workers", "0"]), ("0", []), ("-3", [])])
-def test_screen_workers_below_one_exits_2(monkeypatch, capsys, env, argv):
-    if env is not None:
-        monkeypatch.setenv("CULLEN_WORKERS", env)
-    code, out, err = run_cli(capsys, "screen", "--n-max", "10", *argv)
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_screen_workers_below_one_exits_2(capsys, workers):
+    code, out, err = run_cli(capsys, "screen", "--n-max", "10", "--workers", workers)
     assert (code, out) == (2, "")
     assert err.startswith("error: workers must be at least 1")
 
