@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="pow23",
         help="pow23: n = 2^a*3^b <= n-max; range: 1..n-max; file: one n per line",
     )
-    p_scr.add_argument("--n-max", type=int, default=3000, help="range cap (default 3000)")
+    p_scr.add_argument("--n-max", type=int, help="cap of --set pow23 or range (default 3000)")
     p_scr.add_argument("--n-file", help="file of n values, read only with --set file")
     p_scr.add_argument(
         "--trial-limit",
@@ -213,6 +213,9 @@ def cmd_screen(args) -> int:
         if not args.n_file:
             print("--set file requires --n-file", file=sys.stderr)
             return EXIT_USAGE
+        if args.n_max is not None:
+            print("--n-max is read only with --set pow23 or range", file=sys.stderr)
+            return EXIT_USAGE
         try:
             text = Path(args.n_file).read_text(encoding="utf-8")
         except OSError as exc:
@@ -226,10 +229,15 @@ def cmd_screen(args) -> int:
     elif args.n_file:
         print("--n-file is read only with --set file", file=sys.stderr)
         return EXIT_USAGE
-    elif args.which_set == "range":
-        n_values = list(range(1, args.n_max + 1))
     else:
-        n_values = screen.enumerate_2a3b(args.n_max)
+        # defaulted here, not by argparse, so --set file can tell a given
+        # --n-max; the run config line shows the cap applied
+        if args.n_max is None:
+            args.n_max = 3000
+        if args.which_set == "range":
+            n_values = list(range(1, args.n_max + 1))
+        else:
+            n_values = screen.enumerate_2a3b(args.n_max)
     if not n_values or min(n_values) < 1:
         print("no valid n to screen (need n >= 1)", file=sys.stderr)
         return EXIT_USAGE
@@ -249,7 +257,7 @@ def cmd_screen(args) -> int:
             f"n={v.n}: {v.status}"
             + (f" witness={v.witness}" if v.witness else "")
             + f"  ({v.reason})"
-            + f"  [trial<={v.trial_limit_used}, rho={v.rho_budget_used}, {v.elapsed:.2f}s]",
+            + f"  [trial<={v.trial_limit_used}, {v.elapsed:.2f}s]",
         )
 
     def progress(k: int, total: int, v: screen.Verdict) -> None:

@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass, fields
 from multiprocessing import Pool
 from pathlib import Path
+from typing import ClassVar
 
 from . import arith, structure
 from .bounds import LEHMER_MIN_OMEGA
@@ -31,7 +31,6 @@ from .bounds import LEHMER_MIN_OMEGA
 REFUTED_SHAPE = "REFUTED_SHAPE"
 REFUTED_SQUARE = "REFUTED_SQUARE"
 REFUTED_COUNT = "REFUTED_COUNT"
-REFUTED_OMEGA = "REFUTED_OMEGA"
 UNDECIDED = "UNDECIDED"
 
 STATUSES = frozenset(
@@ -39,7 +38,6 @@ STATUSES = frozenset(
         REFUTED_SHAPE,
         REFUTED_SQUARE,
         REFUTED_COUNT,
-        REFUTED_OMEGA,
         UNDECIDED,
     }
 )
@@ -47,7 +45,7 @@ STATUSES = frozenset(
 DEFAULT_TRIAL_LIMIT = 10**6
 
 # Hashed into every config, so --resume never mixes verdicts of two ladders.
-ALGORITHM_VERSION = 4
+ALGORITHM_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,8 @@ class Verdict:
     witness: int | None
     reason: str
     trial_limit_used: int
-    rho_budget_used: int
     elapsed: float
+    rho_budget_used: ClassVar[int] = 0  # perfbench/job.py reads it; goes with ROADMAP item 1
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -70,10 +68,12 @@ class ScreenConfig:
     """Everything that can change a verdict; hashed into each record."""
 
     trial_limit: int = DEFAULT_TRIAL_LIMIT
-    rho_budget: int = arith.DEFAULT_RHO_BUDGET
-    cn_cap: int = structure.DEFAULT_CN_CAP
+    rho_budget: InitVar[int] = 0  # perfbench/run.py's bigcn passes 0; goes with ROADMAP item 1
+    cn_cap: InitVar[int] = 0  # perfbench/run.py's residue passes 0; goes with ROADMAP item 1
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, *retired: int) -> None:
+        if any(retired):
+            raise ValueError(f"no screen stage reads a factoring budget; pass 0, got {retired}")
         # checked here, not only in the sieve, so a bad config fails before
         # anything is opened or computed
         if not 0 <= self.trial_limit < 1 << 32:
@@ -102,15 +102,13 @@ def enumerate_2a3b(n_max: int) -> list[int]:
 
 
 def witness_search(n: int, cfg: ScreenConfig = ScreenConfig()) -> Verdict:
-    """Deterministic verdict for one n under the budgets of cfg.
+    """Deterministic verdict for one n under cfg.
 
     Order: ascending prime residues up to cfg.trial_limit testing the shape
     and squarefree conditions; then the count bound of structure.count_bound,
     which refutes C_n when it is below LEHMER_MIN_OMEGA (REFUTED_COUNT,
-    witness the bound); then, only when n <= cfg.cn_cap, a factorization of
-    C_n over the primes the scan found, with at most cfg.rho_budget rho
-    iterations, whose factors get the same tests, then the distinct-factor
-    count.  UNDECIDED is the honest fallback when every budget runs dry.
+    witness the bound).  UNDECIDED is the honest fallback when neither
+    stage refutes.
     """
     if n < 1:
         raise ValueError("witness_search requires n >= 1")
@@ -118,22 +116,17 @@ def witness_search(n: int, cfg: ScreenConfig = ScreenConfig()) -> Verdict:
     inst = structure.decompose(n)
     note = "; n < 3 is outside the exclusion arguments" if inst.small_n else ""
 
-    def done(status, witness, reason, rho_used=0):
+    def done(status, witness, reason):
         return Verdict(
             n=n,
             status=status,
             witness=witness,
             reason=reason + note,
             trial_limit_used=cfg.trial_limit,
-            rho_budget_used=rho_used,
             elapsed=time.perf_counter() - start,
         )
 
-    def refute(q, rho_used=0):
-        """The shape or square refutation carried by a prime q | C_n, or None."""
-        found = ""
-        if q > cfg.trial_limit:
-            found = f"; {q} is a {arith.prime_certainty(q)} prime found by factoring"
+    for q in arith.cullen_divisors(n, cfg.trial_limit):
         shape = structure.PrimeShape(q, arith.odd_part(q - 1), arith.v2(q - 1))
         if not structure.shape_divides(shape, inst):
             why = (
@@ -144,20 +137,10 @@ def witness_search(n: int, cfg: ScreenConfig = ScreenConfig()) -> Verdict:
             return done(
                 REFUTED_SHAPE,
                 q,
-                f"{q} | C_{n} but q - 1 = {shape.m}*2^{shape.a} does not divide n*2^n: "
-                f"{why}{found}",
-                rho_used,
+                f"{q} | C_{n} but q - 1 = {shape.m}*2^{shape.a} does not divide n*2^n: {why}",
             )
         if arith.cullen_mod(n, q * q) == 0:
-            return done(REFUTED_SQUARE, q, f"{q}^2 divides C_{n}: not squarefree{found}", rho_used)
-        return None
-
-    compatible: list[int] = []
-    for q in arith.cullen_divisors(n, cfg.trial_limit):
-        verdict = refute(q)
-        if verdict is not None:
-            return verdict
-        compatible.append(q)
+            return done(REFUTED_SQUARE, q, f"{q}^2 divides C_{n}: not squarefree")
 
     count = structure.count_bound(n)
     if count.bound < LEHMER_MIN_OMEGA:
@@ -169,49 +152,10 @@ def witness_search(n: int, cfg: ScreenConfig = ScreenConfig()) -> Verdict:
             f"{count.n1_omega} + {len(count.gammas)} = {count.bound} < {LEHMER_MIN_OMEGA} "
             f"distinct prime factors: n1 = {inst.n1}, gamma = {gammas}",
         )
-    if n > cfg.cn_cap:
-        return done(
-            UNDECIDED,
-            None,
-            f"C_{n} above materialization cap {cfg.cn_cap}, no witness below {cfg.trial_limit} "
-            f"and count bound {count.bound} >= {LEHMER_MIN_OMEGA}",
-        )
-    cn = structure.cullen_value(n, cfg.cn_cap)
-    rest = cn // math.prod(compatible)
-    result = arith.bounded_factor(rest, (), cfg.rho_budget)
-    rho_used = result.rho_used
-    for q in sorted(result.factors):
-        verdict = refute(q, rho_used)
-        if verdict is not None:
-            return verdict
-    if not result.complete:
-        return done(
-            UNDECIDED,
-            None,
-            f"{result.cofactor.bit_length()}-bit cofactor left unfactored after "
-            f"{rho_used} rho iterations; every factor found is compatible",
-            rho_used,
-        )
-    factors = dict.fromkeys(compatible, 1) | result.factors
-    if math.prod(p**e for p, e in factors.items()) != cn:
-        raise RuntimeError(f"n={n}: factorization failed verification")
-    omega = len(factors)
-    shown = "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items()))
-    certainty = arith.prime_certainty(max(factors))
-    if omega < LEHMER_MIN_OMEGA:
-        return done(
-            REFUTED_OMEGA,
-            None,
-            f"C_{n} = {shown} has {omega} < {LEHMER_MIN_OMEGA} distinct prime factors "
-            f"({certainty} primes)",
-            rho_used,
-        )
     return done(
         UNDECIDED,
         None,
-        f"complete factorization {shown} ({certainty} primes) has omega = {omega} >= "
-        f"{LEHMER_MIN_OMEGA}; no necessary condition violated within budget",
-        rho_used,
+        f"no witness below {cfg.trial_limit} and count bound {count.bound} >= {LEHMER_MIN_OMEGA}",
     )
 
 

@@ -130,16 +130,36 @@ def test_screen_n_file_without_file_set_exits_2(tmp_path, capsys):
     assert "--set file" in err
 
 
+def test_screen_file_set_rejects_n_max(tmp_path, capsys):
+    nf = tmp_path / "ns.txt"
+    nf.write_text("7\n")
+    argv = ("screen", "--set", "file", "--n-file", str(nf), "--n-max", "5")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--n-max is read only with --set pow23 or range" in err
+
+
+def test_screen_run_config_shows_the_n_max_applied(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "screen", "--set", "range", "--trial-limit", "100")
+    assert code == 0 and "n_max=3000" in out and "n=3000:" in out
+    nf = tmp_path / "ns.txt"
+    nf.write_text("7\n")
+    code, out, _ = run_cli(capsys, "screen", "--set", "file", "--n-file", str(nf))
+    assert code == 0 and "n_max=None" in out
+
+
 def test_screen_undecided_exit_codes(tmp_path, capsys):
     # n = 3^13*5 has count bound 14 and no residue witness below 10^6, and
-    # above the default materialization cap nothing else runs, so it stays
-    # undecided
+    # no stage follows the count stage, so it stays undecided
     nf = tmp_path / "ns.txt"
     nf.write_text("7971615\n")
     args = ("screen", "--set", "file", "--n-file", str(nf))
     code, out, err = run_cli(capsys, *args)
     assert code == 1
-    assert "n=7971615: UNDECIDED" in out and "cap 300000" in out
+    assert (
+        "n=7971615: UNDECIDED  (no witness below 1000000 and count bound 14 >= 14)"
+        "  [trial<=1000000, " in out
+    )
     code, _, _ = run_cli(capsys, *args, "--allow-undecided")
     assert code == 0
 

@@ -38,11 +38,10 @@ def test_status_space_cannot_express_success():
         "REFUTED_SHAPE",
         "REFUTED_SQUARE",
         "REFUTED_COUNT",
-        "REFUTED_OMEGA",
         "UNDECIDED",
     }
     with pytest.raises(ValueError):
-        screen.Verdict(1, "LEHMER_HOLDS", None, "", 0, 0, 0.0)
+        screen.Verdict(1, "LEHMER_HOLDS", None, "", 0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -97,40 +96,6 @@ def test_undecided_accounts_for_budget(verdicts_500):
     for n, v in verdicts_500.items():
         assert v.status in screen.STATUSES
         assert v.trial_limit_used == screen.DEFAULT_TRIAL_LIMIT
-        assert v.rho_budget_used <= arith.DEFAULT_RHO_BUDGET
-        if v.status == "UNDECIDED" and "unfactored" in v.reason:
-            assert v.rho_budget_used == arith.DEFAULT_RHO_BUDGET
-
-
-def test_omega_reason_carries_verified_factorization(monkeypatch):
-    # with the count stage unable to refute, factoring has to decide; the
-    # shape witnesses it learns must not be thrown away
-    monkeypatch.setattr(structure, "count_bound", lambda n: structure.CountBound(14, ()))
-    for n in (37, 62, 96, 100, 104, 108, 122, 124, 132, 158, 196):
-        v = screen.witness_search(n)
-        cn = structure.cullen_value(n)
-        assert v.status == "REFUTED_SHAPE", n
-        q = v.witness
-        assert q > screen.DEFAULT_TRIAL_LIMIT and cn % q == 0
-        assert (cn - 1) % (q - 1) != 0 and sympy.isprime(q)
-        assert f"{arith.prime_certainty(q)} prime found by factoring" in v.reason
-
-    v = screen.witness_search(132, screen.ScreenConfig(rho_budget=10))
-    assert (v.status, v.rho_budget_used) == ("UNDECIDED", 10)
-    assert "unfactored after 10 rho iterations" in v.reason
-
-    v = screen.witness_search(141)
-    assert v.status == "REFUTED_OMEGA"
-    assert "(probable primes)" in v.reason
-    product = 1
-    terms = v.reason.split(" = ", 1)[1].split(" has ")[0]
-    for term in terms.split("*"):
-        if "^" in term:
-            p, e = term.split("^")
-            product *= int(p) ** int(e)
-        else:
-            product *= int(term)
-    assert product == structure.cullen_value(141)
 
 
 def test_screen_set_orders_ascending():
@@ -229,12 +194,11 @@ def test_persistence_failure_aborts_clearly():
 
 def test_verdicts_independent_of_worker_count():
     ns = screen.enumerate_2a3b(200)
-    cfg = screen.ScreenConfig(trial_limit=50_000, rho_budget=20_000)
+    cfg = screen.ScreenConfig(trial_limit=50_000)
     solo = screen.screen_set(ns, cfg, workers=1)
     duo = screen.screen_set(ns, cfg, workers=3)
     strip = lambda report: [
-        (v.n, v.status, v.witness, v.reason, v.trial_limit_used, v.rho_budget_used)
-        for v in report.verdicts
+        (v.n, v.status, v.witness, v.reason, v.trial_limit_used) for v in report.verdicts
     ]
     assert strip(solo) == strip(duo)
 
@@ -316,6 +280,37 @@ def test_config_hash_tracks_fields():
     assert screen.config_hash(a) == screen.config_hash(screen.ScreenConfig())
 
 
+def test_retired_factoring_budgets_accept_only_zero():
+    # the benchmark harness still spells its configs with these two names
+    for budget in ({"rho_budget": 1}, {"cn_cap": 1}):
+        with pytest.raises(ValueError, match="factoring budget"):
+            screen.ScreenConfig(**budget)
+    cfg, h = screen.ScreenConfig, screen.config_hash
+    assert h(cfg(rho_budget=0)) == h(cfg())
+    assert h(cfg(cn_cap=0, trial_limit=10**7)) == h(cfg(trial_limit=10**7))
+
+
+def test_records_carry_no_rho_budget_used():
+    v = screen.witness_search(6)
+    assert v.rho_budget_used == 0
+    assert "rho_budget_used" not in screen.record_dict(v, "hash")
+
+
+def test_resume_skips_a_version_4_results_file(tmp_path):
+    # a record written by algorithm version 4, which had the factoring stage
+    out = tmp_path / "results.jsonl"
+    out.write_text(
+        '{"config_hash": "c8185f75c654", "elapsed": 7.4e-05, "n": 6, "reason": "11 | C_6 but '
+        'q - 1 = 5*2^1 does not divide n*2^n: m = 5 does not divide n1 = 3", '
+        '"rho_budget_used": 0, "status": "REFUTED_SHAPE", "trial_limit_used": 10000, '
+        '"witness": 11}\n'
+    )
+    cfg = screen.ScreenConfig(trial_limit=10_000)
+    assert screen.load_records(out, screen.config_hash(cfg)) == {}
+    report = screen.screen_set([6], cfg, output_path=out, resume=True)
+    assert report.computed == 1 and report.reused == 0
+
+
 def test_resume_skips_records_of_other_algorithm_versions(tmp_path, monkeypatch):
     out = tmp_path / "results.jsonl"
     cfg = screen.ScreenConfig(trial_limit=10_000)
@@ -331,7 +326,7 @@ def test_count_stage_decides_what_the_residue_scan_leaves():
     # every n = 2^a*3^b in (3000, 12000] the residue scan leaves goes to the
     # count stage, with C_n never built
     ns = [n for n in screen.enumerate_2a3b(12000) if n > 3000]
-    report = screen.screen_set(ns, screen.ScreenConfig(cn_cap=0))
+    report = screen.screen_set(ns)
     count = [v for v in report.verdicts if v.status == "REFUTED_COUNT"]
     assert [v.n for v in count] == [3072, 3888, 6144, 6912, 7776, 10368]
     for v in count:
@@ -343,9 +338,9 @@ def test_count_bound_of_fourteen_stays_undecided(n):
     # 3^13*5 and 4*3^14 have Omega(n1) = 14, the Lehmer minimum, and no
     # residue witness below the default trial limit
     assert structure.count_bound(n).bound == 14
-    v = screen.witness_search(n, screen.ScreenConfig(cn_cap=0))
+    v = screen.witness_search(n)
     assert v.status == "UNDECIDED"
-    assert "count bound 14 >= 14" in v.reason
+    assert v.reason == "no witness below 1000000 and count bound 14 >= 14"
 
 
 # Residue-only verdicts at trial limit 10^7 for all 113 n = 2^a*3^b < 200,000,
@@ -382,7 +377,7 @@ def test_residue_only_verdicts_at_ten_million():
     want |= {n: (screen.REFUTED_SQUARE, q) for n, q in _RESIDUE_SQUARE.items()}
     want |= {n: (screen.REFUTED_COUNT, k) for n, k in _RESIDUE_COUNT.items()}
     assert (len(_RESIDUE_SHAPE), len(_RESIDUE_SQUARE), len(want)) == (78, 15, 113)
-    cfg = screen.ScreenConfig(trial_limit=10**7, cn_cap=0)
+    cfg = screen.ScreenConfig(trial_limit=10**7)
     report = screen.screen_set(screen.enumerate_2a3b(199_999), cfg, workers=2)
     assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
 
@@ -395,7 +390,7 @@ def test_witnesses_only_the_vector_kernel_reaches(n, status, witness):
     # no witness for these n lies below the default trial limit, so only
     # the numpy kernel of cullen_divisors scans far enough to find one; 96
     # has none below 2*10^6 and goes to the count stage
-    v = screen.witness_search(n, screen.ScreenConfig(trial_limit=2 * 10**6, cn_cap=0))
+    v = screen.witness_search(n, screen.ScreenConfig(trial_limit=2 * 10**6))
     assert (v.status, v.witness) == (status, witness)
     if status == "REFUTED_SHAPE":
         assert witness > screen.DEFAULT_TRIAL_LIMIT
@@ -435,7 +430,7 @@ def test_default_screen_never_imports_numpy():
         "report = screen.screen_set(screen.enumerate_2a3b(3000), screen.ScreenConfig())\n"
         "assert len(report.verdicts) == 52\n"
         "big = [n for n in screen.enumerate_2a3b(12000) if n > 3000]\n"
-        "report = screen.screen_set(big, screen.ScreenConfig(rho_budget=0))\n"
+        "report = screen.screen_set(big, screen.ScreenConfig())\n"
         "assert len(report.verdicts) == 17\n"
     )
 
