@@ -1,6 +1,8 @@
 """Arbitrary-precision integer primitives shared by every other module:
-2-adic valuations, integer roots, perfect-power detection, primality,
-the prime table (a uint32 array, so primes stay below 2**32), modular
+2-adic valuations, integer roots, perfect-power detection, primality
+(proven: deterministic Miller-Rabin below about 3.3e24, Proth's theorem for
+Proth numbers above, a ValueError for any other number above), the prime
+table (a uint32 array, so primes stay below 2**32), modular
 Cullen residues and the prime divisors of C_n in a prime table, and
 Brent-cycle factoring.
 
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-MR_ROUNDS = 64
 DEFAULT_RHO_BUDGET = 10**6
 
 # Below this limit the first thirteen prime bases give a deterministic
@@ -233,7 +234,8 @@ def power_signature(x: int) -> PowerSignature:
 
 
 def _mr_witness(x: int, a: int, d: int, s: int) -> bool:
-    """True if base a says 'probably prime' for x - 1 = d * 2^s."""
+    """False when base a proves x composite by the strong test, for
+    x - 1 = d * 2^s."""
     a %= x
     if a == 0:
         return True
@@ -263,46 +265,26 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _strong_lucas(n: int) -> bool:
-    """Strong Lucas probable-prime test with Selfridge parameters."""
-    if math.isqrt(n) ** 2 == n:
-        return False
-    D = 5
-    while True:
-        j = _jacobi(D, n)
-        if j == -1:
-            break
-        if j == 0:
-            return n == abs(D)
-        D = -(D + 2) if D > 0 else -(D - 2)
-    Q = (1 - D) // 4
-    d = n + 1
-    s = v2(d)
-    d >>= s
-    inv2 = (n + 1) // 2
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V = U * V % n, (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
-        if bit == "1":
-            U, V = (U + V) * inv2 % n, (D * U + V) * inv2 % n
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
+def _provable(x: int) -> bool:
+    """Whether x >= 2 lies where is_prime proves primality by a test: below
+    _DET_MR_LIMIT, or a Proth number x = k*2^e + 1 with k odd and k < 2^e."""
+    if x < _DET_MR_LIMIT:
         return True
-    for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % n
-        if V == 0:
-            return True
-        Qk = Qk * Qk % n
-    return False
+    e = v2(x - 1)
+    return (x - 1) >> e < 1 << e
 
 
 def is_prime(x: int) -> bool:
-    """Primality test: exact below 2^64, probabilistic above.
+    """Primality with a proof: trial division by the primes below 1000,
+    then Miller-Rabin with the first thirteen prime bases below
+    _DET_MR_LIMIT (about 3.3e24), where they are deterministic, then
+    Proth's theorem (Proth 1878).
 
-    Above the deterministic range the answer comes from MR_ROUNDS
-    Miller-Rabin rounds (bases drawn reproducibly from x) plus a strong
-    Lucas test; see prime_certainty for the proven/probable label.
+    Above the limit a perfect square is composite, and any other x must be
+    a Proth number (see _provable): with the least prime a < 1000 of
+    Jacobi symbol (a/x) = -1, x is prime exactly when
+    a^((x-1)/2) = -1 (mod x).  Raises ValueError for any other x above the
+    limit, and for one with no such a.
     """
     if x < 2:
         return False
@@ -314,22 +296,19 @@ def is_prime(x: int) -> bool:
     if x < 1_002_001:
         # trial division by primes < 1001 is complete here
         return True
-    d = x - 1
-    s = v2(d)
-    d >>= s
     if x < _DET_MR_LIMIT:
+        d = x - 1
+        s = v2(d)
+        d >>= s
         return all(_mr_witness(x, a, d, s) for a in _DET_MR_BASES)
-    rng = random.Random(x << 1)  # see _brent_rho for the seed
-    for _ in range(MR_ROUNDS):
-        a = rng.randrange(2, x - 1)
-        if not _mr_witness(x, a, d, s):
-            return False
-    return _strong_lucas(x)
-
-
-def prime_certainty(x: int) -> str:
-    """'proven' when the is_prime answer is deterministic, else 'probable'."""
-    return "proven" if x < _DET_MR_LIMIT else "probable"
+    if math.isqrt(x) ** 2 == x:
+        return False
+    if not _provable(x):
+        raise ValueError(f"is_prime proves primality above {_DET_MR_LIMIT} only for Proth numbers")
+    a = next((a for a in _SMALL_PRIMES if _jacobi(a, x) == -1), None)
+    if a is None:
+        raise ValueError("is_prime found no prime a < 1000 with Jacobi symbol (a/x) = -1")
+    return pow(a, x >> 1, x) == x - 1
 
 
 def cullen_mod(n: int, q: int) -> int:
@@ -500,7 +479,7 @@ def _brent_rho(x: int, budget: int) -> tuple[int | None, int]:
 
     Starting points and polynomial offsets are drawn from an RNG seeded by
     x itself, so repeated runs walk the identical sequence.  The seed is the
-    integer (low bit 1 here, 0 in is_prime): a decimal string has a size limit.
+    integer x << 1 | 1, not a decimal string, which has a size limit.
     """
     if x % 2 == 0:
         return (2 if x > 2 else None), 0
@@ -559,9 +538,11 @@ def pollard_rho(x: int, budget: int = DEFAULT_RHO_BUDGET) -> int | None:
 class FactorResult:
     """Outcome of a budgeted factorization.
 
-    factors maps prime -> exponent (primality per is_prime, so 'probable'
-    above the deterministic range); cofactor is 1 exactly when the
-    factorization is complete, otherwise the unfactored composite part.
+    factors maps prime -> exponent, each prime proven by is_prime; cofactor
+    is 1 exactly when the factorization is complete, otherwise the part
+    left unfactored.  That part holds what rho did not split within the
+    budget: composites, and any number outside the range of _provable,
+    prime or not, since is_prime is asked only inside it.
     """
 
     factors: dict[int, int]
@@ -595,7 +576,7 @@ def bounded_factor(
         t = stack.pop()
         if t == 1:
             continue
-        if is_prime(t):
+        if _provable(t) and is_prime(t):
             factors[t] = factors.get(t, 0) + 1
             continue
         remaining = rho_budget - rho_used

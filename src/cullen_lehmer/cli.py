@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import arith, bounds, exceptional, screen
+from . import bounds, exceptional, screen
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -191,7 +191,6 @@ def cmd_exceptional(args) -> int:
                     "p": c.p,
                     "p_bits": c.p.bit_length(),
                     "is_prime": c.is_prime,
-                    "certainty": arith.prime_certainty(c.p) if c.is_prime else "composite",
                 }
                 emitter.record(
                     d,

@@ -45,7 +45,7 @@ STATUSES = frozenset(
 DEFAULT_TRIAL_LIMIT = 10**6
 
 # Hashed into every config, so --resume never mixes verdicts of two ladders.
-ALGORITHM_VERSION = 5
+ALGORITHM_VERSION = 6
 
 
 @dataclass(frozen=True)

@@ -106,30 +106,40 @@ def test_is_prime_pseudoprime_battery():
         341550071728321,
         3825123056546413051,
         318665857834031151167461,
-        3317044064679887385961981,
     ):
         assert not arith.is_prime(x), x
+    # the deterministic limit itself and a Mersenne prime are above the
+    # limit and not Proth numbers, so is_prime cannot prove either answer
+    for x in (arith._DET_MR_LIMIT, 2**127 - 1):
+        with pytest.raises(ValueError):
+            arith.is_prime(x)
 
 
 def test_is_prime_matches_sympy_large():
     rng = random.Random(3)
-    for bits in (64, 96, 128, 200):
-        for _ in range(60):
-            x = rng.getrandbits(bits) | 1
-            assert arith.is_prime(x) == sympy.isprime(x), x
-    for x in (2**127 - 1, 2**255 - 19, 10**30 + 57):
-        assert arith.is_prime(x) == sympy.isprime(x)
-
-
-def test_prime_certainty_labels():
-    assert arith.prime_certainty(65537) == "proven"
-    assert arith.prime_certainty(2**127 - 1) == "probable"
+    for _ in range(60):
+        x = rng.getrandbits(64) | 1
+        assert arith.is_prime(x) == sympy.isprime(x), x
+    # Proth numbers k*2^e + 1 (k odd, k < 2^e) above the deterministic limit
+    primes = 0
+    for _ in range(500):
+        e = rng.randrange(42, 160)
+        k = rng.getrandbits(e) | 1 << (e - 1) | 1
+        x = k << e | 1
+        assert x > arith._DET_MR_LIMIT
+        answer = arith.is_prime(x)
+        assert answer == sympy.isprime(x), x
+        primes += answer
+    assert primes >= 5
+    # a Proth square, Fermat numbers F_7 and F_8 (composite), C_141 (prime)
+    for x in ((2**50 + 1) ** 2, 2**128 + 1, 2**256 + 1, (141 << 141) + 1):
+        assert arith.is_prime(x) == sympy.isprime(x), x
 
 
 def test_seeding_never_builds_a_decimal_string():
     # C_3075 (925 digits) is composite with no factor below 1000, so is_prime
-    # reaches the seeded Miller-Rabin rounds; a limit of 640 digits makes any
-    # int -> str conversion of it raise
+    # reaches Proth's test and pollard_rho its seeded walk; a limit of 640
+    # digits makes any int -> str conversion of it raise
     cn = (3075 << 3075) + 1
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -138,17 +148,6 @@ def test_seeding_never_builds_a_decimal_string():
         assert arith.pollard_rho(cn, 10) is None
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def test_strong_lucas_battery():
-    for p in sympy.primerange(5, 2000):
-        assert arith._strong_lucas(p), p
-    # strong Lucas pseudoprimes (Selfridge parameters) pass the Lucas side
-    # alone and must still be rejected by the combined test
-    for x in (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519):
-        assert not sympy.isprime(x)
-        assert arith._strong_lucas(x), x
-        assert not arith.is_prime(x), x
 
 
 @pytest.mark.parametrize("n,q,expected", [(6, 11, 0), (3, 3, 1), (1, 5, 3)])
@@ -355,3 +354,12 @@ def test_bounded_factor_complete_and_partial():
     assert res.factors[3] == 2
     assert res.cofactor == hard
     assert res.rho_used <= 100
+
+
+def test_bounded_factor_leaves_an_unprovable_prime_unfactored():
+    # 2^127 - 1 is prime but not a Proth number, so is_prime cannot prove
+    # it; rho cannot split it, and it stays in the cofactor
+    res = arith.bounded_factor(2**127 - 1, rho_budget=100)
+    assert not res.complete
+    assert res.factors == {}
+    assert res.cofactor == 2**127 - 1

@@ -47,6 +47,7 @@ def test_exceptional_small_range(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert len(rows) == 1
     assert rows[0]["n"] == 27 and rows[0]["p"] == 1537 and rows[0]["is_prime"] is False
+    assert "certainty" not in rows[0]
 
 
 def test_exceptional_empty_range(capsys):

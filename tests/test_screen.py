@@ -343,6 +343,17 @@ def test_count_bound_of_fourteen_stays_undecided(n):
     assert v.reason == "no witness below 1000000 and count bound 14 >= 14"
 
 
+def test_unprovable_prime_n1_stays_undecided():
+    # an 82-bit prime above the deterministic Miller-Rabin limit that is not
+    # a Proth number: no residue witness below the default trial limit, and
+    # count_bound counts n1 by its bit length, since its primality is not
+    # proven
+    n = 3317044064679887385962561
+    v = screen.witness_search(n)
+    assert v.status == "UNDECIDED"
+    assert v.reason == "no witness below 1000000 and count bound 82 >= 14"
+
+
 # Residue-only verdicts at trial limit 10^7 for all 113 n = 2^a*3^b < 200,000,
 # pinned from the uint64-only numpy kernel: n -> least witness
 _RESIDUE_SHAPE = {
