@@ -188,14 +188,12 @@ def cmd_exceptional(args) -> int:
                     "w": c.w,
                     "rho": c.rho,
                     "exponent": c.exponent,
-                    "p": c.p,
                     "p_bits": c.p.bit_length(),
-                    "is_prime": c.is_prime,
                 }
                 emitter.record(
                     d,
                     f"n={inst.n}: w={c.w} rho={c.rho} p={c.rho}*2^{c.exponent}+1 "
-                    f"({c.p.bit_length()} bits) prime={c.is_prime}",
+                    f"({c.p.bit_length()} bits)",
                 )
         violations = exceptional.uniqueness_violations(rows)
         emitter.line(

@@ -3,11 +3,12 @@
 A prime factor p of C_n escapes the generic size bound only when the odd
 part of n is a perfect odd power, n1 = rho^w with w >= 3 odd dividing
 n + alpha, and then p = rho * 2^((n+alpha)/w) + 1 = (n * 2^n)^(1/w) + 1.
-This module enumerates those candidates, certifies compositeness of all but
-the largest-w candidate via the X^u + 1 cofactor split, and scans ranges of
-n for uniqueness violations (two prime candidates for one n).  A scan lists
-the odd powers n1 = t^w of the range and visits only their multiples
-n1 * 2^a, the only n that can carry a candidate.
+This module enumerates those candidates and proves that at most one of
+them per n can be prime: every candidate but the largest-w one has the form
+Y^lam + 1 with lam odd and > 1, so Y + 1 divides it.  Uniqueness is that
+certificate, checked for every n of a range; no candidate is tested for
+primality.  A scan lists the odd powers n1 = t^w of the range and visits
+only their multiples n1 * 2^a, the only n that can carry a candidate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import arith, structure
+from . import structure
 from .structure import CullenInstance
 
 
@@ -32,7 +33,6 @@ class ExceptionalCandidate:
     rho: int
     exponent: int
     p: int
-    is_prime: bool
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,7 @@ def exceptional_candidates(inst: CullenInstance) -> list[ExceptionalCandidate]:
             continue
         rho = sig.base ** (sig.exponent // w)
         exponent = total // w
-        p = rho * (1 << exponent) + 1
-        out.append(
-            ExceptionalCandidate(
-                w=w,
-                rho=rho,
-                exponent=exponent,
-                p=p,
-                is_prime=arith.is_prime(p),
-            )
-        )
+        out.append(ExceptionalCandidate(w, rho, exponent, rho * (1 << exponent) + 1))
     return out
 
 
@@ -97,7 +88,8 @@ def certify_smaller_composite(
     composite by exhibiting the Y + 1 divisor of p = Y^lam + 1.
 
     lam = lcm(w, w_max) / w is odd and > 1 whenever w < w_max, so the split
-    is always available; the certificate is verified before being returned.
+    is always available; each certificate is verified before being returned,
+    and a failed check raises RuntimeError.
     """
     if len(cands) < 2:
         raise ValueError("certification needs at least two candidates")
@@ -111,10 +103,10 @@ def certify_smaller_composite(
             continue
         joint = math.lcm(cand.w, w_max)
         lam = joint // cand.w
-        y = sig.base ** (sig.exponent // joint) * (1 << (total // joint))
-        divisor, cofactor = odd_power_cofactor(y, lam)
         if lam % 2 == 0 or lam <= 1:
             raise RuntimeError(f"n={inst.n}: lambda={lam} is not odd > 1")
+        y = sig.base ** (sig.exponent // joint) * (1 << (total // joint))
+        divisor, cofactor = odd_power_cofactor(y, lam)
         if divisor * cofactor != cand.p or not 1 < divisor < cand.p:
             raise RuntimeError(f"n={inst.n}: cofactor split failed for w={cand.w}")
         certs.append(CompositenessCertificate(cand.w, cand.p, lam, divisor, cofactor))
@@ -152,24 +144,27 @@ def scan_exceptional(n_lo: int, n_hi: int) -> list[ScanRow]:
 
 
 def uniqueness_violations(rows: list[ScanRow]) -> list[int]:
-    """The n among scan_exceptional rows that carry two or more prime
-    candidates.  Multi-candidate n additionally get their smaller-w
-    candidates certified composite as an internal consistency check."""
+    """The n among scan_exceptional rows with two or more candidates whose
+    smaller-w candidates are not all certified composite by
+    certify_smaller_composite.  An n whose certification raises counts as a
+    violation; without one, at most one candidate of each n can be prime."""
     violations = []
     for inst, cands in rows:
-        if len(cands) >= 2:
-            # cross-check: all but the largest-w candidate must certify composite
+        if len(cands) < 2:
+            continue
+        try:
             certify_smaller_composite(inst, cands)
-        if sum(c.is_prime for c in cands) >= 2:
+        except RuntimeError:
             violations.append(inst.n)
     return violations
 
 
 def uniqueness_scan(n_max: int) -> list[int]:
-    """All n in [3, n_max] carrying two or more prime exceptional candidates.
+    """All n in [3, n_max] whose exceptional candidates are not proven to
+    leave at most one prime (see uniqueness_violations).
 
-    The underlying uniqueness theorem predicts an empty list; whatever is
-    found is returned.
+    The lcm(w1, w2) argument predicts an empty list for every n_max; whatever
+    is found is returned.
     """
     if n_max < 3:
         raise ValueError("uniqueness_scan requires n_max >= 3")

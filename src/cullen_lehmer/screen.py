@@ -212,7 +212,7 @@ def screen_set(
 ) -> ScreenReport:
     """Screen every n in n_values; verdicts come back ascending in n
     regardless of execution order, which is largest n first, so the
-    longest C_n does not start last.
+    longest residue scan does not start last.
 
     workers >= 1 is an upper bound: a pool never has more processes than
     there are values to compute, and one value or one worker runs here.

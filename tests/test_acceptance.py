@@ -63,8 +63,8 @@ def test_criterion_1_bound_chain_reproduction(capsys):
 
 def test_criterion_2_uniqueness_property():
     t0 = time.perf_counter()
-    violations = exceptional.uniqueness_scan(10_000)
-    rows = exceptional.scan_exceptional(3, 10_000)
+    violations = exceptional.uniqueness_scan(200_000)
+    rows = exceptional.scan_exceptional(3, 200_000)
     for inst, cands in rows:
         for c in cands:
             assert (c.p - 1) ** c.w == inst.n << inst.n
@@ -74,8 +74,8 @@ def test_criterion_2_uniqueness_property():
         certs = exceptional.certify_smaller_composite(inst, cands)
         assert len(certs) == len(cands) - 1
         certified += len(certs)
-    # the scan range holds no multi-candidate n (the smallest is 19683), so
-    # exercise the certification clause on that value as well
+    # 19683 = 3^9, the smallest n with two candidates, is the only one in
+    # range; check its certificate directly as well
     inst = structure.decompose(19683)
     cands = exceptional.exceptional_candidates(inst)
     certs = exceptional.certify_smaller_composite(inst, cands)
@@ -84,7 +84,7 @@ def test_criterion_2_uniqueness_property():
 
     ok = violations == [] and cert_ok and elapsed < 300
     _verdict(
-        "criterion 2 (uniqueness scan to 10^4)",
+        "criterion 2 (uniqueness scan to 2*10^5)",
         ok,
         f"violations={violations}, multi-candidate n in range={[i.n for i, _ in multi]}, "
         f"in-range certificates={certified}, 19683 certified={cert_ok}, "

@@ -46,8 +46,41 @@ def test_exceptional_small_range(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert len(rows) == 1
-    assert rows[0]["n"] == 27 and rows[0]["p"] == 1537 and rows[0]["is_prime"] is False
+    assert rows[0]["n"] == 27 and (rows[0]["rho"], rows[0]["exponent"]) == (3, 9)
     assert "certainty" not in rows[0]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_exceptional_whole_reduction_range(capsys, fmt):
+    # p is left out of the records: its decimal string would pass Python's
+    # 4300-digit limit (the largest candidate below 200,000 has 64,897 bits)
+    code, out, err = run_cli(capsys, "exceptional", "--n-max", "200000", "--format", fmt)
+    assert code == 0
+    assert "0 uniqueness violations in 3..200000" in err
+    lines = out.strip().splitlines()
+    if fmt == "jsonl":
+        rows = [json.loads(line) for line in lines]
+    else:
+        header = lines[0].split(",")
+        rows = [dict(zip(header, map(int, line.split(",")))) for line in lines[1:]]
+    assert len(rows) == 49 and len({r["n"] for r in rows}) == 48
+    for r in rows:
+        n1 = r["n"] >> ((r["n"] & -r["n"]).bit_length() - 1)
+        assert r["rho"] ** r["w"] == n1
+        assert r["p_bits"] == (r["rho"] << r["exponent"]).bit_length()
+        assert "p" not in r and "is_prime" not in r
+
+
+def test_exceptional_failed_certificate_exits_1(capsys, monkeypatch):
+    from cullen_lehmer import exceptional
+
+    def broken(inst, cands):
+        raise RuntimeError("cofactor split failed")
+
+    monkeypatch.setattr(exceptional, "certify_smaller_composite", broken)
+    code, out, _ = run_cli(capsys, "exceptional", "--n-max", "20000")
+    assert code == 1
+    assert "1 uniqueness violations in 3..20000: [19683]" in out
 
 
 def test_exceptional_empty_range(capsys):

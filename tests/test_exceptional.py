@@ -10,7 +10,7 @@ def test_candidates_for_27():
     assert len(cands) == 1
     c = cands[0]
     assert (c.w, c.rho, c.exponent, c.p) == (3, 3, 9, 1537)
-    assert c.is_prime is False  # 1537 = 29 * 53
+    assert 1537 % 29 == 0  # 1537 = 29 * 53
 
 
 def test_candidates_empty_cases():
@@ -92,7 +92,6 @@ def test_multi_candidate_certification_at_19683():
     inst = structure.decompose(19683)
     cands = exceptional.exceptional_candidates(inst)
     assert [c.w for c in cands] == [3, 9]
-    assert all(not c.is_prime for c in cands)
     certs = exceptional.certify_smaller_composite(inst, cands)
     assert len(certs) == 1
     cert = certs[0]
@@ -123,7 +122,7 @@ def _scan_every_n(n_lo, n_hi):
 def test_scan_exceptional_matches_every_n_scan(n_lo, n_hi):
     def key(rows):
         return [
-            (inst.n, [(c.w, c.rho, c.exponent, c.p, c.is_prime) for c in cands])
+            (inst.n, [(c.w, c.rho, c.exponent, c.p) for c in cands])
             for inst, cands in rows
         ]
 
@@ -133,3 +132,25 @@ def test_scan_exceptional_matches_every_n_scan(n_lo, n_hi):
         # the first n with two admissible w (3 and 9) is in the window
         assert any(inst.n == 19683 and len(cands) == 2 for inst, cands in expected)
     assert exceptional.uniqueness_violations(expected) == []
+
+
+def test_uniqueness_needs_no_primality_test(monkeypatch):
+    # the Y + 1 certificate alone proves uniqueness over the whole range the
+    # cascade leaves, n < 200,000, whose largest candidate has 64,897 bits
+    def no_primality(x):
+        raise AssertionError("uniqueness must not test primality")
+
+    monkeypatch.setattr(arith, "is_prime", no_primality)
+    assert exceptional.uniqueness_scan(200_000) == []
+    rows = exceptional.scan_exceptional(3, 200_000)
+    assert len(rows) == 48
+    assert sum(len(cands) for _, cands in rows) == 49
+    assert [inst.n for inst, cands in rows if len(cands) > 1] == [19683]
+
+
+def test_failed_certificate_is_a_violation(monkeypatch):
+    def broken(inst, cands):
+        raise RuntimeError("cofactor split failed")
+
+    monkeypatch.setattr(exceptional, "certify_smaller_composite", broken)
+    assert exceptional.uniqueness_violations(exceptional.scan_exceptional(3, 20_000)) == [19683]
