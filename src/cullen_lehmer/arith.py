@@ -7,13 +7,15 @@ Cullen residues and the prime divisors of C_n in a prime table, and
 Brent-cycle factoring.
 
 cullen_divisors has two kernels.  For a table whose largest prime is at
-most VECTOR_ABOVE and n <= GCD_MAX_N it builds C_n (at most 2 KB) and takes
-one gcd with the product of each block of GCD_BLOCK primes (batch trial
-division, Bernstein 2004); the block products are built once per process
-and limit.  Every other scan runs a numpy kernel: binary powering of
-2^n mod q over blocks of primes, in float64 with balanced residues for
-blocks of primes below FLOAT_BELOW = 2**26, in uint64 for blocks holding a
-larger one.
+most VECTOR_ABOVE and n <= GCD_MAX_N it builds C_n (at most 2 KB) and runs
+batch trial division (Bernstein 2004) against the products of blocks of
+GCD_BLOCK primes, built once per process and limit: it reduces each block
+product mod C_n (from FOLD_MIN_N up in linear time, by folding on
+n*2^n = -1), multiplies the residues of a chunk of 1, 2, 4, ... blocks mod
+C_n and takes one gcd with C_n per chunk.  Every other scan runs a
+numpy kernel: binary powering of 2^n mod q over blocks of primes, in
+float64 with balanced residues for blocks of primes below FLOAT_BELOW =
+2**26, in uint64 for blocks holding a larger one.
 
 numpy is imported inside the functions that use it, never at module level:
 by the numpy kernel, by prepare_cullen_divisors (before a pool forks,
@@ -51,11 +53,19 @@ _DET_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # default run of small n must not pay that.
 VECTOR_ABOVE = 10**6
 
-# A full gcd-kernel scan of the default table grows as n * theta(limit):
-# about 9 ms at n = 2592 and 45-55 ms at 2^14, against about 4 ms at any n
-# for the numpy kernel once numpy is imported.  Up to this n (C_n of 2 KB)
-# the gcd kernel is kept, so that runs of small n do not import numpy.
+# A full gcd-kernel scan of the default table takes about 1 ms at n = 96,
+# 4 ms at 2592, 12 ms at 10368 and 23-27 ms at 2^14, against about 3 ms at
+# any n for the numpy kernel once numpy is imported.  Up to this n (C_n of
+# 2 KB) the gcd kernel is kept all the same: importing numpy adds about
+# 12 MB to a process, about half the 23 MB peak RSS of perfbench's bigcn
+# workload (the n = 2^a*3^b in (3000, 12000]), whose bound allows 10%.
 GCD_MAX_N = 1 << 14
+
+# From this n up, the gcd kernel reduces mod C_n by _cullen_fold, folding on
+# n*2^n = -1; below it plain % is cheaper.  Full scans of the default table
+# measured about even at n = 1400-1500; folding is 1.9x slower at
+# n = 1000, 1.5x faster at 1800 and 2.6x faster at 2592.
+FOLD_MIN_N = 1500
 
 # Primes per block of the gcd kernel.
 GCD_BLOCK = 1024
@@ -349,9 +359,16 @@ def cullen_divisors(n: int, limit: int) -> Iterator[int]:
 
     A generator, so a caller that stops at the first witness stops the scan
     there.  With the largest prime at most VECTOR_ABOVE and n <= GCD_MAX_N,
-    g = gcd(C_n, P) for the product P of each block of GCD_BLOCK primes in
-    turn, and only a block with g > 1 is searched for its primes q | g; every
-    other scan goes through _cullen_divisors_vec.
+    the blocks of GCD_BLOCK primes go in chunks of 1, 2, 4, ... blocks: the
+    product P of each block of a chunk is reduced mod C_n (by _cullen_fold
+    from FOLD_MIN_N up, by % below), the residues are multiplied mod C_n,
+    and g = gcd(C_n, acc) is taken once for the chunk.  g is the product of
+    the chunk's primes q | C_n, so only a chunk with g > 1 is searched, block
+    by block until g is used up: gcd(g, P) is the product of the block's
+    primes q | C_n, found by trial division.  So a witness in the first block
+    costs one gcd, and a scan that finds nothing costs one per chunk (7 on
+    the default table of 77 blocks).  Every other scan goes through
+    _cullen_divisors_vec.
     """
     if n < 1:
         raise ValueError("cullen_divisors requires n >= 1")
@@ -362,16 +379,53 @@ def cullen_divisors(n: int, limit: int) -> Iterator[int]:
         yield from _cullen_divisors_vec(n, primes)
         return
     cn = (n << n) + 1
-    for start, product in zip(range(0, len(primes), GCD_BLOCK), _block_products(limit)):
-        g = math.gcd(cn, product)
-        if g == 1:
-            continue
-        for q in primes[start : start + GCD_BLOCK]:
-            if g % q == 0:
-                yield q
-                g //= q
+    products = _block_products(limit)
+    start, size = 0, 1
+    while start < len(products):
+        chunk = products[start : start + size]
+        acc = 1
+        for product in chunk:
+            if n < FOLD_MIN_N:
+                acc = acc * (product % cn) % cn
+            else:
+                acc = _cullen_fold(acc * _cullen_fold(product, n, cn), n, cn)
+        g = math.gcd(cn, acc)
+        if g > 1:
+            for b, product in enumerate(chunk, start):
+                found = math.gcd(g, product)
+                if found == 1:
+                    continue
+                g //= found
+                for q in primes[b * GCD_BLOCK : (b + 1) * GCD_BLOCK]:
+                    if found % q == 0:
+                        yield q
+                        found //= q
+                        if found == 1:
+                            break
                 if g == 1:
                     break
+        start += size
+        size *= 2
+
+
+def _cullen_fold(t: int, n: int, cn: int) -> int:
+    """t mod cn for cn = C_n = n*2^n + 1 and any integer t.
+
+    Since n*2^n = -1 (mod C_n), t = T*2^n + L with 0 <= L < 2^n and
+    (q, r) = divmod(T, n) gives t = r*2^n + L - q (mod C_n).  Each fold
+    takes time linear in the bits of t and sheds about n + bits(n) of them.
+    The folded value may be negative; floor shifts and divmod keep the
+    identity exact for negative T.  While |t| >= 2^(n + bits(n) + 1),
+    |T| > 2n, so q != 0 and each fold shrinks |t|; once t has at most
+    n + bits(n) + 64 bits, one % with a quotient of a few words finishes.
+    Plain % of a b-bit t costs time proportional to b*n instead.
+    """
+    top = n + n.bit_length() + 64
+    low = (1 << n) - 1
+    while t.bit_length() > top:
+        q, r = divmod(t >> n, n)
+        t = (r << n) + (t & low) - q
+    return t % cn
 
 
 def _cullen_divisors_vec(n: int, primes: array) -> Iterator[int]:

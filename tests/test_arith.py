@@ -301,6 +301,56 @@ def test_gcd_kernel_yields_a_square_factor_once(n, q):
     assert found == _cullen_divisors_loop(n, 10**6)
 
 
+_FOLD_EDGE_NS = tuple(arith.FOLD_MIN_N + d for d in (-2, -1, 0, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 96, *_FOLD_EDGE_NS, 2592, arith.GCD_MAX_N])
+def test_cullen_fold_matches_plain_mod(n):
+    # cullen_divisors folds from FOLD_MIN_N up, but the fold holds for any n.
+    # A t of more than about 2n bits folds through negative values, and
+    # widths around the stopping point n + bits(n) + 64 end it on either
+    # side.  At n = 1 a fold sheds one bit, so tiny n get narrower t.
+    cn = (n << n) + 1
+    top = n + n.bit_length() + 64
+    rng = random.Random(n)
+    width = 60_000 if n > 64 else 4_000
+    ts = [0, 1, cn - 1, cn, cn + 1, cn * cn, (1 << top) - 1, 1 << top, (1 << top + 1) - 1]
+    ts += [rng.getrandbits(rng.randrange(1, width)) for _ in range(30)]
+    for t in ts:
+        assert arith._cullen_fold(t, n, cn) == t % cn, (n, t.bit_length())
+
+
+def test_gcd_kernel_matches_loop_across_the_fold_cut():
+    for n in _FOLD_EDGE_NS:
+        assert list(arith.cullen_divisors(n, 10**6)) == _cullen_divisors_loop(n, 10**6), n
+
+
+# The default table has 77 blocks, scanned in chunks of 1, 2, 4, ... blocks
+# that start at blocks 1, 3, 7, 15, 31 and 63.  For each chunk start, the
+# nearest prime below the chunk edge and the nearest one above it that
+# divides some C_n with n <= GCD_MAX_N, each with its least such n.
+_CHUNK_EDGE_PRIMES = {
+    1: ((8161, 6981), (8167, 4071)),
+    3: ((28181, 1854), (28183, 3015)),
+    7: ((72277, 9104), (72469, 16112)),
+    15: ((168281, 7239), (168353, 9266)),
+    31: ((372397, 6380), (373447, 16358)),
+    63: ((807407, 7523), (808603, 3736)),
+}
+
+
+def test_gcd_kernel_finds_primes_on_chunk_edges():
+    primes = arith.primes_up_to(10**6)
+    assert len(arith._block_products(10**6)) == 77
+    for block, ((below, n_below), (above, n_above)) in _CHUNK_EDGE_PRIMES.items():
+        edge = block * arith.GCD_BLOCK
+        assert edge - 100 <= primes.index(below) < edge <= primes.index(above) < edge + 100
+        for q, n in ((below, n_below), (above, n_above)):
+            assert n <= arith.GCD_MAX_N and arith.cullen_mod(n, q) == 0
+            found = list(arith.cullen_divisors(n, 10**6))
+            assert q in found and found == _cullen_divisors_loop(n, 10**6), (q, n)
+
+
 def test_kernel_switches_above_gcd_max_n(monkeypatch):
     vec_calls = []
     vec = arith._cullen_divisors_vec

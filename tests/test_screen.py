@@ -393,6 +393,35 @@ def test_residue_only_verdicts_at_ten_million():
     assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
 
 
+# Verdicts at the default trial limit for all 77 n = 2^a*3^b <= 20000, pinned
+# from the kernel that took one gcd per block: n -> witness.  Every n up to
+# GCD_MAX_N runs the block-gcd kernel, 18432 and 19683 the numpy one.
+_DEFAULT_SHAPE = {
+    4: 13, 6: 11, 8: 683, 9: 11, 12: 19, 16: 61681, 18: 11, 24: 11, 27: 29, 32: 1777, 48: 379,
+    54: 29, 72: 41, 81: 83, 144: 53, 162: 11, 192: 11383, 216: 937, 243: 59, 256: 97, 288: 379,
+    384: 246223, 432: 2953, 486: 971, 512: 501203, 576: 1117, 972: 362293, 1024: 397, 1152: 11,
+    1296: 41, 1458: 108643, 1536: 59, 1944: 251, 2048: 59, 2187: 439, 2304: 101, 3456: 31,
+    4096: 504337, 4608: 137, 5184: 92693, 6561: 11, 8748: 32719, 9216: 6841, 12288: 307,
+    13122: 4457, 13824: 31, 15552: 52501, 16384: 13, 17496: 11, 19683: 11,
+}
+_DEFAULT_SQUARE = {
+    2: 3, 3: 5, 36: 37, 64: 5, 128: 3, 864: 5, 1728: 7, 4374: 7, 5832: 19, 8192: 3, 11664: 5,
+}
+_DEFAULT_COUNT = {
+    1: 1, 96: 1, 108: 3, 324: 6, 648: 4, 729: 6, 768: 1, 2592: 4, 2916: 6, 3072: 1, 3888: 5,
+    6144: 2, 6912: 3, 7776: 5, 10368: 4, 18432: 2,
+}
+
+
+def test_default_verdicts_up_to_twenty_thousand():
+    want = {n: (screen.REFUTED_SHAPE, q) for n, q in _DEFAULT_SHAPE.items()}
+    want |= {n: (screen.REFUTED_SQUARE, q) for n, q in _DEFAULT_SQUARE.items()}
+    want |= {n: (screen.REFUTED_COUNT, k) for n, k in _DEFAULT_COUNT.items()}
+    assert (len(_DEFAULT_SHAPE), len(_DEFAULT_SQUARE), len(want)) == (50, 11, 77)
+    report = screen.screen_set(screen.enumerate_2a3b(20_000), screen.ScreenConfig(), workers=2)
+    assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
+
+
 @pytest.mark.parametrize(
     "n,status,witness",
     [(6144, "REFUTED_SHAPE", 1763857), (32768, "REFUTED_SHAPE", 1049057), (96, "REFUTED_COUNT", 1)],
