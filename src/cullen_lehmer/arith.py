@@ -18,14 +18,18 @@ float64 with balanced residues for blocks of primes below FLOAT_BELOW =
 2**26, in uint64 for blocks holding a larger one.
 
 numpy is imported inside the functions that use it, never at module level:
-by the numpy kernel, by prepare_cullen_divisors (before a pool forks,
-whenever some n of the run will reach that kernel) and by primes_up_to for
-a limit above VECTOR_ABOVE, whose sieve reads its primes out with numpy.
-So a run at the default trial limit with every n <= GCD_MAX_N never pays
-numpy's memory, and one with a larger n or a larger limit does.
+by the numpy kernel, by prepare_cullen_divisors (whenever some n of the run
+will reach that kernel) and by primes_up_to for a limit above VECTOR_ABOVE,
+whose sieve reads its primes out with numpy.  So a run at the default trial
+limit with every n <= GCD_MAX_N never pays numpy's memory, and one with a
+larger n or a larger limit does.  The same test decides whether a screen
+starts worker processes: screen_set forks them only for a run with a
+numpy-kernel scan, after prepare_cullen_divisors, and runs every other run
+in its own process.
 
-All functions are pure; nothing here holds mutable state, so everything is
-safe to call from any number of worker processes.
+All functions are pure; the only state here is the caches of the prime
+table and the block products, which forked workers inherit, so everything
+is safe to call from any number of worker processes.
 """
 
 from __future__ import annotations
@@ -231,16 +235,27 @@ class PowerSignature:
 def power_signature(x: int) -> PowerSignature:
     """Canonical perfect-power form of x >= 2; exponent 1 iff x is not a power.
 
-    Tries exponents from the largest possible downward, so the first exact
-    root gives the maximal exponent and the base cannot itself be a power.
+    Tries the prime exponents p < base.bit_length() in ascending order (a
+    p-th root of a base >= 2 needs 2^p <= base) and descends into every
+    exact root, multiplying the exponent by p, before moving to the next
+    prime.  A base that is no p-th power for any prime p is no power at all,
+    so the base left at the end is not a power and the exponent is maximal.
+    The primes come from the table up to the least power of two above
+    x.bit_length(), and at least 2^10: one table serves every x below
+    2^1024, and the few table sizes cannot crowd a trial-limit table out of
+    primes_up_to's cache.
     """
     if x < 2:
         raise ValueError("power_signature requires x >= 2")
-    for w in range(x.bit_length() - 1, 1, -1):
-        root, exact = int_nth_root(x, w)
-        if exact:
-            return PowerSignature(root, w)
-    return PowerSignature(x, 1)
+    base, exponent = x, 1
+    for p in primes_up_to(1 << max(10, x.bit_length().bit_length())):
+        if p >= base.bit_length():
+            break
+        root, exact = int_nth_root(base, p)
+        while exact:
+            base, exponent = root, exponent * p
+            root, exact = int_nth_root(base, p)
+    return PowerSignature(base, exponent)
 
 
 def _mr_witness(x: int, a: int, d: int, s: int) -> bool:
@@ -336,22 +351,26 @@ def _numpy_kernel(n: int, primes: array) -> bool:
     return primes[-1] > VECTOR_ABOVE or n > GCD_MAX_N
 
 
-def prepare_cullen_divisors(limit: int, n_values: Iterable[int]) -> None:
+def prepare_cullen_divisors(limit: int, n_values: Iterable[int]) -> bool:
     """Build and cache what cullen_divisors(n, limit) reads for each n in
     n_values: the prime table; the block products, when some n runs the gcd
-    kernel; numpy, when some n runs the numpy kernel.
+    kernel; numpy, when some n runs the numpy kernel.  Returns whether some
+    n runs the numpy kernel.
 
-    screen_set calls it before a pool forks, so forked workers inherit all of
-    it instead of each paying for it.
+    screen_set calls it before it starts any worker process and starts them
+    only when this returns True, so forked workers inherit all of it instead
+    of each paying for it.  A run of gcd-kernel scans alone stays in one
+    process: it has too little work to repay starting a pool.
     """
     primes = primes_up_to(limit)
     if not primes:
-        return
+        return False
     kernels = {_numpy_kernel(n, primes) for n in n_values}
     if False in kernels:
         _block_products(limit)
     if True in kernels:
         import numpy  # noqa: F401
+    return True in kernels
 
 
 def cullen_divisors(n: int, limit: int) -> Iterator[int]:

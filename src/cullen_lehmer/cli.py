@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the screen, at least 1 (default 1)",
+        help="most worker processes for the screen, at least 1 (default 1); they start only"
+        " when some n runs the numpy residue kernel (n > 2^14 or --trial-limit above 10^6)",
     )
     p_scr.add_argument(
         "--set",

@@ -21,7 +21,6 @@ import json
 import time
 from collections.abc import Callable
 from dataclasses import InitVar, asdict, dataclass, fields
-from multiprocessing import Pool
 from pathlib import Path
 from typing import ClassVar
 
@@ -214,8 +213,12 @@ def screen_set(
     regardless of execution order, which is largest n first, so the
     longest residue scan does not start last.
 
-    workers >= 1 is an upper bound: a pool never has more processes than
-    there are values to compute, and one value or one worker runs here.
+    workers >= 1 is an upper bound.  Worker processes start only when some
+    value to compute runs the numpy kernel of arith.cullen_divisors (a
+    trial limit past arith.VECTOR_ABOVE, or n > arith.GCD_MAX_N), and never
+    more than there are values to compute.  Any other run, and one value or
+    one worker, runs here, in this process: its scans are block-gcd scans
+    of milliseconds, which do not repay a pool's start.
     With output_path each fresh verdict is appended as one JSONL record and
     flushed as soon as it is done, so the file is in completion order;
     resume=True first reloads records whose config hash matches and
@@ -235,10 +238,11 @@ def screen_set(
         have = {n: v for n, v in load_records(path, cfg_hash).items() if n in wanted_set}
 
     todo = [n for n in reversed(wanted) if n not in have]
+    numpy_scan = False
     if todo:
         # built before the results file is opened, so a failed build leaves
         # it as it was; forked workers inherit the cached table
-        arith.prepare_cullen_divisors(cfg.trial_limit, todo)
+        numpy_scan = arith.prepare_cullen_divisors(cfg.trial_limit, todo)
     sink = None
     if path is not None:
         try:
@@ -256,9 +260,12 @@ def screen_set(
     # witness_search is looked up here, at call time, so a wrapper set on
     # the module attribute sees every call
     search = functools.partial(witness_search, cfg=cfg)
-    processes = min(workers, len(todo))
+    processes = min(workers, len(todo)) if numpy_scan else 1
     try:
         if processes > 1:
+            # imported here, so a process that never pools never pays for it
+            from multiprocessing import Pool
+
             with Pool(processes) as pool:
                 computed = pool.imap_unordered(search, todo, chunksize=1)
                 fresh = _drain(computed, sink, cfg_hash, progress, len(todo))

@@ -75,6 +75,22 @@ def test_power_signature_rejects_one():
         arith.power_signature(1)
 
 
+def _power_signature_descending(x):
+    """The signature by trying every exponent from x.bit_length() - 1 down;
+    the first exact root has the maximal exponent."""
+    for w in range(x.bit_length() - 1, 1, -1):
+        root, exact = arith.int_nth_root(x, w)
+        if exact:
+            return arith.PowerSignature(root, w)
+    return arith.PowerSignature(x, 1)
+
+
+def test_power_signature_matches_descending_exponents():
+    # 2^2003 and 3^1009 have prime exponents above 1000, 6^35 a root taken twice
+    for x in [*range(2, 200_001), 2**2003, 3**1009, 6**35]:
+        assert arith.power_signature(x) == _power_signature_descending(x), x
+
+
 def test_power_signature_exhaustive_small():
     for x in range(2, 50_000):
         sig = arith.power_signature(x)

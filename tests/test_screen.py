@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -192,15 +193,45 @@ def test_persistence_failure_aborts_clearly():
         screen.screen_set([6], output_path="/nonexistent-dir/results.jsonl")
 
 
-def test_verdicts_independent_of_worker_count():
-    ns = screen.enumerate_2a3b(200)
+def _strip(report):
+    return [(v.n, v.status, v.witness, v.reason, v.trial_limit_used) for v in report.verdicts]
+
+
+def test_verdicts_independent_of_worker_count(monkeypatch):
+    real_pool = multiprocessing.Pool
+    started = []
+
+    def counting_pool(processes):
+        started.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     cfg = screen.ScreenConfig(trial_limit=50_000)
+    # 18432 and 19683 run the numpy kernel, so only the second run pools
+    for ns in (screen.enumerate_2a3b(200), [*screen.enumerate_2a3b(200), 18432, 19683]):
+        solo = screen.screen_set(ns, cfg, workers=1)
+        trio = screen.screen_set(ns, cfg, workers=3)
+        assert _strip(solo) == _strip(trio)
+    assert started == [3]
+
+
+@pytest.mark.parametrize(
+    "cfg,n_max",
+    [(screen.ScreenConfig(), 3000), (screen.ScreenConfig(trial_limit=0), 199_999)],
+    ids=["block-gcd", "no-scan"],
+)
+def test_screen_without_numpy_scans_runs_in_this_process(monkeypatch, cfg, n_max):
+    # every n <= GCD_MAX_N at the default trial limit runs the block-gcd
+    # kernel, and trial limit 0 runs no scan: neither starts a pool,
+    # whatever workers is
+    ns = screen.enumerate_2a3b(n_max)
     solo = screen.screen_set(ns, cfg, workers=1)
-    duo = screen.screen_set(ns, cfg, workers=3)
-    strip = lambda report: [
-        (v.n, v.status, v.witness, v.reason, v.trial_limit_used) for v in report.verdicts
-    ]
-    assert strip(solo) == strip(duo)
+
+    def no_pool(processes):
+        raise AssertionError(f"a pool of {processes} started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert _strip(screen.screen_set(ns, cfg, workers=2)) == _strip(solo)
 
 
 def test_pool_never_larger_than_the_values_to_compute(monkeypatch):
@@ -221,12 +252,15 @@ def test_pool_never_larger_than_the_values_to_compute(monkeypatch):
         def imap_unordered(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(screen, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     cfg = screen.ScreenConfig(trial_limit=100)
-    assert screen.screen_set([6, 9], cfg, workers=64).computed == 2
-    assert screen.screen_set([6, 9, 12], cfg, workers=2).computed == 3
-    assert screen.screen_set([6], cfg, workers=64).computed == 1  # one value runs here
-    assert sizes == [2, 2]
+    # every n past GCD_MAX_N runs the numpy kernel, and one such n pools the run
+    big = arith.GCD_MAX_N + 1
+    assert screen.screen_set([big, big + 1], cfg, workers=64).computed == 2
+    assert screen.screen_set([big, big + 1, big + 2], cfg, workers=2).computed == 3
+    assert screen.screen_set([6, big], cfg, workers=64).computed == 2
+    assert screen.screen_set([big], cfg, workers=64).computed == 1  # one value runs here
+    assert sizes == [2, 2, 2]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -445,16 +479,16 @@ def test_trial_limit_must_fit_uint32():
     assert screen.ScreenConfig(trial_limit=2**32 - 1).trial_limit == 2**32 - 1
 
 
-def _numpy_imported_after(run: str) -> bool:
-    """Whether a fresh interpreter has numpy in sys.modules after run, with
-    screen imported."""
+def _imported_after(module: str, run: str) -> bool:
+    """Whether a fresh interpreter has module in sys.modules after run,
+    with screen imported."""
     src = Path(screen.__file__).resolve().parent.parent
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "from cullen_lehmer import screen\n"
         f"{run}"
-        "print('numpy' in sys.modules)\n"
+        f"print({module!r} in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, check=True
@@ -466,7 +500,8 @@ def test_default_screen_never_imports_numpy():
     # importing numpy adds about 12 MB to a process; a screen at the default
     # trial limit with every n <= GCD_MAX_N stays on the gcd kernel and must
     # not pay that
-    assert not _numpy_imported_after(
+    assert not _imported_after(
+        "numpy",
         "report = screen.screen_set(screen.enumerate_2a3b(3000), screen.ScreenConfig())\n"
         "assert len(report.verdicts) == 52\n"
         "big = [n for n in screen.enumerate_2a3b(12000) if n > 3000]\n"
@@ -478,8 +513,26 @@ def test_default_screen_never_imports_numpy():
 def test_default_screen_past_gcd_max_n_imports_numpy_before_the_fork():
     # 18432 and up run the numpy kernel at the default trial limit; the
     # parent imports numpy once, so the forked workers do not each pay it
-    assert _numpy_imported_after(
+    assert _imported_after(
+        "numpy",
         "report = screen.screen_set(screen.enumerate_2a3b(20000), screen.ScreenConfig(),"
         " workers=2)\n"
         "assert len(report.verdicts) == 77 and not report.undecided\n"
+    )
+
+
+def test_only_a_pooled_screen_imports_multiprocessing():
+    # importing multiprocessing takes about 12 ms; only a run that starts a
+    # pool pays it, and a two-worker screen of block-gcd scans starts none
+    assert not _imported_after(
+        "multiprocessing",
+        "import cullen_lehmer.cli\n"
+        "report = screen.screen_set(screen.enumerate_2a3b(3000), screen.ScreenConfig(),"
+        " workers=2)\n"
+        "assert len(report.verdicts) == 52\n",
+    )
+    # n past GCD_MAX_N runs the numpy kernel, so this screen does pool
+    assert _imported_after(
+        "multiprocessing",
+        "screen.screen_set([16385, 16386], screen.ScreenConfig(trial_limit=100), workers=2)\n",
     )
