@@ -6,39 +6,29 @@ table (a uint32 array, so primes stay below 2**32), modular
 Cullen residues and the prime divisors of C_n in a prime table, and
 Brent-cycle factoring.
 
-cullen_divisors has two kernels.  For a table whose largest prime is at
-most VECTOR_ABOVE and n <= GCD_MAX_N it builds C_n (at most 2 KB) and runs
-batch trial division (Bernstein 2004) against the products of blocks of
-GCD_BLOCK primes, built once per process and limit: it reduces each block
-product mod C_n (from FOLD_MIN_N up in linear time, by folding on
-n*2^n = -1), multiplies the residues of a chunk of 1, 2, 4, ... blocks mod
-C_n and takes one gcd with C_n per chunk.  Every other scan runs a
-numpy kernel: binary powering of 2^n mod q over blocks of primes, in
-float64 with balanced residues for blocks of primes below FLOAT_BELOW =
-2**26, in uint64 for blocks holding a larger one.
+cullen_divisors scans the prime table in numpy: binary powering of 2^n mod
+q over blocks of primes, in float64 with balanced residues for blocks of
+primes below FLOAT_BELOW = 2**26, in uint64 for blocks holding a larger one.
 
 numpy is imported inside the functions that use it, never at module level:
-by the numpy kernel, by prepare_cullen_divisors (whenever some n of the run
-will reach that kernel) and by primes_up_to for a limit above VECTOR_ABOVE,
-whose sieve reads its primes out with numpy.  So a run at the default trial
-limit with every n <= GCD_MAX_N never pays numpy's memory, and one with a
-larger n or a larger limit does.  The same test decides whether a screen
-starts worker processes: screen_set forks them only for a run with a
-numpy-kernel scan, after prepare_cullen_divisors, and runs every other run
-in its own process.
+by cullen_divisors, by prepare_cullen_divisors and by primes_up_to for a
+limit above VECTOR_ABOVE, whose sieve reads its primes out with numpy.  So
+a process that scans no C_n and sieves no further than VECTOR_ABOVE never
+pays numpy's memory.  screen_set runs the residue scan only for an n whose
+count bound does not refute C_n, so a screen of n whose count bounds all
+refute never imports numpy.
 
-All functions are pure; the only state here is the caches of the prime
-table and the block products, which forked workers inherit, so everything
-is safe to call from any number of worker processes.
+All functions are pure; the only state here is the cache of the prime
+table, which forked workers inherit, so everything is safe to call from
+any number of worker processes.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -51,28 +41,11 @@ _DET_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _DET_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-# Tables up to this largest prime can be scanned by the gcd kernel, larger
-# ones always go to the numpy kernel.  It is the default trial limit:
-# importing numpy adds about 12 MB to every process that does it, and a
-# default run of small n must not pay that.
+# Above this limit the sieve reads its primes out with numpy, which a scan
+# of such a table imports anyway.  It is the default trial limit, so the
+# default table, like every smaller one, is built without importing numpy,
+# which adds about 12 MB to a process.
 VECTOR_ABOVE = 10**6
-
-# A full gcd-kernel scan of the default table takes about 1 ms at n = 96,
-# 4 ms at 2592, 12 ms at 10368 and 23-27 ms at 2^14, against about 3 ms at
-# any n for the numpy kernel once numpy is imported.  Up to this n (C_n of
-# 2 KB) the gcd kernel is kept all the same: importing numpy adds about
-# 12 MB to a process, about half the 23 MB peak RSS of perfbench's bigcn
-# workload (the n = 2^a*3^b in (3000, 12000]), whose bound allows 10%.
-GCD_MAX_N = 1 << 14
-
-# From this n up, the gcd kernel reduces mod C_n by _cullen_fold, folding on
-# n*2^n = -1; below it plain % is cheaper.  Full scans of the default table
-# measured about even at n = 1400-1500; folding is 1.9x slower at
-# n = 1000, 1.5x faster at 1800 and 2.6x faster at 2592.
-FOLD_MIN_N = 1500
-
-# Primes per block of the gcd kernel.
-GCD_BLOCK = 1024
 
 # Odd numbers per segment of the prime sieve, one byte each.
 SIEVE_SEGMENT = 1 << 17
@@ -107,9 +80,9 @@ def _sieve(limit: int) -> array:
     isqrt(limit) (found by the same sieve).
 
     Each segment's primes are read out with itertools.compress, or, for a
-    limit above VECTOR_ABOVE, with numpy, which every scan of a table with
-    a prime past VECTOR_ABOVE runs anyway; compress would spend most of the
-    sieve's time building one int per odd number.
+    limit above VECTOR_ABOVE, with numpy, which every residue scan of the
+    table runs anyway; compress would spend most of the sieve's time
+    building one int per odd number.
     """
     table = array("I")
     if limit < 2:
@@ -151,27 +124,6 @@ def _numpy_readout(segment: bytearray, lo: int) -> bytes:
     # every number of the table is below 2**32, so uint32 holds it
     found = np.flatnonzero(np.frombuffer(segment, dtype=np.uint8)).astype(np.uint32)
     return (2 * found + (2 * lo + 1)).tobytes()
-
-
-@lru_cache(maxsize=8)
-def _block_products(limit: int) -> tuple[int, ...]:
-    """Products of the runs of GCD_BLOCK consecutive primes of
-    primes_up_to(limit), ascending, the last run possibly shorter.
-
-    Each comes from a product tree: the level above multiplies neighbours
-    pairwise, so every product is of two numbers of about the same size.
-    One block at a time, so no list of every prime as an int is ever built.
-    """
-    primes = primes_up_to(limit)
-    products = []
-    for start in range(0, len(primes), GCD_BLOCK):
-        level = primes[start : start + GCD_BLOCK].tolist()
-        while len(level) > 1:
-            if len(level) % 2:
-                level.append(1)
-            level = list(map(operator.mul, level[::2], level[1::2]))
-        products.append(level[0])
-    return tuple(products)
 
 
 _SMALL_PRIMES = tuple(primes_up_to(1000))
@@ -345,106 +297,30 @@ def cullen_mod(n: int, q: int) -> int:
     return (n % q * pow(2, n, q) + 1) % q
 
 
-def _numpy_kernel(n: int, primes: array) -> bool:
-    """Whether cullen_divisors(n, ...) scans the table primes with the
-    numpy kernel rather than the gcd kernel."""
-    return primes[-1] > VECTOR_ABOVE or n > GCD_MAX_N
+def prepare_cullen_divisors(limit: int) -> None:
+    """Build and cache what cullen_divisors(n, limit) reads: the prime
+    table, and numpy when the table is not empty.
 
-
-def prepare_cullen_divisors(limit: int, n_values: Iterable[int]) -> bool:
-    """Build and cache what cullen_divisors(n, limit) reads for each n in
-    n_values: the prime table; the block products, when some n runs the gcd
-    kernel; numpy, when some n runs the numpy kernel.  Returns whether some
-    n runs the numpy kernel.
-
-    screen_set calls it before it starts any worker process and starts them
-    only when this returns True, so forked workers inherit all of it instead
-    of each paying for it.  A run of gcd-kernel scans alone stays in one
-    process: it has too little work to repay starting a pool.
+    screen_set calls it before it starts any worker process, so forked
+    workers inherit both instead of each paying for them, and only when
+    some n of the run reaches the residue scan.
     """
-    primes = primes_up_to(limit)
-    if not primes:
-        return False
-    kernels = {_numpy_kernel(n, primes) for n in n_values}
-    if False in kernels:
-        _block_products(limit)
-    if True in kernels:
+    if primes_up_to(limit):
         import numpy  # noqa: F401
-    return True in kernels
 
 
 def cullen_divisors(n: int, limit: int) -> Iterator[int]:
-    """The primes q <= limit with q | C_n, ascending, each once.
+    """The primes q <= limit with q | C_n, ascending, each once, by the
+    numpy kernel _cullen_divisors_vec.
 
     A generator, so a caller that stops at the first witness stops the scan
-    there.  With the largest prime at most VECTOR_ABOVE and n <= GCD_MAX_N,
-    the blocks of GCD_BLOCK primes go in chunks of 1, 2, 4, ... blocks: the
-    product P of each block of a chunk is reduced mod C_n (by _cullen_fold
-    from FOLD_MIN_N up, by % below), the residues are multiplied mod C_n,
-    and g = gcd(C_n, acc) is taken once for the chunk.  g is the product of
-    the chunk's primes q | C_n, so only a chunk with g > 1 is searched, block
-    by block until g is used up: gcd(g, P) is the product of the block's
-    primes q | C_n, found by trial division.  So a witness in the first block
-    costs one gcd, and a scan that finds nothing costs one per chunk (7 on
-    the default table of 77 blocks).  Every other scan goes through
-    _cullen_divisors_vec.
+    there.  An empty table (limit < 2) yields nothing and imports nothing.
     """
     if n < 1:
         raise ValueError("cullen_divisors requires n >= 1")
     primes = primes_up_to(limit)
-    if not primes:
-        return
-    if _numpy_kernel(n, primes):
+    if primes:
         yield from _cullen_divisors_vec(n, primes)
-        return
-    cn = (n << n) + 1
-    products = _block_products(limit)
-    start, size = 0, 1
-    while start < len(products):
-        chunk = products[start : start + size]
-        acc = 1
-        for product in chunk:
-            if n < FOLD_MIN_N:
-                acc = acc * (product % cn) % cn
-            else:
-                acc = _cullen_fold(acc * _cullen_fold(product, n, cn), n, cn)
-        g = math.gcd(cn, acc)
-        if g > 1:
-            for b, product in enumerate(chunk, start):
-                found = math.gcd(g, product)
-                if found == 1:
-                    continue
-                g //= found
-                for q in primes[b * GCD_BLOCK : (b + 1) * GCD_BLOCK]:
-                    if found % q == 0:
-                        yield q
-                        found //= q
-                        if found == 1:
-                            break
-                if g == 1:
-                    break
-        start += size
-        size *= 2
-
-
-def _cullen_fold(t: int, n: int, cn: int) -> int:
-    """t mod cn for cn = C_n = n*2^n + 1 and any integer t.
-
-    Since n*2^n = -1 (mod C_n), t = T*2^n + L with 0 <= L < 2^n and
-    (q, r) = divmod(T, n) gives t = r*2^n + L - q (mod C_n).  Each fold
-    takes time linear in the bits of t and sheds about n + bits(n) of them.
-    The folded value may be negative; floor shifts and divmod keep the
-    identity exact for negative T.  While |t| >= 2^(n + bits(n) + 1),
-    |T| > 2n, so q != 0 and each fold shrinks |t|; once t has at most
-    n + bits(n) + 64 bits, one % with a quotient of a few words finishes.
-    Plain % of a b-bit t costs time proportional to b*n instead.
-    """
-    top = n + n.bit_length() + 64
-    low = (1 << n) - 1
-    while t.bit_length() > top:
-        q, r = divmod(t >> n, n)
-        t = (r << n) + (t & low) - q
-    return t % cn
 
 
 def _cullen_divisors_vec(n: int, primes: array) -> Iterator[int]:

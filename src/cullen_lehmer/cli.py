@@ -4,7 +4,7 @@
     cullen-lehmer exceptional  enumerate exceptional-prime candidates and
                                check uniqueness over a range of n
     cullen-lehmer screen       refute the Lehmer necessary conditions on a
-                               set of n by residue scan and count bound
+                               set of n by count bound and residue scan
 
 Exit codes: 0 clean, 1 a check failed (uniqueness violation, incomplete
 cascade, undecided n), 2 usage or configuration errors.
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="most worker processes for the screen, at least 1 (default 1); they start only"
-        " when some n runs the numpy residue kernel (n > 2^14 or --trial-limit above 10^6)",
+        " when two or more n reach the residue scan (count bound 14 or more)",
     )
     p_scr.add_argument(
         "--set",
@@ -84,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trial-limit",
         type=int,
         default=screen.DEFAULT_TRIAL_LIMIT,
-        help="scan prime witnesses up to this bound, below 2^32 (default 10^6)",
+        help="scan prime witnesses up to this bound, below 2^32 (default 10^6); read only"
+        " for n whose count bound reaches 14",
     )
     p_scr.add_argument(
         "--resume", action="store_true", help="reuse matching records already in --output"

@@ -1,14 +1,13 @@
 """The finishing computation: enumerate n = 2^a * 3^b below the final bound
-and refute the Lehmer necessary conditions on C_n by witness search.
+and refute the Lehmer necessary conditions on C_n.
 
-For a Lehmer C_n every prime factor q must satisfy (q - 1) | n * 2^n, C_n
-must be squarefree, and C_n must carry at least LEHMER_MIN_OMEGA distinct
-prime factors (Cohen & Hagis 1980).  The prime divisors of C_n up to the
-trial limit come from arith.cullen_divisors, which picks the kernel that
-scans them.
-The Lehmer property also bounds the distinct primes of C_n by
-structure.count_bound(n), the paper's count step evaluated at n; a bound
-below LEHMER_MIN_OMEGA refutes C_n without building it.
+The ladder has two stages.  First the count step: a Lehmer C_n has at
+most structure.count_bound(n) distinct prime factors, and at least
+LEHMER_MIN_OMEGA (Cohen & Hagis 1980), so a bound below that refutes C_n
+without building it.  Only an n the bound leaves reaches the residue scan:
+every prime factor q of a Lehmer C_n must satisfy (q - 1) | n * 2^n, and
+C_n must be squarefree, which the prime divisors of C_n up to the trial
+limit, from arith.cullen_divisors, are tested against.
 There is deliberately no status meaning "the Lehmer property holds": the
 screen can only refute or leave a value undecided.
 """
@@ -21,6 +20,7 @@ import json
 import time
 from collections.abc import Callable
 from dataclasses import InitVar, asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import ClassVar
 
@@ -44,7 +44,7 @@ STATUSES = frozenset(
 DEFAULT_TRIAL_LIMIT = 10**6
 
 # Hashed into every config, so --resume never mixes verdicts of two ladders.
-ALGORITHM_VERSION = 6
+ALGORITHM_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,28 @@ def enumerate_2a3b(n_max: int) -> list[int]:
     return out
 
 
-def witness_search(n: int, cfg: ScreenConfig = ScreenConfig()) -> Verdict:
+def witness_search(
+    n: int, cfg: ScreenConfig = ScreenConfig(), *, count: structure.CountBound | None = None
+) -> Verdict:
     """Deterministic verdict for one n under cfg.
 
-    Order: ascending prime residues up to cfg.trial_limit testing the shape
-    and squarefree conditions; then the count bound of structure.count_bound,
-    which refutes C_n when it is below LEHMER_MIN_OMEGA (REFUTED_COUNT,
-    witness the bound).  UNDECIDED is the honest fallback when neither
-    stage refutes.
+    Order: the count bound of structure.count_bound, which refutes C_n when
+    it is below LEHMER_MIN_OMEGA (REFUTED_COUNT, witness the bound); then,
+    only for an n it leaves, ascending prime divisors of C_n up to
+    cfg.trial_limit, testing the shape and squarefree conditions.
+    UNDECIDED is the honest fallback when neither stage refutes.  count,
+    when given, is structure.count_bound(n), already computed by the
+    caller (screen_set, to choose where n runs); elapsed then leaves out
+    its time.
+
+    No n <= 2^14 ever reaches the scan.  n1 is odd, so each of its prime
+    factors is at least 3 and Omega(n1) <= floor(log_3 n) <= floor(log_3
+    2^14) = 8, as count_bound counts it once bounded_factor factors n1
+    completely, which it does for every n1 below 2^14 (a test checks each
+    one).  And count_bound tests only the gamma below
+    n.bit_length().bit_length() = 4.  So the bound is at most 12, below
+    LEHMER_MIN_OMEGA = 14.  The first 2^a*3^b to reach the scan is
+    3^13 = 1,594,323, with bound 13 + 1 = 14 (F_1 = 5 divides its C_n).
     """
     if n < 1:
         raise ValueError("witness_search requires n >= 1")
@@ -125,6 +139,18 @@ def witness_search(n: int, cfg: ScreenConfig = ScreenConfig()) -> Verdict:
             elapsed=time.perf_counter() - start,
         )
 
+    if count is None:
+        count = structure.count_bound(n)
+    if count.bound < LEHMER_MIN_OMEGA:
+        gammas = ", ".join(map(str, count.gammas)) or "none"
+        return done(
+            REFUTED_COUNT,
+            count.bound,
+            f"a Lehmer C_{n} has at most Omega(n1) + #{{gamma : F_gamma | C_{n}}} <= "
+            f"{count.n1_omega} + {len(count.gammas)} = {count.bound} < {LEHMER_MIN_OMEGA} "
+            f"distinct prime factors: n1 = {inst.n1}, gamma = {gammas}",
+        )
+
     for q in arith.cullen_divisors(n, cfg.trial_limit):
         shape = structure.PrimeShape(q, arith.odd_part(q - 1), arith.v2(q - 1))
         if not structure.shape_divides(shape, inst):
@@ -140,17 +166,6 @@ def witness_search(n: int, cfg: ScreenConfig = ScreenConfig()) -> Verdict:
             )
         if arith.cullen_mod(n, q * q) == 0:
             return done(REFUTED_SQUARE, q, f"{q}^2 divides C_{n}: not squarefree")
-
-    count = structure.count_bound(n)
-    if count.bound < LEHMER_MIN_OMEGA:
-        gammas = ", ".join(map(str, count.gammas)) or "none"
-        return done(
-            REFUTED_COUNT,
-            count.bound,
-            f"a Lehmer C_{n} has at most Omega(n1) + #{{gamma : F_gamma | C_{n}}} <= "
-            f"{count.n1_omega} + {len(count.gammas)} = {count.bound} < {LEHMER_MIN_OMEGA} "
-            f"distinct prime factors: n1 = {inst.n1}, gamma = {gammas}",
-        )
     return done(
         UNDECIDED,
         None,
@@ -213,12 +228,13 @@ def screen_set(
     regardless of execution order, which is largest n first, so the
     longest residue scan does not start last.
 
-    workers >= 1 is an upper bound.  Worker processes start only when some
-    value to compute runs the numpy kernel of arith.cullen_divisors (a
-    trial limit past arith.VECTOR_ABOVE, or n > arith.GCD_MAX_N), and never
-    more than there are values to compute.  Any other run, and one value or
-    one worker, runs here, in this process: its scans are block-gcd scans
-    of milliseconds, which do not repay a pool's start.
+    The count bound of every value to compute is taken here, once, and a
+    value it refutes is decided here too.  Only when some value reaches the
+    residue scan is the prime table sieved and numpy imported, before any
+    worker starts, so forked workers inherit both.  workers >= 1 is an
+    upper bound: worker processes start only for the values that reach the
+    scan, and only when there are two or more of them; each worker takes
+    the count bound of its value again.
     With output_path each fresh verdict is appended as one JSONL record and
     flushed as soon as it is done, so the file is in completion order;
     resume=True first reloads records whose config hash matches and
@@ -238,11 +254,12 @@ def screen_set(
         have = {n: v for n, v in load_records(path, cfg_hash).items() if n in wanted_set}
 
     todo = [n for n in reversed(wanted) if n not in have]
-    numpy_scan = False
-    if todo:
+    count = {n: structure.count_bound(n) for n in todo}
+    scan = [n for n in todo if count[n].bound >= LEHMER_MIN_OMEGA]
+    if scan:
         # built before the results file is opened, so a failed build leaves
-        # it as it was; forked workers inherit the cached table
-        numpy_scan = arith.prepare_cullen_divisors(cfg.trial_limit, todo)
+        # it as it was
+        arith.prepare_cullen_divisors(cfg.trial_limit)
     sink = None
     if path is not None:
         try:
@@ -260,17 +277,20 @@ def screen_set(
     # witness_search is looked up here, at call time, so a wrapper set on
     # the module attribute sees every call
     search = functools.partial(witness_search, cfg=cfg)
-    processes = min(workers, len(todo)) if numpy_scan else 1
+    processes = min(workers, len(scan))
+    pooled = set(scan) if processes > 1 else set()
+    here = (search(n, count=count[n]) for n in todo if n not in pooled)
     try:
-        if processes > 1:
+        if pooled:
             # imported here, so a process that never pools never pays for it
             from multiprocessing import Pool
 
             with Pool(processes) as pool:
-                computed = pool.imap_unordered(search, todo, chunksize=1)
-                fresh = _drain(computed, sink, cfg_hash, progress, len(todo))
+                computed = pool.imap_unordered(search, scan, chunksize=1)
+                # the count verdicts are made here while the workers scan
+                fresh = _drain(chain(here, computed), sink, cfg_hash, progress, len(todo))
         else:
-            fresh = _drain(map(search, todo), sink, cfg_hash, progress, len(todo))
+            fresh = _drain(here, sink, cfg_hash, progress, len(todo))
     finally:
         if sink is not None:
             sink.close()

@@ -106,9 +106,10 @@ def test_criterion_3_two_thirds_inequality():
 
 def _oracle_verdict(n: int, trial_limit: int):
     """Independent route: materialize C_n, factor by direct division against
-    sympy's sieve, apply the necessary conditions straight from definitions.
+    sympy's sieve, apply the necessary conditions straight from definitions,
+    in the screen's order: the count bound, then the residue conditions.
 
-    Returns (status, witness).
+    Returns (status, witness) and the primes q <= trial_limit dividing C_n.
     """
     cn = n * 2**n + 1
     found = []
@@ -118,11 +119,7 @@ def _oracle_verdict(n: int, trial_limit: int):
             while cn % q ** (e + 1) == 0:
                 e += 1
             found.append((q, e))
-    for q, e in found:
-        if (cn - 1) % (q - 1) != 0:
-            return "REFUTED_SHAPE", q
-        if e >= 2:
-            return "REFUTED_SQUARE", q
+    divisors = [q for q, _ in found]
     # a Lehmer C_n has at most Omega(n1) primes p with p - 1 not a power of
     # two, since prod(odd part of p - 1) | n1; every other one is a Fermat
     # number F_gamma | C_n with 2^gamma <= n + alpha
@@ -130,18 +127,29 @@ def _oracle_verdict(n: int, trial_limit: int):
     omega_n1 = sum(sympy.factorint(n >> alpha).values())
     fermat = sum(cn % (2 ** 2**g + 1) == 0 for g in range((n + alpha).bit_length()))
     if omega_n1 + fermat < bounds.LEHMER_MIN_OMEGA:
-        return "REFUTED_COUNT", omega_n1 + fermat
-    return "UNDECIDED", None
+        return ("REFUTED_COUNT", omega_n1 + fermat), divisors
+    for q, e in found:
+        if (cn - 1) % (q - 1) != 0:
+            return ("REFUTED_SHAPE", q), divisors
+        if e >= 2:
+            return ("REFUTED_SQUARE", q), divisors
+    return ("UNDECIDED", None), divisors
 
 
 def test_criterion_4_oracle_equivalence():
+    # the count bound decides every n <= 300, so the residue scan is
+    # compared on its own as well: arith.cullen_divisors must list the
+    # primes that trial division of the materialized C_n finds
     t0 = time.perf_counter()
     mismatches = []
     for n in range(1, 301):
         v = screen.witness_search(n)
-        status, witness = _oracle_verdict(n, v.trial_limit_used)
-        if (v.status, v.witness) != (status, witness):
-            mismatches.append((n, (v.status, v.witness), (status, witness)))
+        verdict, divisors = _oracle_verdict(n, v.trial_limit_used)
+        if (v.status, v.witness) != verdict:
+            mismatches.append((n, (v.status, v.witness), verdict))
+        scanned = list(arith.cullen_divisors(n, v.trial_limit_used))
+        if scanned != divisors:
+            mismatches.append((n, "divisors", scanned[:5], divisors[:5]))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 120
     _verdict(

@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+import subprocess
 import sys
 from array import array
+from pathlib import Path
 
 import pytest
 import sympy
@@ -287,29 +289,29 @@ def _cullen_divisors_loop(n, limit):
     return [q for q in arith.primes_up_to(limit) if (n % q * pow(2, n, q) + 1) % q == 0]
 
 
-def test_gcd_kernel_matches_cullen_mod_loop():
-    # 2262 primes: two full blocks and a partial one
+def test_cullen_divisors_matches_cullen_mod_loop():
+    # 2262 primes: blocks of 1024 and 2048 primes, the second one partial;
+    # for every n here below 20011, the first prime past the first block,
+    # n mod q is n itself in every later block
     limit = 20_000
-    for n in sorted({*range(1, 601), *screen.enumerate_2a3b(arith.GCD_MAX_N)}):
+    for n in sorted({*range(1, 601), *screen.enumerate_2a3b(1 << 14)}):
         assert list(arith.cullen_divisors(n, limit)) == _cullen_divisors_loop(n, limit), n
 
 
-def test_gcd_kernel_finds_primes_on_block_edges():
-    # q | C_(q-2) for every odd prime q, so the least such n is below
-    # GCD_MAX_N for the primes of the first two blocks of the default table;
-    # 2, the first prime of all, never divides C_n
+def test_cullen_divisors_finds_primes_on_block_edges():
+    # q | C_(q-2) for every odd prime q, so some n < q has q | C_n; take
+    # the least, for the primes on either side of the first block edges of
+    # the default table; 2, the first prime of all, never divides C_n
     primes = arith.primes_up_to(10**6)
-    block = arith.GCD_BLOCK
-    edges = [primes[i] for i in (1, block - 1, block, 2 * block - 1)]
+    edges = [primes[i] for i in (1, 1023, 1024, 3071, 3072, 7167, 7168)]
     for q in edges:
         n = next(n for n in itertools.count(1) if (n % q * pow(2, n, q) + 1) % q == 0)
-        assert n <= arith.GCD_MAX_N
         found = list(arith.cullen_divisors(n, 10**6))
         assert q in found and found == _cullen_divisors_loop(n, 10**6), (q, n)
 
 
 @pytest.mark.parametrize("n,q", [(4374, 7), (8192, 3)])
-def test_gcd_kernel_yields_a_square_factor_once(n, q):
+def test_cullen_divisors_yields_a_square_factor_once(n, q):
     cn = (n << n) + 1
     assert cn % (q * q) == 0
     found = list(arith.cullen_divisors(n, 10**6))
@@ -317,68 +319,20 @@ def test_gcd_kernel_yields_a_square_factor_once(n, q):
     assert found == _cullen_divisors_loop(n, 10**6)
 
 
-_FOLD_EDGE_NS = tuple(arith.FOLD_MIN_N + d for d in (-2, -1, 0, 1))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 96, *_FOLD_EDGE_NS, 2592, arith.GCD_MAX_N])
-def test_cullen_fold_matches_plain_mod(n):
-    # cullen_divisors folds from FOLD_MIN_N up, but the fold holds for any n.
-    # A t of more than about 2n bits folds through negative values, and
-    # widths around the stopping point n + bits(n) + 64 end it on either
-    # side.  At n = 1 a fold sheds one bit, so tiny n get narrower t.
-    cn = (n << n) + 1
-    top = n + n.bit_length() + 64
-    rng = random.Random(n)
-    width = 60_000 if n > 64 else 4_000
-    ts = [0, 1, cn - 1, cn, cn + 1, cn * cn, (1 << top) - 1, 1 << top, (1 << top + 1) - 1]
-    ts += [rng.getrandbits(rng.randrange(1, width)) for _ in range(30)]
-    for t in ts:
-        assert arith._cullen_fold(t, n, cn) == t % cn, (n, t.bit_length())
-
-
-def test_gcd_kernel_matches_loop_across_the_fold_cut():
-    for n in _FOLD_EDGE_NS:
-        assert list(arith.cullen_divisors(n, 10**6)) == _cullen_divisors_loop(n, 10**6), n
-
-
-# The default table has 77 blocks, scanned in chunks of 1, 2, 4, ... blocks
-# that start at blocks 1, 3, 7, 15, 31 and 63.  For each chunk start, the
-# nearest prime below the chunk edge and the nearest one above it that
-# divides some C_n with n <= GCD_MAX_N, each with its least such n.
-_CHUNK_EDGE_PRIMES = {
-    1: ((8161, 6981), (8167, 4071)),
-    3: ((28181, 1854), (28183, 3015)),
-    7: ((72277, 9104), (72469, 16112)),
-    15: ((168281, 7239), (168353, 9266)),
-    31: ((372397, 6380), (373447, 16358)),
-    63: ((807407, 7523), (808603, 3736)),
-}
-
-
-def test_gcd_kernel_finds_primes_on_chunk_edges():
-    primes = arith.primes_up_to(10**6)
-    assert len(arith._block_products(10**6)) == 77
-    for block, ((below, n_below), (above, n_above)) in _CHUNK_EDGE_PRIMES.items():
-        edge = block * arith.GCD_BLOCK
-        assert edge - 100 <= primes.index(below) < edge <= primes.index(above) < edge + 100
-        for q, n in ((below, n_below), (above, n_above)):
-            assert n <= arith.GCD_MAX_N and arith.cullen_mod(n, q) == 0
-            found = list(arith.cullen_divisors(n, 10**6))
-            assert q in found and found == _cullen_divisors_loop(n, 10**6), (q, n)
-
-
-def test_kernel_switches_above_gcd_max_n(monkeypatch):
-    vec_calls = []
-    vec = arith._cullen_divisors_vec
-
-    def spy(n, primes):
-        vec_calls.append(n)
-        return vec(n, primes)
-
-    monkeypatch.setattr(arith, "_cullen_divisors_vec", spy)
-    for n in (arith.GCD_MAX_N, arith.GCD_MAX_N + 1):
-        assert list(arith.cullen_divisors(n, 10**6)) == _cullen_divisors_loop(n, 10**6), n
-    assert vec_calls == [arith.GCD_MAX_N + 1]
+def test_cullen_divisors_of_an_empty_table_imports_nothing():
+    # below 2 the table is empty: no scan runs, and numpy is never needed
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(arith.__file__).resolve().parent.parent)!r})\n"
+        "from cullen_lehmer import arith\n"
+        "assert list(arith.cullen_divisors(6, 1)) == []\n"
+        "arith.prepare_cullen_divisors(1)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("x,factors", [(1537, {29, 53}), (4609, {11, 419}), (25, {5})])

@@ -141,13 +141,19 @@ def test_screen_file_set(tmp_path, capsys):
 
 
 def test_screen_file_set_takes_n_past_uint64(tmp_path, capsys):
-    # C_(2^64) = 2^(2^64 + 64) + 1 has the factor 274177 of 2^64 + 1, and
-    # 274176 = 1071*2^8 is not a divisor of n*2^n, a power of two
+    # n = 3^40*8 has 67 bits and count bound 40, so it reaches the residue
+    # scan: 6563 | C_n, and 6562 = 2*17*193 does not divide n*2^n, whose
+    # odd part is 3^40.  2^64 is refuted by its count bound alone: n1 = 1,
+    # and F_6 = 2^64 + 1 divides C_(2^64) = 2^(2^64 + 64) + 1
+    n = 3**40 * 8
+    assert n == 97261323672455430408 and n.bit_length() == 67
+    assert (n % 6563 * pow(2, n, 6563) + 1) % 6563 == 0 and 3**40 % 3281
     nf = tmp_path / "ns.txt"
-    nf.write_text(f"{2**64}\n")
+    nf.write_text(f"{n}\n{2**64}\n")
     code, out, _ = run_cli(capsys, "screen", "--set", "file", "--n-file", str(nf))
     assert code == 0
-    assert f"n={2**64}: REFUTED_SHAPE witness=274177" in out
+    assert f"n={n}: REFUTED_SHAPE witness=6563" in out
+    assert f"n={2**64}: REFUTED_COUNT witness=1" in out
 
 
 def test_screen_file_set_requires_file(capsys):

@@ -5,7 +5,6 @@ import sys
 from pathlib import Path
 
 import pytest
-import sympy
 
 from cullen_lehmer import arith, screen, structure
 
@@ -45,6 +44,20 @@ def test_status_space_cannot_express_success():
         screen.Verdict(1, "LEHMER_HOLDS", None, "", 0, 0.0)
 
 
+def _residue_witness(n, limit):
+    """(status, q) for the first prime q from arith.cullen_divisors(n, limit)
+    that fails the shape or the squarefree condition, each q re-checked in
+    plain big ints; None when every q passes both."""
+    cn = (n << n) + 1
+    for q in arith.cullen_divisors(n, limit):
+        assert cn % q == 0, (n, q)
+        if (n << n) % (q - 1):
+            return "REFUTED_SHAPE", q
+        if cn % (q * q) == 0:
+            return "REFUTED_SQUARE", q
+    return None
+
+
 @pytest.mark.parametrize(
     "n,status,witness",
     [
@@ -61,18 +74,44 @@ def test_status_space_cannot_express_success():
     ],
 )
 def test_witness_search_examples(n, status, witness):
+    # the count bound refutes every n here before any residue scan; the
+    # least residue witness below 10^6 of the n that have one is kept as
+    # data, and 1 and 141 have none
     v = screen.witness_search(n)
-    assert (v.status, v.witness) == (status, witness)
+    assert v.status == "REFUTED_COUNT"
+    _recheck_count(v)
+    if status == "REFUTED_COUNT":
+        assert v.witness == witness
+        assert _residue_witness(n, 10**6) is None
+    else:
+        assert _residue_witness(n, 10**6) == (status, witness)
+
+
+def _omega(x):
+    """Omega(x), the prime factors of x >= 1 with multiplicity, by trial
+    division."""
+    k, p = 0, 2
+    while p * p <= x:
+        while x % p == 0:
+            x //= p
+            k += 1
+        p += 1
+    return k + (x > 1)
 
 
 def _recheck_count(v):
-    """Re-derive a REFUTED_COUNT verdict from its definition: Omega(n1) by
-    sympy.factorint and F_gamma | C_n on the materialized C_n."""
+    """Re-derive a REFUTED_COUNT verdict from its definition, never through
+    structure.count_bound: Omega(n1) by trial division, and F_gamma | C_n by
+    pow(2, n, F_gamma) for every F_gamma <= C_n."""
     n = v.n
     alpha = arith.v2(n)
-    cn = (n << n) + 1
-    omega = sum(sympy.factorint(n >> alpha).values())
-    gammas = [g for g in range((n + alpha).bit_length()) if cn % ((1 << (1 << g)) + 1) == 0]
+    omega = _omega(n >> alpha)
+    gammas = []
+    for g in range((n + alpha).bit_length()):
+        f = (1 << (1 << g)) + 1
+        if (n % f * pow(2, n, f) + 1) % f == 0:
+            gammas.append(g)
+    assert v.status == "REFUTED_COUNT", n
     assert v.witness == omega + len(gammas) < 14, n
     # the record alone names Omega(n1) and the gammas counted
     assert f"<= {omega} + {len(gammas)} = {v.witness} < 14" in v.reason, n
@@ -89,7 +128,6 @@ def test_refuted_witnesses_verify_in_bigint(verdicts_500):
         elif v.status == "REFUTED_SQUARE":
             assert cn % (v.witness * v.witness) == 0
         else:
-            assert v.status == "REFUTED_COUNT", n
             _recheck_count(v)
 
 
@@ -102,7 +140,7 @@ def test_undecided_accounts_for_budget(verdicts_500):
 def test_screen_set_orders_ascending():
     report = screen.screen_set([12, 6, 9])
     assert [v.n for v in report.verdicts] == [6, 9, 12]
-    assert report.counts == {"REFUTED_SHAPE": 3}
+    assert report.counts == {"REFUTED_COUNT": 3}
     assert report.undecided == []
 
 
@@ -207,23 +245,24 @@ def test_verdicts_independent_of_worker_count(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     cfg = screen.ScreenConfig(trial_limit=50_000)
-    # 18432 and 19683 run the numpy kernel, so only the second run pools
-    for ns in (screen.enumerate_2a3b(200), [*screen.enumerate_2a3b(200), 18432, 19683]):
+    # the count bound leaves only 1594323 and 7971615 (bound 14), so only
+    # the second run pools, and with one worker for each of the two
+    for ns in (screen.enumerate_2a3b(200), [*screen.enumerate_2a3b(200), 1594323, 7971615]):
         solo = screen.screen_set(ns, cfg, workers=1)
         trio = screen.screen_set(ns, cfg, workers=3)
         assert _strip(solo) == _strip(trio)
-    assert started == [3]
+    assert started == [2]
 
 
 @pytest.mark.parametrize(
     "cfg,n_max",
-    [(screen.ScreenConfig(), 3000), (screen.ScreenConfig(trial_limit=0), 199_999)],
-    ids=["block-gcd", "no-scan"],
+    [(screen.ScreenConfig(), 199_999), (screen.ScreenConfig(trial_limit=0), 199_999)],
+    ids=["default", "no-scan"],
 )
 def test_screen_without_numpy_scans_runs_in_this_process(monkeypatch, cfg, n_max):
-    # every n <= GCD_MAX_N at the default trial limit runs the block-gcd
-    # kernel, and trial limit 0 runs no scan: neither starts a pool,
-    # whatever workers is
+    # the count bound refutes every n = 2^a*3^b < 200,000, so no value
+    # reaches the residue scan, at the default trial limit or at 0, and
+    # neither run starts a pool, whatever workers is
     ns = screen.enumerate_2a3b(n_max)
     solo = screen.screen_set(ns, cfg, workers=1)
 
@@ -254,12 +293,14 @@ def test_pool_never_larger_than_the_values_to_compute(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     cfg = screen.ScreenConfig(trial_limit=100)
-    # every n past GCD_MAX_N runs the numpy kernel, and one such n pools the run
-    big = arith.GCD_MAX_N + 1
-    assert screen.screen_set([big, big + 1], cfg, workers=64).computed == 2
-    assert screen.screen_set([big, big + 1, big + 2], cfg, workers=2).computed == 3
-    assert screen.screen_set([6, big], cfg, workers=64).computed == 2
-    assert screen.screen_set([big], cfg, workers=64).computed == 1  # one value runs here
+    # each of these has count bound 14, so each reaches the residue scan;
+    # a count-decided value such as 6 runs here and takes no worker
+    big = [1594323, 3188646, 4782969]
+    assert screen.screen_set(big[:2], cfg, workers=64).computed == 2
+    assert screen.screen_set(big, cfg, workers=2).computed == 3
+    assert screen.screen_set([6, *big[:2]], cfg, workers=64).computed == 3
+    assert screen.screen_set([6, big[0]], cfg, workers=64).computed == 2  # one scan runs here
+    assert screen.screen_set(big[:1], cfg, workers=64).computed == 1
     assert sizes == [2, 2, 2]
 
 
@@ -279,15 +320,17 @@ def test_failed_table_build_leaves_results_file_unchanged(tmp_path, monkeypatch)
         raise ValueError("no table")
 
     monkeypatch.setattr(arith, "primes_up_to", broken)
+    # 1594323 has count bound 14, so it reaches the scan and needs the table
     with pytest.raises(ValueError, match="no table"):
-        screen.screen_set([6, 9], cfg, output_path=out)
+        screen.screen_set([6, 1594323], cfg, output_path=out)
     assert out.read_bytes() == before
 
 
 def test_table_build_error_raises_from_a_two_worker_screen():
     # the table is built in the caller before any pool starts, so its error
     # raises there instead of hanging a pool; the subprocess and its
-    # timeout turn a hang into a failure
+    # timeout turn a hang into a failure.  Each n has count bound 14, so
+    # each reaches the scan
     src = Path(screen.__file__).resolve().parent.parent
     code = (
         "import sys\n"
@@ -297,7 +340,8 @@ def test_table_build_error_raises_from_a_two_worker_screen():
         "    raise ValueError('no table')\n"
         "arith.primes_up_to = broken\n"
         "try:\n"
-        "    screen.screen_set([6, 9, 12], screen.ScreenConfig(trial_limit=100), workers=2)\n"
+        "    ns = [1594323, 3188646, 4782969]\n"
+        "    screen.screen_set(ns, screen.ScreenConfig(trial_limit=100), workers=2)\n"
         "except ValueError as exc:\n"
         "    print('raised', exc)\n"
     )
@@ -356,14 +400,16 @@ def test_resume_skips_records_of_other_algorithm_versions(tmp_path, monkeypatch)
     assert report.computed == 2 and report.reused == 0
 
 
-def test_count_stage_decides_what_the_residue_scan_leaves():
-    # every n = 2^a*3^b in (3000, 12000] the residue scan leaves goes to the
-    # count stage, with C_n never built
-    ns = [n for n in screen.enumerate_2a3b(12000) if n > 3000]
-    report = screen.screen_set(ns)
-    count = [v for v in report.verdicts if v.status == "REFUTED_COUNT"]
-    assert [v.n for v in count] == [3072, 3888, 6144, 6912, 7776, 10368]
-    for v in count:
+@pytest.mark.parametrize(
+    "ns", [screen.enumerate_2a3b(199_999), range(1, 3001)], ids=["pow23-200000", "range-3000"]
+)
+def test_count_verdicts_recheck_independently(ns):
+    # the full run and every n <= 3000, as the CLI's --set pow23 and
+    # --set range screen them: the count bound decides every value, with
+    # C_n never built, and each verdict re-derives from its definition
+    report = screen.screen_set(list(ns))
+    assert report.counts == {"REFUTED_COUNT": len(ns)}
+    for v in report.verdicts:
         _recheck_count(v)
 
 
@@ -388,8 +434,60 @@ def test_unprovable_prime_n1_stays_undecided():
     assert v.reason == "no witness below 1000000 and count bound 82 >= 14"
 
 
-# Residue-only verdicts at trial limit 10^7 for all 113 n = 2^a*3^b < 200,000,
-# pinned from the uint64-only numpy kernel: n -> least witness
+# n -> count bound of all 113 n = 2^a*3^b < 200,000, from sympy.factorint
+# and C_n % F_gamma in big ints; at most 11, so every one is REFUTED_COUNT
+_COUNT_BOUND = {
+    1: 1, 2: 1, 3: 2, 4: 1, 6: 2, 8: 1, 9: 2, 12: 1, 16: 1, 18: 2, 24: 2, 27: 3, 32: 1, 36: 2,
+    48: 1, 54: 3, 64: 1, 72: 2, 81: 4, 96: 1, 108: 3, 128: 1, 144: 3, 162: 4, 192: 1, 216: 3,
+    243: 6, 256: 1, 288: 3, 324: 6, 384: 2, 432: 3, 486: 6, 512: 1, 576: 2, 648: 4, 729: 6, 768: 1,
+    864: 4, 972: 5, 1024: 1, 1152: 2, 1296: 4, 1458: 6, 1536: 1, 1728: 3, 1944: 6, 2048: 1,
+    2187: 7, 2304: 3, 2592: 4, 2916: 6, 3072: 1, 3456: 3, 3888: 5, 4096: 1, 4374: 7, 4608: 2,
+    5184: 6, 5832: 6, 6144: 2, 6561: 8, 6912: 3, 7776: 5, 8192: 1, 8748: 7, 9216: 2, 10368: 4,
+    11664: 7, 12288: 1, 13122: 8, 13824: 4, 15552: 5, 16384: 1, 17496: 7, 18432: 2, 19683: 10,
+    20736: 4, 23328: 6, 24576: 1, 26244: 9, 27648: 3, 31104: 6, 32768: 1, 34992: 7, 36864: 3,
+    39366: 10, 41472: 4, 46656: 6, 49152: 1, 52488: 8, 55296: 3, 59049: 11, 62208: 5, 65536: 1,
+    69984: 8, 73728: 3, 78732: 9, 82944: 5, 93312: 7, 98304: 2, 104976: 8, 110592: 3, 118098: 10,
+    124416: 5, 131072: 1, 139968: 7, 147456: 2, 157464: 10, 165888: 4, 177147: 11, 186624: 7,
+    196608: 1,
+}
+
+
+def test_residue_only_verdicts_at_ten_million():
+    # a trial limit past VECTOR_ABOVE changes no verdict: the count bound
+    # refutes all 113 values before any residue scan, so no scan and no
+    # worker runs
+    assert len(_COUNT_BOUND) == 113
+    cfg = screen.ScreenConfig(trial_limit=10**7)
+    report = screen.screen_set(screen.enumerate_2a3b(199_999), cfg, workers=2)
+    want = {n: (screen.REFUTED_COUNT, k) for n, k in _COUNT_BOUND.items()}
+    assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
+
+
+def test_default_verdicts_up_to_twenty_thousand():
+    want = {n: (screen.REFUTED_COUNT, k) for n, k in _COUNT_BOUND.items() if n <= 20_000}
+    assert len(want) == 77
+    report = screen.screen_set(screen.enumerate_2a3b(20_000), screen.ScreenConfig(), workers=2)
+    assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
+
+
+# The residue witnesses of the n = 2^a*3^b: n -> the first prime q from
+# arith.cullen_divisors that fails the shape or squarefree condition.  The
+# ladder decides every one of these n by its count bound before a scan
+# runs, so these are kept as checked data: a second refutation of each,
+# which rests on phi(C_n) | C_n - 1 alone, not on omega >= 14.  At trial
+# limit 10^6 for the 77 n <= 20000 (16 have none) ...
+_DEFAULT_SHAPE = {
+    4: 13, 6: 11, 8: 683, 9: 11, 12: 19, 16: 61681, 18: 11, 24: 11, 27: 29, 32: 1777, 48: 379,
+    54: 29, 72: 41, 81: 83, 144: 53, 162: 11, 192: 11383, 216: 937, 243: 59, 256: 97, 288: 379,
+    384: 246223, 432: 2953, 486: 971, 512: 501203, 576: 1117, 972: 362293, 1024: 397, 1152: 11,
+    1296: 41, 1458: 108643, 1536: 59, 1944: 251, 2048: 59, 2187: 439, 2304: 101, 3456: 31,
+    4096: 504337, 4608: 137, 5184: 92693, 6561: 11, 8748: 32719, 9216: 6841, 12288: 307,
+    13122: 4457, 13824: 31, 15552: 52501, 16384: 13, 17496: 11, 19683: 11,
+}
+_DEFAULT_SQUARE = {
+    2: 3, 3: 5, 36: 37, 64: 5, 128: 3, 864: 5, 1728: 7, 4374: 7, 5832: 19, 8192: 3, 11664: 5,
+}
+# ... and at trial limit 10^7 for all 113 n < 200,000 (20 have none)
 _RESIDUE_SHAPE = {
     4: 13, 6: 11, 8: 683, 9: 11, 12: 19, 16: 61681, 18: 11, 24: 11, 27: 29, 32: 1777,
     48: 379, 54: 29, 72: 41, 81: 83, 144: 53, 162: 11, 192: 11383, 216: 937, 243: 59,
@@ -407,53 +505,22 @@ _RESIDUE_SQUARE = {
     2: 3, 3: 5, 36: 37, 64: 5, 128: 3, 864: 5, 1728: 7, 4374: 7, 5832: 19, 8192: 3,
     11664: 5, 36864: 5, 39366: 5, 59049: 17, 157464: 5,
 }
-# n -> count bound, from sympy.factorint and C_n % F_gamma in big ints, for
-# the 20 n with no residue witness below 10^7
-_RESIDUE_COUNT = {
-    1: 1, 96: 1, 108: 3, 324: 6, 648: 4, 729: 6, 768: 1, 2592: 4, 2916: 6, 3072: 1, 3888: 5,
-    6912: 3, 7776: 5, 10368: 4, 18432: 2, 26244: 9, 41472: 4, 46656: 6, 49152: 1, 139968: 7,
-}
 
 
-def test_residue_only_verdicts_at_ten_million():
-    # a table past VECTOR_ABOVE: every scan runs the numpy kernel, in two
-    # workers forked after the parent imported numpy
-    want = {n: (screen.REFUTED_SHAPE, q) for n, q in _RESIDUE_SHAPE.items()}
-    want |= {n: (screen.REFUTED_SQUARE, q) for n, q in _RESIDUE_SQUARE.items()}
-    want |= {n: (screen.REFUTED_COUNT, k) for n, k in _RESIDUE_COUNT.items()}
-    assert (len(_RESIDUE_SHAPE), len(_RESIDUE_SQUARE), len(want)) == (78, 15, 113)
-    cfg = screen.ScreenConfig(trial_limit=10**7)
-    report = screen.screen_set(screen.enumerate_2a3b(199_999), cfg, workers=2)
-    assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
-
-
-# Verdicts at the default trial limit for all 77 n = 2^a*3^b <= 20000, pinned
-# from the kernel that took one gcd per block: n -> witness.  Every n up to
-# GCD_MAX_N runs the block-gcd kernel, 18432 and 19683 the numpy one.
-_DEFAULT_SHAPE = {
-    4: 13, 6: 11, 8: 683, 9: 11, 12: 19, 16: 61681, 18: 11, 24: 11, 27: 29, 32: 1777, 48: 379,
-    54: 29, 72: 41, 81: 83, 144: 53, 162: 11, 192: 11383, 216: 937, 243: 59, 256: 97, 288: 379,
-    384: 246223, 432: 2953, 486: 971, 512: 501203, 576: 1117, 972: 362293, 1024: 397, 1152: 11,
-    1296: 41, 1458: 108643, 1536: 59, 1944: 251, 2048: 59, 2187: 439, 2304: 101, 3456: 31,
-    4096: 504337, 4608: 137, 5184: 92693, 6561: 11, 8748: 32719, 9216: 6841, 12288: 307,
-    13122: 4457, 13824: 31, 15552: 52501, 16384: 13, 17496: 11, 19683: 11,
-}
-_DEFAULT_SQUARE = {
-    2: 3, 3: 5, 36: 37, 64: 5, 128: 3, 864: 5, 1728: 7, 4374: 7, 5832: 19, 8192: 3, 11664: 5,
-}
-_DEFAULT_COUNT = {
-    1: 1, 96: 1, 108: 3, 324: 6, 648: 4, 729: 6, 768: 1, 2592: 4, 2916: 6, 3072: 1, 3888: 5,
-    6144: 2, 6912: 3, 7776: 5, 10368: 4, 18432: 2,
-}
-
-
-def test_default_verdicts_up_to_twenty_thousand():
-    want = {n: (screen.REFUTED_SHAPE, q) for n, q in _DEFAULT_SHAPE.items()}
-    want |= {n: (screen.REFUTED_SQUARE, q) for n, q in _DEFAULT_SQUARE.items()}
-    want |= {n: (screen.REFUTED_COUNT, k) for n, k in _DEFAULT_COUNT.items()}
-    assert (len(_DEFAULT_SHAPE), len(_DEFAULT_SQUARE), len(want)) == (50, 11, 77)
-    report = screen.screen_set(screen.enumerate_2a3b(20_000), screen.ScreenConfig(), workers=2)
-    assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
+@pytest.mark.parametrize(
+    "limit,n_max,shape,square",
+    [
+        (10**6, 20_000, _DEFAULT_SHAPE, _DEFAULT_SQUARE),
+        (10**7, 199_999, _RESIDUE_SHAPE, _RESIDUE_SQUARE),
+    ],
+    ids=["1e6", "1e7"],
+)
+def test_residue_witnesses_are_kept_as_checked_data(limit, n_max, shape, square):
+    want = {n: ("REFUTED_SHAPE", q) for n, q in shape.items()}
+    want |= {n: ("REFUTED_SQUARE", q) for n, q in square.items()}
+    ns = screen.enumerate_2a3b(n_max)
+    assert (len(ns), len(want)) == {10**6: (77, 61), 10**7: (113, 93)}[limit]
+    assert {n: _residue_witness(n, limit) for n in ns} == {n: want.get(n) for n in ns}
 
 
 @pytest.mark.parametrize(
@@ -461,15 +528,17 @@ def test_default_verdicts_up_to_twenty_thousand():
     [(6144, "REFUTED_SHAPE", 1763857), (32768, "REFUTED_SHAPE", 1049057), (96, "REFUTED_COUNT", 1)],
 )
 def test_witnesses_only_the_vector_kernel_reaches(n, status, witness):
-    # no witness for these n lies below the default trial limit, so only
-    # the numpy kernel of cullen_divisors scans far enough to find one; 96
-    # has none below 2*10^6 and goes to the count stage
-    v = screen.witness_search(n, screen.ScreenConfig(trial_limit=2 * 10**6))
-    assert (v.status, v.witness) == (status, witness)
+    # no residue witness for these n lies below the default trial limit;
+    # a scan to 2*10^6 finds one for 6144 and 32768, none for 96.  The
+    # screen at that limit decides each by its count bound all the same
+    limit = 2 * 10**6
+    v = screen.witness_search(n, screen.ScreenConfig(trial_limit=limit))
+    assert (v.status, v.witness) == ("REFUTED_COUNT", _COUNT_BOUND[n])
     if status == "REFUTED_SHAPE":
         assert witness > screen.DEFAULT_TRIAL_LIMIT
-        assert ((n << n) + 1) % witness == 0
-        assert (n << n) % (witness - 1) != 0
+        assert _residue_witness(n, limit) == (status, witness)
+    else:
+        assert v.witness == witness and _residue_witness(n, limit) is None
 
 
 def test_trial_limit_must_fit_uint32():
@@ -497,42 +566,45 @@ def _imported_after(module: str, run: str) -> bool:
 
 
 def test_default_screen_never_imports_numpy():
-    # importing numpy adds about 12 MB to a process; a screen at the default
-    # trial limit with every n <= GCD_MAX_N stays on the gcd kernel and must
-    # not pay that
+    # importing numpy adds about 12 MB to a process; the count bound decides
+    # the default full run before any residue scan, so it must not pay that
     assert not _imported_after(
         "numpy",
-        "report = screen.screen_set(screen.enumerate_2a3b(3000), screen.ScreenConfig())\n"
-        "assert len(report.verdicts) == 52\n"
-        "big = [n for n in screen.enumerate_2a3b(12000) if n > 3000]\n"
-        "report = screen.screen_set(big, screen.ScreenConfig())\n"
-        "assert len(report.verdicts) == 17\n"
+        "report = screen.screen_set(screen.enumerate_2a3b(199_999), screen.ScreenConfig(),"
+        " workers=2)\n"
+        "assert report.counts == {'REFUTED_COUNT': 113}\n",
     )
 
 
-def test_default_screen_past_gcd_max_n_imports_numpy_before_the_fork():
-    # 18432 and up run the numpy kernel at the default trial limit; the
-    # parent imports numpy once, so the forked workers do not each pay it
+def test_scan_reaching_screen_imports_numpy_before_the_fork():
+    # 1594323 and 7971615 have count bound 14, so both reach the residue
+    # scan; the parent imports numpy once before the pool starts, so the
+    # forked workers do not each pay it
     assert _imported_after(
         "numpy",
-        "report = screen.screen_set(screen.enumerate_2a3b(20000), screen.ScreenConfig(),"
-        " workers=2)\n"
-        "assert len(report.verdicts) == 77 and not report.undecided\n"
+        "import multiprocessing\n"
+        "real_pool, numpy_at_fork = multiprocessing.Pool, []\n"
+        "def pool(processes):\n"
+        "    numpy_at_fork.append('numpy' in sys.modules)\n"
+        "    return real_pool(processes)\n"
+        "multiprocessing.Pool = pool\n"
+        "report = screen.screen_set([1594323, 7971615], screen.ScreenConfig(), workers=2)\n"
+        "assert numpy_at_fork == [True] and report.undecided == [7971615]\n",
     )
 
 
 def test_only_a_pooled_screen_imports_multiprocessing():
     # importing multiprocessing takes about 12 ms; only a run that starts a
-    # pool pays it, and a two-worker screen of block-gcd scans starts none
+    # pool pays it, and the default full run with two workers starts none
     assert not _imported_after(
         "multiprocessing",
         "import cullen_lehmer.cli\n"
-        "report = screen.screen_set(screen.enumerate_2a3b(3000), screen.ScreenConfig(),"
+        "report = screen.screen_set(screen.enumerate_2a3b(199_999), screen.ScreenConfig(),"
         " workers=2)\n"
-        "assert len(report.verdicts) == 52\n",
+        "assert len(report.verdicts) == 113\n",
     )
-    # n past GCD_MAX_N runs the numpy kernel, so this screen does pool
+    # two values that reach the residue scan, so this screen does pool
     assert _imported_after(
         "multiprocessing",
-        "screen.screen_set([16385, 16386], screen.ScreenConfig(trial_limit=100), workers=2)\n",
+        "screen.screen_set([1594323, 7971615], screen.ScreenConfig(trial_limit=100), workers=2)\n",
     )

@@ -141,6 +141,19 @@ def test_count_bound_matches_bigint_oracle():
     assert len(bounds) == 113 and max(bounds.values()) == 11
 
 
+def test_no_n_up_to_two_to_fourteen_reaches_the_residue_scan():
+    # screen.witness_search's proof: Omega(n1) <= floor(log_3 n) = 8 once n1
+    # is factored completely, and at most 4 gammas are tested, so the bound
+    # is at most 12 < 14; this checks the complete factoring for each n
+    for n in range(1, (1 << 14) + 1):
+        got = structure.count_bound(n)
+        assert got.n1_omega <= math.log(n, 3) + 1e-9 and len(got.gammas) <= 4, n
+        assert got.bound <= 12, n
+    # the first 2^a*3^b the bound leaves: 3^13, with F_1 = 5 | C_n
+    first = next(n for n in screen.enumerate_2a3b(2 * 10**6) if structure.count_bound(n).bound >= 14)
+    assert first == 3**13 and structure.count_bound(first) == structure.CountBound(13, (1,))
+
+
 @pytest.mark.parametrize("base", [1 << 64, 1 << 100], ids=["2^64", "2^100"])
 def test_count_bound_far_past_uint64(base):
     # F_gamma | C_n for gamma <= 14 against cullen_mod on the built F_gamma;
