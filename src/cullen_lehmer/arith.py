@@ -11,16 +11,15 @@ q over blocks of primes, in float64 with balanced residues for blocks of
 primes below FLOAT_BELOW = 2**26, in uint64 for blocks holding a larger one.
 
 numpy is imported inside the functions that use it, never at module level:
-by cullen_divisors, by prepare_cullen_divisors and by primes_up_to for a
-limit above VECTOR_ABOVE, whose sieve reads its primes out with numpy.  So
+by cullen_divisors, for a table that is not empty, and by primes_up_to for
+a limit above VECTOR_ABOVE, whose sieve reads its primes out with numpy.  So
 a process that scans no C_n and sieves no further than VECTOR_ABOVE never
 pays numpy's memory.  screen_set runs the residue scan only for an n whose
 count bound does not refute C_n, so a screen of n whose count bounds all
 refute never imports numpy.
 
 All functions are pure; the only state here is the cache of the prime
-table, which forked workers inherit, so everything is safe to call from
-any number of worker processes.
+table, which every caller in the process shares and none modifies.
 """
 
 from __future__ import annotations
@@ -295,18 +294,6 @@ def cullen_mod(n: int, q: int) -> int:
     if q < 2:
         raise ValueError("cullen_mod requires q >= 2")
     return (n % q * pow(2, n, q) + 1) % q
-
-
-def prepare_cullen_divisors(limit: int) -> None:
-    """Build and cache what cullen_divisors(n, limit) reads: the prime
-    table, and numpy when the table is not empty.
-
-    screen_set calls it before it starts any worker process, so forked
-    workers inherit both instead of each paying for them, and only when
-    some n of the run reaches the residue scan.
-    """
-    if primes_up_to(limit):
-        import numpy  # noqa: F401
 
 
 def cullen_divisors(n: int, limit: int) -> Iterator[int]:

@@ -65,13 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scr = sub.add_parser("screen", help="witness-search a set of n")
     common(p_scr)
     p_scr.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="most worker processes for the screen, at least 1 (default 1); they start only"
-        " when two or more n reach the residue scan (count bound 14 or more)",
-    )
-    p_scr.add_argument(
         "--set",
         dest="which_set",
         choices=("pow23", "range", "file"),
@@ -260,13 +253,12 @@ def cmd_screen(args) -> int:
         )
 
     def progress(k: int, total: int, v: screen.Verdict) -> None:
-        # stdout stays ascending and is printed after the run; this shows it moving
+        # called in ascending n as each verdict is made; stdout prints them all after the run
         print(f"[{k}/{total}] n={v.n} {v.status}  {v.elapsed:.1f}s", file=sys.stderr, flush=True)
 
     report = screen.screen_set(
         n_values,
         cfg,
-        workers=args.workers,
         output_path=args.output,
         resume=args.resume,
         progress=progress,

@@ -14,13 +14,11 @@ screen can only refute or leave a value undecided.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
 from collections.abc import Callable
 from dataclasses import InitVar, asdict, dataclass, fields
-from itertools import chain
 from pathlib import Path
 from typing import ClassVar
 
@@ -111,8 +109,8 @@ def witness_search(
     cfg.trial_limit, testing the shape and squarefree conditions.
     UNDECIDED is the honest fallback when neither stage refutes.  count,
     when given, is structure.count_bound(n), already computed by the
-    caller (screen_set, to choose where n runs); elapsed then leaves out
-    its time.
+    caller (screen_set, which must know before it opens the results file
+    whether any n needs the prime table); elapsed then leaves out its time.
 
     No n <= 2^14 ever reaches the scan.  n1 is odd, so each of its prime
     factors is at least 3 and Omega(n1) <= floor(log_3 n) <= floor(log_3
@@ -219,30 +217,24 @@ def screen_set(
     n_values: list[int],
     cfg: ScreenConfig = ScreenConfig(),
     *,
-    workers: int = 1,
+    workers: int = 1,  # perfbench/job.py passes it; goes with ROADMAP item 1
     output_path: str | Path | None = None,
     resume: bool = False,
     progress: Callable[[int, int, Verdict], None] | None = None,
 ) -> ScreenReport:
-    """Screen every n in n_values; verdicts come back ascending in n
-    regardless of execution order, which is largest n first, so the
-    longest residue scan does not start last.
+    """Screen every n in n_values, one at a time in this process, in
+    ascending n.
 
-    The count bound of every value to compute is taken here, once, and a
-    value it refutes is decided here too.  Only when some value reaches the
-    residue scan is the prime table sieved and numpy imported, before any
-    worker starts, so forked workers inherit both.  workers >= 1 is an
-    upper bound: worker processes start only for the values that reach the
-    scan, and only when there are two or more of them; each worker takes
-    the count bound of its value again.
+    The count bound of every value to compute is taken first, once, and
+    passed to witness_search, so a value it refutes never reaches the
+    residue scan.  Only when some value reaches the scan is the prime
+    table sieved, before the results file is opened.
     With output_path each fresh verdict is appended as one JSONL record and
-    flushed as soon as it is done, so the file is in completion order;
+    flushed as soon as it is done, so the fresh records are ascending in n;
     resume=True first reloads records whose config hash matches and
     recomputes nothing for them.  progress(k, total, verdict) is called for
-    the k-th fresh verdict of total, in completion order.
+    the k-th fresh verdict of total, ascending in n.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
     wanted = sorted(set(n_values))
     wanted_set = set(wanted)
@@ -253,13 +245,11 @@ def screen_set(
     if path is not None and resume:
         have = {n: v for n, v in load_records(path, cfg_hash).items() if n in wanted_set}
 
-    todo = [n for n in reversed(wanted) if n not in have]
-    count = {n: structure.count_bound(n) for n in todo}
-    scan = [n for n in todo if count[n].bound >= LEHMER_MIN_OMEGA]
-    if scan:
+    count = {n: structure.count_bound(n) for n in wanted if n not in have}
+    if any(c.bound >= LEHMER_MIN_OMEGA for c in count.values()):
         # built before the results file is opened, so a failed build leaves
         # it as it was
-        arith.prepare_cullen_divisors(cfg.trial_limit)
+        arith.primes_up_to(cfg.trial_limit)
     sink = None
     if path is not None:
         try:
@@ -274,23 +264,23 @@ def screen_set(
         except OSError as exc:
             raise RuntimeError(f"cannot open results file {path}: {exc}") from None
 
-    # witness_search is looked up here, at call time, so a wrapper set on
-    # the module attribute sees every call
-    search = functools.partial(witness_search, cfg=cfg)
-    processes = min(workers, len(scan))
-    pooled = set(scan) if processes > 1 else set()
-    here = (search(n, count=count[n]) for n in todo if n not in pooled)
+    fresh: dict[int, Verdict] = {}
     try:
-        if pooled:
-            # imported here, so a process that never pools never pays for it
-            from multiprocessing import Pool
-
-            with Pool(processes) as pool:
-                computed = pool.imap_unordered(search, scan, chunksize=1)
-                # the count verdicts are made here while the workers scan
-                fresh = _drain(chain(here, computed), sink, cfg_hash, progress, len(todo))
-        else:
-            fresh = _drain(here, sink, cfg_hash, progress, len(todo))
+        for n, c in count.items():
+            # looked up at call time, so a wrapper set on the module
+            # attribute sees every call
+            v = witness_search(n, cfg, count=c)
+            fresh[n] = v
+            if sink is not None:
+                try:
+                    sink.write(json.dumps(record_dict(v, cfg_hash), sort_keys=True) + "\n")
+                    sink.flush()
+                except OSError as exc:
+                    raise RuntimeError(
+                        f"cannot append result for n={n}: {exc}; earlier lines remain valid"
+                    ) from None
+            if progress is not None:
+                progress(len(fresh), len(count), v)
     finally:
         if sink is not None:
             sink.close()
@@ -309,20 +299,3 @@ def screen_set(
         computed=len(fresh),
         elapsed=time.perf_counter() - start,
     )
-
-
-def _drain(verdict_iter, sink, cfg_hash, progress, total) -> dict[int, Verdict]:
-    fresh: dict[int, Verdict] = {}
-    for v in verdict_iter:
-        fresh[v.n] = v
-        if sink is not None:
-            try:
-                sink.write(json.dumps(record_dict(v, cfg_hash), sort_keys=True) + "\n")
-                sink.flush()
-            except OSError as exc:
-                raise RuntimeError(
-                    f"cannot append result for n={v.n}: {exc}; earlier lines remain valid"
-                ) from None
-        if progress is not None:
-            progress(len(fresh), total, v)
-    return fresh

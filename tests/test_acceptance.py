@@ -162,7 +162,7 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_desk_scale_finishing_run():
     t0 = time.perf_counter()
     values = screen.enumerate_2a3b(3000)
-    report = screen.screen_set(values, screen.ScreenConfig(), workers=2)
+    report = screen.screen_set(values, screen.ScreenConfig())
     elapsed = time.perf_counter() - t0
     allowed = screen.STATUSES
     stray = [v.n for v in report.verdicts if v.status not in allowed]

@@ -326,7 +326,6 @@ def test_cullen_divisors_of_an_empty_table_imports_nothing():
         f"sys.path.insert(0, {str(Path(arith.__file__).resolve().parent.parent)!r})\n"
         "from cullen_lehmer import arith\n"
         "assert list(arith.cullen_divisors(6, 1)) == []\n"
-        "arith.prepare_cullen_divisors(1)\n"
         "print('numpy' in sys.modules)\n"
     )
     out = subprocess.run(

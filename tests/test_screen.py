@@ -144,13 +144,22 @@ def test_screen_set_orders_ascending():
     assert report.undecided == []
 
 
-def test_screen_set_runs_largest_n_first(tmp_path):
-    # the results file is in completion order, which serially is the
-    # execution order; the report stays ascending
+def test_results_file_is_ascending(tmp_path):
+    # verdicts are made, written and reported one at a time in ascending n,
+    # count verdicts and residue scans (1594323, 7971615: bound 14) alike
     out = tmp_path / "results.jsonl"
-    report = screen.screen_set([6, 12, 9], screen.ScreenConfig(trial_limit=100), output_path=out)
-    assert [json.loads(line)["n"] for line in out.read_text().splitlines()] == [12, 9, 6]
-    assert [v.n for v in report.verdicts] == [6, 9, 12]
+    ns = [7971615, 6, 1594323, 12, 9]
+    seen = []
+    report = screen.screen_set(
+        ns,
+        screen.ScreenConfig(trial_limit=100),
+        output_path=out,
+        progress=lambda k, total, v: seen.append((k, total, v.n)),
+    )
+    want = sorted(ns)
+    assert [json.loads(line)["n"] for line in out.read_text().splitlines()] == want
+    assert seen == [(k, 5, n) for k, n in enumerate(want, 1)]
+    assert [v.n for v in report.verdicts] == want
 
 
 def test_screen_set_persists_and_resumes(tmp_path):
@@ -236,78 +245,35 @@ def _strip(report):
 
 
 def test_verdicts_independent_of_worker_count(monkeypatch):
-    real_pool = multiprocessing.Pool
-    started = []
-
-    def counting_pool(processes):
-        started.append(processes)
-        return real_pool(processes)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
-    cfg = screen.ScreenConfig(trial_limit=50_000)
-    # the count bound leaves only 1594323 and 7971615 (bound 14), so only
-    # the second run pools, and with one worker for each of the two
-    for ns in (screen.enumerate_2a3b(200), [*screen.enumerate_2a3b(200), 1594323, 7971615]):
-        solo = screen.screen_set(ns, cfg, workers=1)
-        trio = screen.screen_set(ns, cfg, workers=3)
-        assert _strip(solo) == _strip(trio)
-    assert started == [2]
-
-
-@pytest.mark.parametrize(
-    "cfg,n_max",
-    [(screen.ScreenConfig(), 199_999), (screen.ScreenConfig(trial_limit=0), 199_999)],
-    ids=["default", "no-scan"],
-)
-def test_screen_without_numpy_scans_runs_in_this_process(monkeypatch, cfg, n_max):
-    # the count bound refutes every n = 2^a*3^b < 200,000, so no value
-    # reaches the residue scan, at the default trial limit or at 0, and
-    # neither run starts a pool, whatever workers is
-    ns = screen.enumerate_2a3b(n_max)
-    solo = screen.screen_set(ns, cfg, workers=1)
-
-    def no_pool(processes):
-        raise AssertionError(f"a pool of {processes} started")
+    # screen_set keeps workers only because the benchmark harness passes
+    # it; the screen runs in this process whatever its value
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    assert _strip(screen.screen_set(ns, cfg, workers=2)) == _strip(solo)
+    cfg = screen.ScreenConfig(trial_limit=50_000)
+    # 1594323 and 7971615 have count bound 14, so they reach the residue scan
+    ns = [*screen.enumerate_2a3b(200), 1594323, 7971615]
+    solo = _strip(screen.screen_set(ns, cfg))
+    for workers in (1, 2, 64):
+        assert _strip(screen.screen_set(ns, cfg, workers=workers)) == solo
 
 
-def test_pool_never_larger_than_the_values_to_compute(monkeypatch):
-    sizes = []
+def test_count_bound_taken_once_per_value(tmp_path, monkeypatch):
+    # logged to a file, so a call in any process counts; 1594323 and
+    # 7971615 reach the residue scan, 6 does not
+    log = tmp_path / "calls"
+    real = structure.count_bound
 
-    class FakePool:
-        """Records its process count and computes here, so no process starts."""
+    def logged(n):
+        with open(log, "a") as fh:
+            fh.write(f"{n}\n")
+        return real(n)
 
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, fn, items, chunksize):
-            return map(fn, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    cfg = screen.ScreenConfig(trial_limit=100)
-    # each of these has count bound 14, so each reaches the residue scan;
-    # a count-decided value such as 6 runs here and takes no worker
-    big = [1594323, 3188646, 4782969]
-    assert screen.screen_set(big[:2], cfg, workers=64).computed == 2
-    assert screen.screen_set(big, cfg, workers=2).computed == 3
-    assert screen.screen_set([6, *big[:2]], cfg, workers=64).computed == 3
-    assert screen.screen_set([6, big[0]], cfg, workers=64).computed == 2  # one scan runs here
-    assert screen.screen_set(big[:1], cfg, workers=64).computed == 1
-    assert sizes == [2, 2, 2]
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_workers_below_one_raise(workers):
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        screen.screen_set([6], workers=workers)
+    monkeypatch.setattr(structure, "count_bound", logged)
+    ns = [6, 1594323, 7971615]
+    screen.screen_set(ns, screen.ScreenConfig(trial_limit=100), workers=2)
+    assert sorted(map(int, log.read_text().split())) == ns
 
 
 def test_failed_table_build_leaves_results_file_unchanged(tmp_path, monkeypatch):
@@ -324,31 +290,6 @@ def test_failed_table_build_leaves_results_file_unchanged(tmp_path, monkeypatch)
     with pytest.raises(ValueError, match="no table"):
         screen.screen_set([6, 1594323], cfg, output_path=out)
     assert out.read_bytes() == before
-
-
-def test_table_build_error_raises_from_a_two_worker_screen():
-    # the table is built in the caller before any pool starts, so its error
-    # raises there instead of hanging a pool; the subprocess and its
-    # timeout turn a hang into a failure.  Each n has count bound 14, so
-    # each reaches the scan
-    src = Path(screen.__file__).resolve().parent.parent
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "from cullen_lehmer import arith, screen\n"
-        "def broken(limit):\n"
-        "    raise ValueError('no table')\n"
-        "arith.primes_up_to = broken\n"
-        "try:\n"
-        "    ns = [1594323, 3188646, 4782969]\n"
-        "    screen.screen_set(ns, screen.ScreenConfig(trial_limit=100), workers=2)\n"
-        "except ValueError as exc:\n"
-        "    print('raised', exc)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
-    )
-    assert out.stdout.strip() == "raised no table"
 
 
 def test_config_hash_tracks_fields():
@@ -458,7 +399,7 @@ def test_residue_only_verdicts_at_ten_million():
     # worker runs
     assert len(_COUNT_BOUND) == 113
     cfg = screen.ScreenConfig(trial_limit=10**7)
-    report = screen.screen_set(screen.enumerate_2a3b(199_999), cfg, workers=2)
+    report = screen.screen_set(screen.enumerate_2a3b(199_999), cfg)
     want = {n: (screen.REFUTED_COUNT, k) for n, k in _COUNT_BOUND.items()}
     assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
 
@@ -466,7 +407,7 @@ def test_residue_only_verdicts_at_ten_million():
 def test_default_verdicts_up_to_twenty_thousand():
     want = {n: (screen.REFUTED_COUNT, k) for n, k in _COUNT_BOUND.items() if n <= 20_000}
     assert len(want) == 77
-    report = screen.screen_set(screen.enumerate_2a3b(20_000), screen.ScreenConfig(), workers=2)
+    report = screen.screen_set(screen.enumerate_2a3b(20_000), screen.ScreenConfig())
     assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
 
 
@@ -570,41 +511,26 @@ def test_default_screen_never_imports_numpy():
     # the default full run before any residue scan, so it must not pay that
     assert not _imported_after(
         "numpy",
-        "report = screen.screen_set(screen.enumerate_2a3b(199_999), screen.ScreenConfig(),"
-        " workers=2)\n"
+        "report = screen.screen_set(screen.enumerate_2a3b(199_999), screen.ScreenConfig())\n"
         "assert report.counts == {'REFUTED_COUNT': 113}\n",
     )
 
 
-def test_scan_reaching_screen_imports_numpy_before_the_fork():
-    # 1594323 and 7971615 have count bound 14, so both reach the residue
-    # scan; the parent imports numpy once before the pool starts, so the
-    # forked workers do not each pay it
-    assert _imported_after(
-        "numpy",
-        "import multiprocessing\n"
-        "real_pool, numpy_at_fork = multiprocessing.Pool, []\n"
-        "def pool(processes):\n"
-        "    numpy_at_fork.append('numpy' in sys.modules)\n"
-        "    return real_pool(processes)\n"
-        "multiprocessing.Pool = pool\n"
-        "report = screen.screen_set([1594323, 7971615], screen.ScreenConfig(), workers=2)\n"
-        "assert numpy_at_fork == [True] and report.undecided == [7971615]\n",
-    )
-
-
-def test_only_a_pooled_screen_imports_multiprocessing():
-    # importing multiprocessing takes about 12 ms; only a run that starts a
-    # pool pays it, and the default full run with two workers starts none
+def test_no_screen_imports_multiprocessing():
+    # the screen runs in one process, so it never pays multiprocessing's
+    # import, whether or not a value reaches the residue scan
     assert not _imported_after(
         "multiprocessing",
         "import cullen_lehmer.cli\n"
-        "report = screen.screen_set(screen.enumerate_2a3b(199_999), screen.ScreenConfig(),"
-        " workers=2)\n"
+        "report = screen.screen_set(screen.enumerate_2a3b(199_999), screen.ScreenConfig())\n"
         "assert len(report.verdicts) == 113\n",
     )
-    # two values that reach the residue scan, so this screen does pool
-    assert _imported_after(
-        "multiprocessing",
-        "screen.screen_set([1594323, 7971615], screen.ScreenConfig(trial_limit=100), workers=2)\n",
-    )
+    # 1594323 and 7971615 have count bound 14, so both reach the scan; at
+    # trial limit 0 the scan is empty and both stay undecided
+    for limit in (0, 100):
+        assert not _imported_after(
+            "multiprocessing",
+            "report = screen.screen_set([1594323, 7971615],"
+            f" screen.ScreenConfig(trial_limit={limit}), workers=2)\n"
+            "assert len(report.verdicts) == 2\n",
+        )
