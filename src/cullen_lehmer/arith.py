@@ -492,19 +492,27 @@ class FactorResult:
 
 def bounded_factor(
     x: int,
-    trial_primes: tuple[int, ...] = (),
+    trial_primes: tuple[int, ...] = _SMALL_PRIMES,
     rho_budget: int = DEFAULT_RHO_BUDGET,
 ) -> FactorResult:
-    """Factor x by trial division then Brent rho, within an iteration budget."""
+    """Factor x by trial division then Brent rho, within an iteration budget.
+
+    Trial division runs over trial_primes, by default the primes below
+    1000 in ascending order, and stops at the first p with p*p > x.  Each
+    part left then goes to is_prime, and to rho, which spends the budget,
+    only where is_prime cannot prove it prime.  With the default primes the
+    part left by an early stop is 1 or a prime, and so is any part below
+    1009^2 = 1,018,081 after the whole loop, so rho sees only a larger part.
+    """
     if x < 1:
         raise ValueError("bounded_factor requires x >= 1")
     factors: dict[int, int] = {}
     for p in trial_primes:
+        if p * p > x:
+            break
         while x % p == 0:
             factors[p] = factors.get(p, 0) + 1
             x //= p
-        if x == 1:
-            break
     rho_used = 0
     leftovers = 1
     stack = [x] if x > 1 else []

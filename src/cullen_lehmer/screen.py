@@ -42,7 +42,7 @@ STATUSES = frozenset(
 DEFAULT_TRIAL_LIMIT = 10**6
 
 # Hashed into every config, so --resume never mixes verdicts of two ladders.
-ALGORITHM_VERSION = 7
+ALGORITHM_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,20 @@ def witness_search(
 
     No n <= 2^14 ever reaches the scan.  n1 is odd, so each of its prime
     factors is at least 3 and Omega(n1) <= floor(log_3 n) <= floor(log_3
-    2^14) = 8, as count_bound counts it once bounded_factor factors n1
-    completely, which it does for every n1 below 2^14 (a test checks each
-    one).  And count_bound tests only the gamma below
-    n.bit_length().bit_length() = 4.  So the bound is at most 12, below
-    LEHMER_MIN_OMEGA = 14.  The first 2^a*3^b to reach the scan is
-    3^13 = 1,594,323, with bound 13 + 1 = 14 (F_1 = 5 divides its C_n).
+    2^14) = 8, as count_bound counts it once n1 is factored completely.
+    Trial division by the primes below 1000 alone does that for every
+    n1 < 1009^2 = 1,018,081, so no rho step is involved.  And count_bound
+    tests only the gamma below n.bit_length().bit_length() = 4.  So the
+    bound is at most 12, below LEHMER_MIN_OMEGA = 14.  The first 2^a*3^b to
+    reach the scan is 3^13 = 1,594,323, with bound 13 + 1 = 14 (F_1 = 5
+    divides its C_n).
     """
     if n < 1:
         raise ValueError("witness_search requires n >= 1")
     start = time.perf_counter()
-    inst = structure.decompose(n)
-    note = "; n < 3 is outside the exclusion arguments" if inst.small_n else ""
+    alpha = arith.v2(n)
+    n1 = n >> alpha
+    note = "; n < 3 is outside the exclusion arguments" if n < structure.MIN_ANALYSIS_N else ""
 
     def done(status, witness, reason):
         return Verdict(
@@ -146,24 +148,25 @@ def witness_search(
             count.bound,
             f"a Lehmer C_{n} has at most Omega(n1) + #{{gamma : F_gamma | C_{n}}} <= "
             f"{count.n1_omega} + {len(count.gammas)} = {count.bound} < {LEHMER_MIN_OMEGA} "
-            f"distinct prime factors: n1 = {inst.n1}, gamma = {gammas}",
+            f"distinct prime factors: n1 = {n1}, gamma = {gammas}",
         )
 
     for q in arith.cullen_divisors(n, cfg.trial_limit):
-        shape = structure.PrimeShape(q, arith.odd_part(q - 1), arith.v2(q - 1))
-        if not structure.shape_divides(shape, inst):
-            why = (
-                f"m = {shape.m} does not divide n1 = {inst.n1}"
-                if inst.n1 % shape.m
-                else f"a = {shape.a} exceeds n + alpha = {inst.n + inst.alpha}"
-            )
-            return done(
-                REFUTED_SHAPE,
-                q,
-                f"{q} | C_{n} but q - 1 = {shape.m}*2^{shape.a} does not divide n*2^n: {why}",
-            )
-        if arith.cullen_mod(n, q * q) == 0:
-            return done(REFUTED_SQUARE, q, f"{q}^2 divides C_{n}: not squarefree")
+        # q - 1 = m*2^a with m odd divides n*2^n = n1*2^(n + alpha) exactly
+        # when m | n1 and a <= n + alpha (structure.shape_divides)
+        m, a = arith.odd_part(q - 1), arith.v2(q - 1)
+        if n1 % m == 0 and a <= n + alpha:
+            if arith.cullen_mod(n, q * q) == 0:
+                return done(REFUTED_SQUARE, q, f"{q}^2 divides C_{n}: not squarefree")
+            continue
+        why = (
+            f"m = {m} does not divide n1 = {n1}"
+            if n1 % m
+            else f"a = {a} exceeds n + alpha = {n + alpha}"
+        )
+        return done(
+            REFUTED_SHAPE, q, f"{q} | C_{n} but q - 1 = {m}*2^{a} does not divide n*2^n: {why}"
+        )
     return done(
         UNDECIDED,
         None,

@@ -132,11 +132,14 @@ def count_bound(n: int) -> CountBound:
     with 1 <= k = L - s < L; k >= gamma would give s = 0, so s = 2^k and
     2^gamma = k + 2^k, impossible since 2^gamma - 2^k >= 2^k > k.
 
-    n1_omega is Omega(n1) from arith.bounded_factor with its default
-    budget.  A cofactor c it leaves unfactored counts c.bit_length(), an
-    upper bound on its prime factors: a composite rho did not split, or a
-    part above the range where arith.is_prime proves primality (above about
-    3.3e24 and not a Proth number), prime or not.
+    n1_omega is Omega(n1) from arith.bounded_factor with its defaults:
+    trial division by the primes below 1000, which alone factors every
+    n1 < 1009^2 = 1,018,081 (so no such n1 reaches rho), then Brent rho
+    within the default budget on the part left.  A cofactor c it leaves
+    unfactored counts c.bit_length(), an upper bound on its prime factors:
+    a composite rho did not split, or a part above the range where
+    arith.is_prime proves primality (above about 3.3e24 and not a Proth
+    number), prime or not.
     """
     split = arith.bounded_factor(arith.odd_part(n))
     omega = sum(split.factors.values()) + (0 if split.complete else split.cofactor.bit_length())

@@ -344,12 +344,14 @@ def test_resume_skips_records_of_other_algorithm_versions(tmp_path, monkeypatch)
 @pytest.mark.parametrize(
     "ns", [screen.enumerate_2a3b(199_999), range(1, 3001)], ids=["pow23-200000", "range-3000"]
 )
-def test_count_verdicts_recheck_independently(ns):
+def test_count_verdicts_recheck_independently(ns, rho_calls):
     # the full run and every n <= 3000, as the CLI's --set pow23 and
     # --set range screen them: the count bound decides every value, with
-    # C_n never built, and each verdict re-derives from its definition
+    # C_n never built and n1 factored by trial division alone, and each
+    # verdict re-derives from its definition
     report = screen.screen_set(list(ns))
     assert report.counts == {"REFUTED_COUNT": len(ns)}
+    assert rho_calls == []
     for v in report.verdicts:
         _recheck_count(v)
 

@@ -141,14 +141,16 @@ def test_count_bound_matches_bigint_oracle():
     assert len(bounds) == 113 and max(bounds.values()) == 11
 
 
-def test_no_n_up_to_two_to_fourteen_reaches_the_residue_scan():
+def test_no_n_up_to_two_to_fourteen_reaches_the_residue_scan(rho_calls):
     # screen.witness_search's proof: Omega(n1) <= floor(log_3 n) = 8 once n1
     # is factored completely, and at most 4 gammas are tested, so the bound
-    # is at most 12 < 14; this checks the complete factoring for each n
+    # is at most 12 < 14; this checks the complete factoring for each n,
+    # by trial division alone
     for n in range(1, (1 << 14) + 1):
         got = structure.count_bound(n)
         assert got.n1_omega <= math.log(n, 3) + 1e-9 and len(got.gammas) <= 4, n
         assert got.bound <= 12, n
+    assert rho_calls == []
     # the first 2^a*3^b the bound leaves: 3^13, with F_1 = 5 | C_n
     first = next(n for n in screen.enumerate_2a3b(2 * 10**6) if structure.count_bound(n).bound >= 14)
     assert first == 3**13 and structure.count_bound(first) == structure.CountBound(13, (1,))
@@ -168,8 +170,22 @@ def test_count_bound_far_past_uint64(base):
         assert time.perf_counter() - start < 1.0, n
         want = tuple(g for g in range(15) if arith.cullen_mod(n, (1 << (1 << g)) + 1) == 0)
         assert got.gammas == want, n
+        if base == 1 << 64:
+            # every n1 of this row factors completely, so Omega(n1) is exact
+            assert got.n1_omega == sum(sympy.factorint(arith.odd_part(n)).values()), n
     # C_(2^64) = 2^(2^64 + 64) + 1 with 2^64 + 64 = 64 * odd, so F_6 divides it
     assert structure.count_bound(1 << 64).gammas == (6,)
+
+
+@pytest.mark.parametrize(
+    ("n", "rho_runs"),
+    [(3 * 1009, False), (3**5 * 5 * 7 * 1013, False), (1009 * 1013, True)],
+)
+def test_count_bound_past_trial_division(n, rho_runs, rho_calls):
+    # a prime above 1000 is left by trial division and proven by is_prime;
+    # two of them make a cofactor above 1009^2, which only rho splits
+    assert structure.count_bound(n).n1_omega == sum(sympy.factorint(arith.odd_part(n)).values())
+    assert bool(rho_calls) == rho_runs
 
 
 @pytest.mark.parametrize("n1", [3**12, 3**5 * 5**2 * 7, 3 * 5 * 7 * 11 * 13])
