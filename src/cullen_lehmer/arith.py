@@ -18,6 +18,11 @@ pays numpy's memory.  screen_set runs the residue scan only for an n whose
 count bound does not refute C_n, so a screen of n whose count bounds all
 refute never imports numpy.
 
+random is imported only by rho (_brent_rho), to seed its walk.
+bounded_factor reaches rho only for a part above 1009^2 = 1,018,081 that
+is_prime cannot prove prime, so the cascade, and the screen of every
+n <= 2^14 and of every n = 2^a*3^b below 200,000, never import it.
+
 All functions are pure; the only state here is the cache of the prime
 table, which every caller in the process shares and none modifies.
 """
@@ -25,12 +30,11 @@ table, which every caller in the process shares and none modifies.
 from __future__ import annotations
 
 import math
-import random
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from typing import NamedTuple
 
 DEFAULT_RHO_BUDGET = 10**6
 
@@ -175,8 +179,7 @@ def int_nth_root(x: int, w: int) -> tuple[int, bool]:
     return r, r**w == x
 
 
-@dataclass(frozen=True)
-class PowerSignature:
+class PowerSignature(NamedTuple):
     """Maximal representation x = base**exponent with base not a power itself."""
 
     base: int
@@ -417,6 +420,8 @@ def _brent_rho(x: int, budget: int) -> tuple[int | None, int]:
     x itself, so repeated runs walk the identical sequence.  The seed is the
     integer x << 1 | 1, not a decimal string, which has a size limit.
     """
+    import random
+
     if x % 2 == 0:
         return (2 if x > 2 else None), 0
     rng = random.Random(x << 1 | 1)
@@ -470,8 +475,7 @@ def pollard_rho(x: int, budget: int = DEFAULT_RHO_BUDGET) -> int | None:
     return factor
 
 
-@dataclass(frozen=True)
-class FactorResult:
+class FactorResult(NamedTuple):
     """Outcome of a budgeted factorization.
 
     factors maps prime -> exponent, each prime proven by is_prime; cofactor

@@ -21,8 +21,8 @@ check_two_thirds carries the proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 from . import arith
 
@@ -191,8 +191,7 @@ def check_two_thirds(n: int) -> bool:
     return n >= 2
 
 
-@dataclass(frozen=True)
-class BoundStep:
+class BoundStep(NamedTuple):
     """One stage of the cascade: the bounds in force after it ran.
 
     n_bound and k_bound are the computed values; the stated_* fields carry
@@ -208,16 +207,14 @@ class BoundStep:
     detail: str
 
 
-@dataclass(frozen=True)
-class FinalForm:
+class FinalForm(NamedTuple):
     form: str
     n_max: int
     n_max_computed: int
     k_max: int
 
 
-@dataclass(frozen=True)
-class BoundChain:
+class BoundChain(NamedTuple):
     steps: tuple[BoundStep, ...]
     final_form: FinalForm | None
     min_omega: int

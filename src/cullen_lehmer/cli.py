@@ -13,8 +13,6 @@ cascade, undecided n), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import os
 import sys
@@ -108,7 +106,11 @@ class _Emitter:
         except OSError as exc:
             raise RuntimeError(f"cannot open results file {output}: {exc}") from None
         self.owns = output is not None
-        self._csv = csv.writer(self.fh) if fmt == "csv" else None
+        self._csv = None
+        if fmt == "csv":
+            import csv
+
+            self._csv = csv.writer(self.fh)
         self._csv_header_done = False
 
     def record(self, d: dict, human: str) -> None:
@@ -143,7 +145,7 @@ def cmd_bounds(args) -> int:
     try:
         emitter.line(_config_line(args))
         for step in chain.steps:
-            d = dataclasses.asdict(step)
+            d = step._asdict()
             d["assumptions"] = list(step.assumptions)
             emitter.record(
                 d,

@@ -14,14 +14,13 @@ only their multiples n1 * 2^a, the only n that can carry a candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import structure
 from .structure import CullenInstance
 
 
-@dataclass(frozen=True)
-class ExceptionalCandidate:
+class ExceptionalCandidate(NamedTuple):
     """One admissible (w, rho) pair and the value p it produces.
 
     Invariants: rho**w == n1, w | (n + alpha), (p - 1)**w == n * 2^n.
@@ -35,8 +34,7 @@ class ExceptionalCandidate:
     p: int
 
 
-@dataclass(frozen=True)
-class CompositenessCertificate:
+class CompositenessCertificate(NamedTuple):
     """Witness that candidate p = Y^lam + 1 is divisible by Y + 1."""
 
     w: int

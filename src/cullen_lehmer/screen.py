@@ -18,9 +18,8 @@ import hashlib
 import json
 import time
 from collections.abc import Callable
-from dataclasses import InitVar, asdict, dataclass, fields
 from pathlib import Path
-from typing import ClassVar
+from typing import NamedTuple
 
 from . import arith, structure
 from .bounds import LEHMER_MIN_OMEGA
@@ -45,40 +44,55 @@ DEFAULT_TRIAL_LIMIT = 10**6
 ALGORITHM_VERSION = 8
 
 
-@dataclass(frozen=True)
-class Verdict:
+# A NamedTuple class cannot define __new__, so each record that validates
+# its fields is a subclass of a NamedTuple of those fields.
+class _VerdictFields(NamedTuple):
     n: int
     status: str
     witness: int | None
     reason: str
     trial_limit_used: int
     elapsed: float
-    rho_budget_used: ClassVar[int] = 0  # perfbench/job.py reads it; goes with ROADMAP item 1
 
-    def __post_init__(self) -> None:
+
+class Verdict(_VerdictFields):
+    __slots__ = ()
+    rho_budget_used = 0  # perfbench/job.py reads it; goes with ROADMAP item 1
+
+    def __new__(cls, *args, **kwargs) -> Verdict:
+        self = super().__new__(cls, *args, **kwargs)
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class ScreenConfig:
+class _ScreenConfigFields(NamedTuple):
+    trial_limit: int
+
+
+class ScreenConfig(_ScreenConfigFields):
     """Everything that can change a verdict; hashed into each record."""
 
-    trial_limit: int = DEFAULT_TRIAL_LIMIT
-    rho_budget: InitVar[int] = 0  # perfbench/run.py's bigcn passes 0; goes with ROADMAP item 1
-    cn_cap: InitVar[int] = 0  # perfbench/run.py's residue passes 0; goes with ROADMAP item 1
+    __slots__ = ()
 
-    def __post_init__(self, *retired: int) -> None:
+    def __new__(
+        cls,
+        trial_limit: int = DEFAULT_TRIAL_LIMIT,
+        rho_budget: int = 0,  # perfbench/run.py's bigcn passes 0; goes with ROADMAP item 1
+        cn_cap: int = 0,  # perfbench/run.py's residue passes 0; goes with ROADMAP item 1
+    ) -> ScreenConfig:
+        retired = (rho_budget, cn_cap)
         if any(retired):
             raise ValueError(f"no screen stage reads a factoring budget; pass 0, got {retired}")
         # checked here, not only in the sieve, so a bad config fails before
         # anything is opened or computed
-        if not 0 <= self.trial_limit < 1 << 32:
-            raise ValueError(f"trial limit must be in [0, 2**32), got {self.trial_limit}")
+        if not 0 <= trial_limit < 1 << 32:
+            raise ValueError(f"trial limit must be in [0, 2**32), got {trial_limit}")
+        return super().__new__(cls, trial_limit)
 
 
 def config_hash(cfg: ScreenConfig) -> str:
-    payload = json.dumps({"algorithm": ALGORITHM_VERSION, **asdict(cfg)}, sort_keys=True)
+    payload = json.dumps({"algorithm": ALGORITHM_VERSION, **cfg._asdict()}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -174,8 +188,7 @@ def witness_search(
     )
 
 
-@dataclass
-class ScreenReport:
+class ScreenReport(NamedTuple):
     verdicts: list[Verdict]
     counts: dict[str, int]
     undecided: list[int]
@@ -186,13 +199,13 @@ class ScreenReport:
 
 
 def record_dict(v: Verdict, cfg_hash: str) -> dict:
-    d = asdict(v)
+    d = v._asdict()
     d["config_hash"] = cfg_hash
     return d
 
 
 def _verdict_from_record(d: dict) -> Verdict:
-    return Verdict(**{f.name: d[f.name] for f in fields(Verdict)})
+    return Verdict(**{name: d[name] for name in Verdict._fields})
 
 
 def load_records(path: Path, cfg_hash: str) -> dict[int, Verdict]:

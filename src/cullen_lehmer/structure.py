@@ -6,7 +6,7 @@ that shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith
 from .arith import PowerSignature
@@ -18,8 +18,7 @@ DEFAULT_CN_CAP = 300_000
 MIN_ANALYSIS_N = 3
 
 
-@dataclass(frozen=True)
-class CullenInstance:
+class CullenInstance(NamedTuple):
     """n together with its even/odd split and the power form of the odd part.
 
     n1_signature is None exactly when n1 == 1 (pure power of two), since a
@@ -59,25 +58,32 @@ def cullen_value(n: int, cap: int = DEFAULT_CN_CAP) -> int:
     return (n << n) + 1
 
 
-@dataclass(frozen=True)
-class PrimeShape:
+# A NamedTuple class cannot define __new__, so each record that validates
+# its fields is a subclass of a NamedTuple of those fields.
+class _PrimeShapeFields(NamedTuple):
+    p: int
+    m: int
+    a: int
+
+
+class PrimeShape(_PrimeShapeFields):
     """An odd prime written p = m * 2^a + 1 with m odd, a >= 1.
 
     Structural consistency is enforced here; the prime_shape factory also
     checks that p is prime, for callers that do not already know it.
     """
 
-    p: int
-    m: int
-    a: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> PrimeShape:
+        self = super().__new__(cls, *args, **kwargs)
         if self.m < 1 or self.m % 2 == 0:
             raise ValueError("shape multiplier m must be odd and positive")
         if self.a < 1:
             raise ValueError("shape exponent a must be >= 1")
         if self.m * (1 << self.a) + 1 != self.p:
             raise ValueError("shape does not reconstruct p")
+        return self
 
 
 def prime_shape(p: int) -> PrimeShape:
@@ -97,8 +103,7 @@ def shape_divides(shape: PrimeShape, inst: CullenInstance) -> bool:
     return inst.n1 % shape.m == 0 and shape.a <= inst.n + inst.alpha
 
 
-@dataclass(frozen=True)
-class CountBound:
+class CountBound(NamedTuple):
     """The count step at one n: a Lehmer C_n has at most
     n1_omega + len(gammas) distinct prime factors."""
 

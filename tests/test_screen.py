@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cullen_lehmer import arith, screen, structure
+from cullen_lehmer import arith, bounds, screen, structure
 
 
 def test_enumerate_examples():
@@ -491,21 +491,26 @@ def test_trial_limit_must_fit_uint32():
     assert screen.ScreenConfig(trial_limit=2**32 - 1).trial_limit == 2**32 - 1
 
 
-def _imported_after(module: str, run: str) -> bool:
-    """Whether a fresh interpreter has module in sys.modules after run,
-    with screen imported."""
+def _loaded_after(modules: tuple[str, ...], run: str, *flags: str) -> list[str]:
+    """Those of modules that a fresh interpreter, started with flags, has in
+    sys.modules after run, with screen imported."""
     src = Path(screen.__file__).resolve().parent.parent
     code = (
-        "import sys\n"
+        "import json, sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "from cullen_lehmer import screen\n"
         f"{run}"
-        f"print({module!r} in sys.modules)\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, check=True
-    )
-    return {"True": True, "False": False}[out.stdout.strip()]
+    argv = [sys.executable, *flags, "-c", code]
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _imported_after(module: str, run: str) -> bool:
+    """Whether a fresh interpreter has module in sys.modules after run,
+    with screen imported."""
+    return _loaded_after((module,), run) == [module]
 
 
 def test_default_screen_never_imports_numpy():
@@ -536,3 +541,67 @@ def test_no_screen_imports_multiprocessing():
             f" screen.ScreenConfig(trial_limit={limit}), workers=2)\n"
             "assert len(report.verdicts) == 2\n",
         )
+
+
+# Modules no cascade or default screen needs: dataclasses imports inspect,
+# and random seeds only rho's walk.
+COLD_START_UNUSED = ("dataclasses", "inspect", "random", "csv")
+
+
+def test_cold_start_imports_no_unused_module():
+    # -S leaves out site, whose .pth files may import random at start-up
+    # on their own; the guard is about what the package imports
+    run = (
+        "import contextlib, io\n"
+        "from cullen_lehmer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['bounds']) == 0\n"
+        "    assert cli.main(['exceptional', '--n-max', '200000']) == 0\n"
+        "report = screen.screen_set(screen.enumerate_2a3b(199_999))\n"
+        "assert report.counts == {'REFUTED_COUNT': 113}\n"
+    )
+    assert _loaded_after(COLD_START_UNUSED, run, "-S") == []
+    # 1009 * 1013 is above 1009^2 and composite, so its count step runs rho:
+    # the import of random is deferred to rho, not dropped
+    run = (
+        "from cullen_lehmer import cli, structure\n"
+        "assert structure.count_bound(1009 * 1013).n1_omega == 2\n"
+    )
+    assert _loaded_after(COLD_START_UNUSED, run, "-S") == ["random"]
+
+
+@pytest.mark.parametrize(
+    "trial_limit, digest",
+    [
+        (None, "54b1f01522d5"),
+        (10**7, "35585cf71a77"),
+        (10_000, "62bb7472c7fc"),
+        (0, "617e8129da46"),
+    ],
+)
+def test_config_hash_is_pinned(trial_limit, digest):
+    # results files written under these configs must still resume, so the
+    # hash of each is fixed
+    cfg = screen.ScreenConfig() if trial_limit is None else screen.ScreenConfig(trial_limit)
+    assert screen.config_hash(cfg) == digest
+
+
+def test_records_are_frozen_and_round_trip(tmp_path):
+    records = [
+        (screen.witness_search(6), "status"),
+        (screen.ScreenConfig(), "trial_limit"),
+        (structure.count_bound(6), "n1_omega"),
+        (structure.prime_shape(13), "m"),
+        (bounds.refine_chain().steps[0], "k_bound"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 0
+    out = tmp_path / "results.jsonl"
+    cfg = screen.ScreenConfig(trial_limit=100)
+    report = screen.screen_set([1, 6, 1594323], cfg, output_path=out)
+    loaded = screen.load_records(out, screen.config_hash(cfg))
+    assert list(loaded.values()) == report.verdicts
+    assert all(type(v) is screen.Verdict for v in loaded.values())
