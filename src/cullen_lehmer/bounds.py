@@ -11,7 +11,8 @@ whose shape multiplier m exceeds 1, drives n down in stages to the final
 form n = 2^alpha * 3^beta with n < 200,000 and k <= 15.  All logarithms are
 natural; comparisons that land near a boundary are re-evaluated with
 50-digit Decimal arithmetic, and everything that can be compared in exact
-integers is.
+integers is.  No comparison of the cascade itself lands that near, so
+decimal is imported only by the near-boundary branch.
 
 The two-thirds step, n * 2^n / ((n * 2^n)^(1/3) + 1) > 2^(2n/3), is a
 lemma rather than a computation: it holds exactly for n >= 2, and
@@ -21,7 +22,6 @@ check_two_thirds carries the proof.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 from . import arith
@@ -44,25 +44,22 @@ STATED_Q5_CAP = 9.8
 _REL_TOL = 1e-9
 
 
-def _ln_decimal(n: int, prec: int = 50) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = prec
-        return Decimal(n).ln()
-
-
 def _n_exceeds_log_poly(n: int, num: int, den: int, power: int) -> bool:
     """Exact-minded test of n * den > num * (ln n)^power.
 
     Uses floats away from the boundary and 50-digit Decimals within a
     relative 1e-9 band of it, so the cascade cannot flip on rounding noise.
+    decimal is imported on that branch alone.
     """
     lhs = n * den
     rhs = num * math.log(n) ** power
     if abs(lhs - rhs) > _REL_TOL * max(abs(lhs), abs(rhs), 1.0):
         return lhs > rhs
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = 50
-        return Decimal(lhs) > Decimal(num) * _ln_decimal(n) ** power
+        return Decimal(lhs) > Decimal(num) * Decimal(n).ln() ** power
 
 
 def _least_n_satisfying(predicate, lo: int, hi_start: int) -> int:

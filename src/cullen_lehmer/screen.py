@@ -14,7 +14,6 @@ screen can only refute or leave a value undecided.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from collections.abc import Callable
@@ -40,7 +39,7 @@ STATUSES = frozenset(
 
 DEFAULT_TRIAL_LIMIT = 10**6
 
-# Hashed into every config, so --resume never mixes verdicts of two ladders.
+# Part of every config key, so --resume never mixes verdicts of two ladders.
 ALGORITHM_VERSION = 8
 
 
@@ -71,7 +70,7 @@ class _ScreenConfigFields(NamedTuple):
 
 
 class ScreenConfig(_ScreenConfigFields):
-    """Everything that can change a verdict; hashed into each record."""
+    """Everything that can change a verdict; keyed into each record."""
 
     __slots__ = ()
 
@@ -92,8 +91,15 @@ class ScreenConfig(_ScreenConfigFields):
 
 
 def config_hash(cfg: ScreenConfig) -> str:
-    payload = json.dumps({"algorithm": ALGORITHM_VERSION, **cfg._asdict()}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+    """The exact key of cfg and ALGORITHM_VERSION, as sorted k=v pairs
+    joined by ",": "algorithm=8,trial_limit=1000000" for the default.
+
+    Every field is an int, so no value holds "," or "=" and two configs
+    share a key only when they are equal.  A record is reused only under
+    this exact key, so records of earlier key formats are recomputed.
+    """
+    fields = {"algorithm": ALGORITHM_VERSION, **cfg._asdict()}
+    return ",".join(f"{k}={v}" for k, v in sorted(fields.items()))
 
 
 def enumerate_2a3b(n_max: int) -> list[int]:
@@ -247,7 +253,7 @@ def screen_set(
     table sieved, before the results file is opened.
     With output_path each fresh verdict is appended as one JSONL record and
     flushed as soon as it is done, so the fresh records are ascending in n;
-    resume=True first reloads records whose config hash matches and
+    resume=True first reloads records whose config key matches and
     recomputes nothing for them.  progress(k, total, verdict) is called for
     the k-th fresh verdict of total, ascending in n.
     """

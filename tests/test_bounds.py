@@ -44,6 +44,24 @@ def test_n_thresholds_below_stated():
         bounds.n_threshold(1)
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("den", [10**12, 10**30])
+def test_near_boundary_comparison_matches_mpmath(den, offset):
+    # num * (ln n)^3 is within one step of n * den, inside the relative 1e-9
+    # band, so the comparison falls to the 50-digit Decimal branch.  At
+    # den = 10^30 a step is below the rounding error of floats, which get
+    # some of these cases wrong
+    n, power = 10**6, 3
+    with mpmath.workdps(60):
+        ln_pow = mpmath.log(n) ** power
+        num = int(mpmath.nint(n * den / ln_pow)) + offset
+        expected = n * den > num * ln_pow
+    assert abs(n * den - num * math.log(n) ** power) <= bounds._REL_TOL * n * den
+    assert bounds._n_exceeds_log_poly(n, num, den, power) == expected
+    if offset:
+        assert expected == (offset < 0)
+
+
 def test_sqrt_n_over_ln_monotone_grid():
     f = lambda n: math.sqrt(n / math.log(n))
     prev = f(3)

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -544,23 +545,39 @@ def test_no_screen_imports_multiprocessing():
 
 
 # Modules no cascade or default screen needs: dataclasses imports inspect,
-# and random seeds only rho's walk.
-COLD_START_UNUSED = ("dataclasses", "inspect", "random", "csv")
+# random seeds only rho's walk, hashlib loads OpenSSL's libcrypto, and
+# decimal serves only near-boundary comparisons, which the cascade never makes.
+COLD_START_UNUSED = ("dataclasses", "inspect", "random", "csv", "hashlib", "_hashlib", "decimal")
 
 
-def test_cold_start_imports_no_unused_module():
+def test_cold_start_imports_no_unused_module(tmp_path):
     # -S leaves out site, whose .pth files may import random at start-up
-    # on their own; the guard is about what the package imports
+    # on their own; the guard is about what the package imports.  Writing
+    # and resuming a results file builds and compares the config key
+    out = str(tmp_path / "results.jsonl")
     run = (
         "import contextlib, io\n"
         "from cullen_lehmer import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['bounds']) == 0\n"
         "    assert cli.main(['exceptional', '--n-max', '200000']) == 0\n"
-        "report = screen.screen_set(screen.enumerate_2a3b(199_999))\n"
+        "ns = screen.enumerate_2a3b(199_999)\n"
+        f"report = screen.screen_set(ns, output_path={out!r})\n"
         "assert report.counts == {'REFUTED_COUNT': 113}\n"
+        f"report = screen.screen_set(ns, output_path={out!r}, resume=True)\n"
+        "assert (report.reused, report.computed) == (113, 0)\n"
     )
     assert _loaded_after(COLD_START_UNUSED, run, "-S") == []
+    # a comparison inside the relative 1e-9 band (test_bounds covers its
+    # value) loads decimal: its import is deferred to that branch
+    run = (
+        "import math\n"
+        "from cullen_lehmer import bounds, cli\n"
+        "assert 'decimal' not in sys.modules\n"
+        "num = int(10**18 / math.log(10**6) ** 3)\n"
+        "bounds._n_exceeds_log_poly(10**6, num, 10**12, 3)\n"
+    )
+    assert _loaded_after(COLD_START_UNUSED, run, "-S") == ["decimal"]
     # 1009 * 1013 is above 1009^2 and composite, so its count step runs rho:
     # the import of random is deferred to rho, not dropped
     run = (
@@ -571,19 +588,45 @@ def test_cold_start_imports_no_unused_module():
 
 
 @pytest.mark.parametrize(
-    "trial_limit, digest",
+    "trial_limit, key",
     [
-        (None, "54b1f01522d5"),
-        (10**7, "35585cf71a77"),
-        (10_000, "62bb7472c7fc"),
-        (0, "617e8129da46"),
+        (None, "algorithm=8,trial_limit=1000000"),
+        (10**7, "algorithm=8,trial_limit=10000000"),
+        (10_000, "algorithm=8,trial_limit=10000"),
+        (0, "algorithm=8,trial_limit=0"),
     ],
 )
-def test_config_hash_is_pinned(trial_limit, digest):
+def test_config_hash_is_pinned(trial_limit, key):
     # results files written under these configs must still resume, so the
-    # hash of each is fixed
+    # key of each is fixed
     cfg = screen.ScreenConfig() if trial_limit is None else screen.ScreenConfig(trial_limit)
-    assert screen.config_hash(cfg) == digest
+    assert screen.config_hash(cfg) == key
+
+
+def test_config_fields_are_ints():
+    # config_hash joins k=v pairs with ","; an int holds neither "," nor
+    # "=", so no two configs share a key
+    fields = typing.get_type_hints(screen.ScreenConfig)
+    assert fields == {name: int for name in screen.ScreenConfig._fields}
+    assert all(type(v) is int for v in screen.ScreenConfig()._asdict().values())
+
+
+def test_resume_recomputes_a_record_of_the_hashed_key(tmp_path):
+    # written while config_hash was a 12-hex sha256 prefix: 54b1f01522d5 was
+    # the default config's; such a record is recomputed, and its line kept
+    out = tmp_path / "results.jsonl"
+    old = (
+        '{"config_hash": "54b1f01522d5", "elapsed": 6.6e-05, "n": 6, "reason": "a Lehmer '
+        "C_6 has at most Omega(n1) + #{gamma : F_gamma | C_6} <= 1 + 1 = 2 < 14 distinct "
+        'prime factors: n1 = 3, gamma = 1", "status": "REFUTED_COUNT", '
+        '"trial_limit_used": 1000000, "witness": 2}\n'
+    )
+    out.write_text(old)
+    report = screen.screen_set([6], output_path=out, resume=True)
+    assert (report.reused, report.computed) == (0, 1)
+    lines = out.read_text().splitlines(keepends=True)
+    assert lines[0] == old and len(lines) == 2
+    assert json.loads(lines[1])["config_hash"] == "algorithm=8,trial_limit=1000000"
 
 
 def test_records_are_frozen_and_round_trip(tmp_path):
