@@ -8,7 +8,6 @@ from .arith import (
     int_nth_root,
     is_prime,
     odd_part,
-    pollard_rho,
     power_signature,
     v2,
 )

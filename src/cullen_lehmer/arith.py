@@ -4,7 +4,8 @@
 Proth numbers above, a ValueError for any other number above), the prime
 table (a uint32 array, so primes stay below 2**32), modular
 Cullen residues and the prime divisors of C_n in a prime table, and
-Brent-cycle factoring.
+factoring by trial division (bounded_factor), which leaves any part it
+cannot finish in a cofactor whose prime factors all exceed 2^16.
 
 cullen_divisors scans the prime table in numpy: binary powering of 2^n mod
 q over blocks of primes, in float64 with balanced residues for blocks of
@@ -18,10 +19,9 @@ pays numpy's memory.  screen_set runs the residue scan only for an n whose
 count bound does not refute C_n, so a screen of n whose count bounds all
 refute never imports numpy.
 
-random is imported only by rho (_brent_rho), to seed its walk.
-bounded_factor reaches rho only for a part above 1009^2 = 1,018,081 that
-is_prime cannot prove prime, so the cascade, and the screen of every
-n <= 2^14 and of every n = 2^a*3^b below 200,000, never import it.
+bounded_factor sieves primes_up_to(1 << 16) only for an x of at least
+1009^2 = 1,018,081, so the cascade, and the screen of every n <= 2^14 and
+of every n = 2^a*3^b below 200,000, never build that table.
 
 All functions are pure; the only state here is the cache of the prime
 table, which every caller in the process shares and none modifies.
@@ -35,8 +35,6 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
-
-DEFAULT_RHO_BUDGET = 10**6
 
 # Below this limit the first thirteen prime bases give a deterministic
 # Miller-Rabin answer (Sorenson & Webster); it comfortably covers 2**64.
@@ -413,129 +411,47 @@ def _cullen_zero_uint64(lead: int, bits: str, q, n_mod_q):
     return (x * n_mod_q + 1) % q == 0
 
 
-def _brent_rho(x: int, budget: int) -> tuple[int | None, int]:
-    """Brent-cycle factor attempt; returns (factor or None, iterations used).
-
-    Starting points and polynomial offsets are drawn from an RNG seeded by
-    x itself, so repeated runs walk the identical sequence.  The seed is the
-    integer x << 1 | 1, not a decimal string, which has a size limit.
-    """
-    import random
-
-    if x % 2 == 0:
-        return (2 if x > 2 else None), 0
-    rng = random.Random(x << 1 | 1)
-    used = 0
-    while used < budget:
-        y = rng.randrange(1, x)
-        c = rng.randrange(1, x)
-        m = 128
-        g = r = q = 1
-        xs = ys = y
-        while g == 1 and used < budget:
-            xs = y
-            advance = min(r, budget - used)
-            for _ in range(advance):
-                y = (y * y + c) % x
-            used += advance
-            if advance < r:
-                break
-            k = 0
-            while k < r and g == 1 and used < budget:
-                ys = y
-                steps = min(m, r - k, budget - used)
-                for _ in range(steps):
-                    y = (y * y + c) % x
-                    q = q * abs(xs - y) % x
-                used += steps
-                g = math.gcd(q, x)
-                k += steps
-            r *= 2
-        if g == x:
-            # batched gcd overshot; replay one step at a time
-            g = 1
-            while g == 1 and used < budget:
-                ys = (ys * ys + c) % x
-                used += 1
-                g = math.gcd(abs(xs - ys), x)
-        if 1 < g < x:
-            return g, used
-    return None, used
-
-
-def pollard_rho(x: int, budget: int = DEFAULT_RHO_BUDGET) -> int | None:
-    """A nontrivial factor of composite x, or None once the budget is spent.
-
-    Callers are expected to have ruled x prime out already; a prime input
-    simply exhausts the budget.
-    """
-    if x < 4:
-        return None
-    factor, _ = _brent_rho(x, budget)
-    return factor
-
-
 class FactorResult(NamedTuple):
-    """Outcome of a budgeted factorization.
+    """Outcome of bounded_factor.
 
-    factors maps prime -> exponent, each prime proven by is_prime; cofactor
-    is 1 exactly when the factorization is complete, otherwise the part
-    left unfactored.  That part holds what rho did not split within the
-    budget: composites, and any number outside the range of _provable,
-    prime or not, since is_prime is asked only inside it.
+    factors maps prime -> exponent; cofactor is 1 exactly when the
+    factorization is complete, and otherwise the part left unfactored.
+    Every prime factor of that part exceeds 2^16, and the part is
+    composite or a prime outside the range of _provable, which is_prime
+    cannot prove.
     """
 
     factors: dict[int, int]
     cofactor: int
-    rho_used: int
-
-    @property
-    def complete(self) -> bool:
-        return self.cofactor == 1
 
 
-def bounded_factor(
-    x: int,
-    trial_primes: tuple[int, ...] = _SMALL_PRIMES,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> FactorResult:
-    """Factor x by trial division then Brent rho, within an iteration budget.
+def bounded_factor(x: int) -> FactorResult:
+    """Factor x by trial division, leaving in the cofactor a part it
+    cannot finish.
 
-    Trial division runs over trial_primes, by default the primes below
-    1000 in ascending order, and stops at the first p with p*p > x.  Each
-    part left then goes to is_prime, and to rho, which spends the budget,
-    only where is_prime cannot prove it prime.  With the default primes the
-    part left by an early stop is 1 or a prime, and so is any part below
-    1009^2 = 1,018,081 after the whole loop, so rho sees only a larger part.
+    x < 1009^2 = 1,018,081 is divided by the primes below 1000, any larger
+    x by the primes below 2^16, the cached primes_up_to(1 << 16), so a
+    smaller x never sieves that table.  The division runs in ascending
+    order and stops at the first p with p*p > x; the part left then is 1
+    or a prime.  A part left after the whole table has no prime factor
+    below the least prime above the table, 1009 or 65537 = 2^16 + 1, so
+    it is 1 or a prime when below that prime's square; the whole smaller
+    table runs only for an x below 1009^2.  A part of at least 65537^2
+    counts as one prime when is_prime proves it prime, and stays in the
+    cofactor otherwise.
     """
     if x < 1:
         raise ValueError("bounded_factor requires x >= 1")
     factors: dict[int, int] = {}
-    for p in trial_primes:
+    for p in _SMALL_PRIMES if x < 1009**2 else primes_up_to(1 << 16):
         if p * p > x:
             break
         while x % p == 0:
             factors[p] = factors.get(p, 0) + 1
             x //= p
-    rho_used = 0
-    leftovers = 1
-    stack = [x] if x > 1 else []
-    while stack:
-        t = stack.pop()
-        if t == 1:
-            continue
-        if _provable(t) and is_prime(t):
-            factors[t] = factors.get(t, 0) + 1
-            continue
-        remaining = rho_budget - rho_used
-        if remaining <= 0:
-            leftovers *= t
-            continue
-        f, used = _brent_rho(t, remaining)
-        rho_used += used
-        if f is None:
-            leftovers *= t
-        else:
-            stack.append(f)
-            stack.append(t // f)
-    return FactorResult(factors, leftovers, rho_used)
+    else:
+        if x >= 65537**2 and not (_provable(x) and is_prime(x)):
+            return FactorResult(factors, x)
+    if x > 1:
+        factors[x] = 1
+    return FactorResult(factors, 1)

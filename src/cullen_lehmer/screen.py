@@ -40,7 +40,7 @@ STATUSES = frozenset(
 DEFAULT_TRIAL_LIMIT = 10**6
 
 # Part of every config key, so --resume never mixes verdicts of two ladders.
-ALGORITHM_VERSION = 8
+ALGORITHM_VERSION = 9
 
 
 # A NamedTuple class cannot define __new__, so each record that validates
@@ -84,7 +84,10 @@ class ScreenConfig(_ScreenConfigFields):
         if any(retired):
             raise ValueError(f"no screen stage reads a factoring budget; pass 0, got {retired}")
         # checked here, not only in the sieve, so a bad config fails before
-        # anything is opened or computed
+        # anything is opened or computed; an equal float or bool would key
+        # differently, so only an int is taken
+        if type(trial_limit) is not int:
+            raise ValueError(f"trial limit must be an int, got {trial_limit!r}")
         if not 0 <= trial_limit < 1 << 32:
             raise ValueError(f"trial limit must be in [0, 2**32), got {trial_limit}")
         return super().__new__(cls, trial_limit)
@@ -92,7 +95,7 @@ class ScreenConfig(_ScreenConfigFields):
 
 def config_hash(cfg: ScreenConfig) -> str:
     """The exact key of cfg and ALGORITHM_VERSION, as sorted k=v pairs
-    joined by ",": "algorithm=8,trial_limit=1000000" for the default.
+    joined by ",": "algorithm=9,trial_limit=1000000" for the default.
 
     Every field is an int, so no value holds "," or "=" and two configs
     share a key only when they are equal.  A record is reused only under
@@ -136,11 +139,11 @@ def witness_search(
     factors is at least 3 and Omega(n1) <= floor(log_3 n) <= floor(log_3
     2^14) = 8, as count_bound counts it once n1 is factored completely.
     Trial division by the primes below 1000 alone does that for every
-    n1 < 1009^2 = 1,018,081, so no rho step is involved.  And count_bound
-    tests only the gamma below n.bit_length().bit_length() = 4.  So the
-    bound is at most 12, below LEHMER_MIN_OMEGA = 14.  The first 2^a*3^b to
-    reach the scan is 3^13 = 1,594,323, with bound 13 + 1 = 14 (F_1 = 5
-    divides its C_n).
+    n1 < 1009^2 = 1,018,081, so the table of primes below 2^16 is never
+    built.  And count_bound tests only the gamma below
+    n.bit_length().bit_length() = 4.  So the bound is at most 12, below
+    LEHMER_MIN_OMEGA = 14.  The first 2^a*3^b to reach the scan is
+    3^13 = 1,594,323, with bound 13 + 1 = 14 (F_1 = 5 divides its C_n).
     """
     if n < 1:
         raise ValueError("witness_search requires n >= 1")

@@ -137,17 +137,16 @@ def count_bound(n: int) -> CountBound:
     with 1 <= k = L - s < L; k >= gamma would give s = 0, so s = 2^k and
     2^gamma = k + 2^k, impossible since 2^gamma - 2^k >= 2^k > k.
 
-    n1_omega is Omega(n1) from arith.bounded_factor with its defaults:
-    trial division by the primes below 1000, which alone factors every
-    n1 < 1009^2 = 1,018,081 (so no such n1 reaches rho), then Brent rho
-    within the default budget on the part left.  A cofactor c it leaves
-    unfactored counts c.bit_length(), an upper bound on its prime factors:
-    a composite rho did not split, or a part above the range where
-    arith.is_prime proves primality (above about 3.3e24 and not a Proth
-    number), prime or not.
+    n1_omega bounds Omega(n1) from above, by arith.bounded_factor: each
+    prime it finds counts with its exponent, which is exact whenever it
+    factors n1 completely, as for every n1 < 1009^2 = 1,018,081.  A
+    cofactor c it leaves counts (c.bit_length() - 1) // 16.  Every prime
+    factor of c exceeds 2^16, so if c has k >= 1 of them, counted with
+    multiplicity, then 2^(16k) < c < 2^c.bit_length(), that is
+    k <= (c.bit_length() - 1) // 16; and c = 1 counts 0.
     """
     split = arith.bounded_factor(arith.odd_part(n))
-    omega = sum(split.factors.values()) + (0 if split.complete else split.cofactor.bit_length())
+    omega = sum(split.factors.values()) + (split.cofactor.bit_length() - 1) // 16
     span = n.bit_length().bit_length()
     gammas = tuple(g for g in range(span) if arith.cullen_mod(n, (1 << (1 << g)) + 1) == 0)
     return CountBound(omega, gammas)

@@ -14,18 +14,3 @@ def verdicts_500():
 
     return {n: screen.witness_search(n) for n in range(1, 501)}
 
-
-@pytest.fixture
-def rho_calls(monkeypatch) -> list[int]:
-    """The inputs of every arith._brent_rho call made while the test runs."""
-    from cullen_lehmer import arith
-
-    calls = []
-    real = arith._brent_rho
-
-    def counted(x, budget):
-        calls.append(x)
-        return real(x, budget)
-
-    monkeypatch.setattr(arith, "_brent_rho", counted)
-    return calls

@@ -208,13 +208,6 @@ def test_criterion_6_arithmetic_invariants():
     for x in range(1_000_001):
         assert arith.is_prime(x) == bool(sieve[x]), x
 
-    for _ in range(200):
-        x = rng.randrange(4, 10**10)
-        if arith.is_prime(x):
-            continue
-        f = arith.pollard_rho(x)
-        assert f is not None and 1 < f < x and x % f == 0
-
     odd_primes = [p for p in primes_10k if p > 2]
     for p in odd_primes:
         s = structure.prime_shape(p)

@@ -156,14 +156,13 @@ def test_is_prime_matches_sympy_large():
 
 def test_seeding_never_builds_a_decimal_string():
     # C_3075 (925 digits) is composite with no factor below 1000, so is_prime
-    # reaches Proth's test and pollard_rho its seeded walk; a limit of 640
-    # digits makes any int -> str conversion of it raise
+    # reaches Proth's test; a limit of 640 digits makes any int -> str
+    # conversion of it raise
     cn = (3075 << 3075) + 1
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
         assert arith.is_prime(cn) is False
-        assert arith.pollard_rho(cn, 10) is None
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -334,51 +333,18 @@ def test_cullen_divisors_of_an_empty_table_imports_nothing():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("x,factors", [(1537, {29, 53}), (4609, {11, 419}), (25, {5})])
-def test_pollard_rho_examples(x, factors):
-    assert arith.pollard_rho(x) in factors
-
-
-def test_pollard_rho_factor_divides():
-    rng = random.Random(5)
-    for _ in range(300):
-        x = rng.randrange(4, 10**12)
-        if arith.is_prime(x):
-            continue
-        f = arith.pollard_rho(x, budget=10**5)
-        if f is not None:
-            assert 1 < f < x and x % f == 0
-
-
-def test_pollard_rho_deterministic():
-    x = 10**20 + 39  # composite
-    assert arith.pollard_rho(x) == arith.pollard_rho(x)
-
-
-def test_pollard_rho_budget_exhaustion_is_none():
-    # a semiprime with ~2^36 smallest factor cannot fall to a budget of 50
-    p, q = 68720001023, 68718952447
-    assert arith.pollard_rho(p * q, budget=50) is None
-
-
 def test_bounded_factor_complete_and_partial():
+    # below 1009^2 the primes below 1000 finish x; above it the primes below
+    # 2^16 find 7919, and the part the early stop leaves, 104729, is prime
+    assert arith.bounded_factor(3**5 * 997) == ({3: 5, 997: 1}, 1)
     x = 2**4 * 3**3 * 7919 * 104729
-    res = arith.bounded_factor(x, arith.primes_up_to(100))
-    assert res.complete and res.rho_used >= 0
-    assert res.factors == {2: 4, 3: 3, 7919: 1, 104729: 1}
+    assert arith.bounded_factor(x) == ({2: 4, 3: 3, 7919: 1, 104729: 1}, 1)
 
-    hard = (2**89 - 1) * (2**107 - 1)  # both prime, far beyond any rho budget here
-    res = arith.bounded_factor(hard * 9, arith.primes_up_to(10), rho_budget=100)
-    assert not res.complete
-    assert res.factors[3] == 2
-    assert res.cofactor == hard
-    assert res.rho_used <= 100
+    hard = (2**89 - 1) * (2**107 - 1)  # both prime, far above 2^16
+    assert arith.bounded_factor(hard * 9) == ({3: 2}, hard)
 
 
 def test_bounded_factor_leaves_an_unprovable_prime_unfactored():
     # 2^127 - 1 is prime but not a Proth number, so is_prime cannot prove
-    # it; rho cannot split it, and it stays in the cofactor
-    res = arith.bounded_factor(2**127 - 1, rho_budget=100)
-    assert not res.complete
-    assert res.factors == {}
-    assert res.cofactor == 2**127 - 1
+    # it, and it stays in the cofactor
+    assert arith.bounded_factor(2**127 - 1) == ({}, 2**127 - 1)

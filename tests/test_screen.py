@@ -345,14 +345,13 @@ def test_resume_skips_records_of_other_algorithm_versions(tmp_path, monkeypatch)
 @pytest.mark.parametrize(
     "ns", [screen.enumerate_2a3b(199_999), range(1, 3001)], ids=["pow23-200000", "range-3000"]
 )
-def test_count_verdicts_recheck_independently(ns, rho_calls):
+def test_count_verdicts_recheck_independently(ns):
     # the full run and every n <= 3000, as the CLI's --set pow23 and
     # --set range screen them: the count bound decides every value, with
     # C_n never built and n1 factored by trial division alone, and each
     # verdict re-derives from its definition
     report = screen.screen_set(list(ns))
     assert report.counts == {"REFUTED_COUNT": len(ns)}
-    assert rho_calls == []
     for v in report.verdicts:
         _recheck_count(v)
 
@@ -367,15 +366,18 @@ def test_count_bound_of_fourteen_stays_undecided(n):
     assert v.reason == "no witness below 1000000 and count bound 14 >= 14"
 
 
-def test_unprovable_prime_n1_stays_undecided():
+def test_unprovable_prime_n1_is_refuted_by_count():
     # an 82-bit prime above the deterministic Miller-Rabin limit that is not
-    # a Proth number: no residue witness below the default trial limit, and
-    # count_bound counts n1 by its bit length, since its primality is not
-    # proven
+    # a Proth number: its primality is not proven, so it stays in the
+    # cofactor, whose prime factors all exceed 2^16, and counts
+    # (82 - 1) // 16 = 5; no F_gamma divides its C_n
     n = 3317044064679887385962561
     v = screen.witness_search(n)
-    assert v.status == "UNDECIDED"
-    assert v.reason == "no witness below 1000000 and count bound 82 >= 14"
+    assert (v.status, v.witness) == ("REFUTED_COUNT", 5)
+    assert v.reason == (
+        f"a Lehmer C_{n} has at most Omega(n1) + #{{gamma : F_gamma | C_{n}}} <= 5 + 0 = 5 < 14 "
+        f"distinct prime factors: n1 = {n}, gamma = none"
+    )
 
 
 # n -> count bound of all 113 n = 2^a*3^b < 200,000, from sympy.factorint
@@ -545,8 +547,9 @@ def test_no_screen_imports_multiprocessing():
 
 
 # Modules no cascade or default screen needs: dataclasses imports inspect,
-# random seeds only rho's walk, hashlib loads OpenSSL's libcrypto, and
-# decimal serves only near-boundary comparisons, which the cascade never makes.
+# random is imported by no module of the package, hashlib loads OpenSSL's
+# libcrypto, and decimal serves only near-boundary comparisons, which the
+# cascade never makes.
 COLD_START_UNUSED = ("dataclasses", "inspect", "random", "csv", "hashlib", "_hashlib", "decimal")
 
 
@@ -578,22 +581,40 @@ def test_cold_start_imports_no_unused_module(tmp_path):
         "bounds._n_exceeds_log_poly(10**6, num, 10**12, 3)\n"
     )
     assert _loaded_after(COLD_START_UNUSED, run, "-S") == ["decimal"]
-    # 1009 * 1013 is above 1009^2 and composite, so its count step runs rho:
-    # the import of random is deferred to rho, not dropped
+    # 1009 * 1013 is above 1009^2 and composite, so its count step divides
+    # by the primes below 2^16, which loads none of them either
     run = (
         "from cullen_lehmer import cli, structure\n"
         "assert structure.count_bound(1009 * 1013).n1_omega == 2\n"
     )
-    assert _loaded_after(COLD_START_UNUSED, run, "-S") == ["random"]
+    assert _loaded_after(COLD_START_UNUSED, run, "-S") == []
+
+
+def test_screens_of_small_n_never_sieve_the_primes_below_two_to_sixteen():
+    # every n1 of the 113 values and of n <= 2^14 is below 1009^2, so the
+    # primes below 1000 factor it; sieving to 2^16 would cost more than
+    # the whole screen.  3^13 is past 1009^2 and asks for the table
+    run = (
+        "from cullen_lehmer import arith, structure\n"
+        "asked = []\n"
+        "table = arith.primes_up_to\n"
+        "arith.primes_up_to = lambda limit: asked.append(limit) or table(limit)\n"
+        "for ns in (screen.enumerate_2a3b(199_999), range(1, (1 << 14) + 1)):\n"
+        "    assert screen.screen_set(list(ns)).counts == {'REFUTED_COUNT': len(ns)}\n"
+        "assert asked == [], asked\n"
+        "assert structure.count_bound(3**13).n1_omega == 13\n"
+        "assert asked == [1 << 16], asked\n"
+    )
+    _loaded_after((), run)
 
 
 @pytest.mark.parametrize(
     "trial_limit, key",
     [
-        (None, "algorithm=8,trial_limit=1000000"),
-        (10**7, "algorithm=8,trial_limit=10000000"),
-        (10_000, "algorithm=8,trial_limit=10000"),
-        (0, "algorithm=8,trial_limit=0"),
+        (None, "algorithm=9,trial_limit=1000000"),
+        (10**7, "algorithm=9,trial_limit=10000000"),
+        (10_000, "algorithm=9,trial_limit=10000"),
+        (0, "algorithm=9,trial_limit=0"),
     ],
 )
 def test_config_hash_is_pinned(trial_limit, key):
@@ -601,6 +622,14 @@ def test_config_hash_is_pinned(trial_limit, key):
     # key of each is fixed
     cfg = screen.ScreenConfig() if trial_limit is None else screen.ScreenConfig(trial_limit)
     assert screen.config_hash(cfg) == key
+
+
+@pytest.mark.parametrize("trial_limit", [5.0, True, "5"])
+def test_config_rejects_a_trial_limit_that_is_no_int(trial_limit):
+    # 5.0 == 5 and True == 1, yet each would key as its own string, so a
+    # record written under it would never resume under the equal int
+    with pytest.raises(ValueError, match="must be an int"):
+        screen.ScreenConfig(trial_limit)
 
 
 def test_config_fields_are_ints():
@@ -626,7 +655,7 @@ def test_resume_recomputes_a_record_of_the_hashed_key(tmp_path):
     assert (report.reused, report.computed) == (0, 1)
     lines = out.read_text().splitlines(keepends=True)
     assert lines[0] == old and len(lines) == 2
-    assert json.loads(lines[1])["config_hash"] == "algorithm=8,trial_limit=1000000"
+    assert json.loads(lines[1])["config_hash"] == "algorithm=9,trial_limit=1000000"
 
 
 def test_records_are_frozen_and_round_trip(tmp_path):

@@ -141,7 +141,7 @@ def test_count_bound_matches_bigint_oracle():
     assert len(bounds) == 113 and max(bounds.values()) == 11
 
 
-def test_no_n_up_to_two_to_fourteen_reaches_the_residue_scan(rho_calls):
+def test_no_n_up_to_two_to_fourteen_reaches_the_residue_scan():
     # screen.witness_search's proof: Omega(n1) <= floor(log_3 n) = 8 once n1
     # is factored completely, and at most 4 gammas are tested, so the bound
     # is at most 12 < 14; this checks the complete factoring for each n,
@@ -150,7 +150,6 @@ def test_no_n_up_to_two_to_fourteen_reaches_the_residue_scan(rho_calls):
         got = structure.count_bound(n)
         assert got.n1_omega <= math.log(n, 3) + 1e-9 and len(got.gammas) <= 4, n
         assert got.bound <= 12, n
-    assert rho_calls == []
     # the first 2^a*3^b the bound leaves: 3^13, with F_1 = 5 | C_n
     first = next(n for n in screen.enumerate_2a3b(2 * 10**6) if structure.count_bound(n).bound >= 14)
     assert first == 3**13 and structure.count_bound(first) == structure.CountBound(13, (1,))
@@ -171,21 +170,58 @@ def test_count_bound_far_past_uint64(base):
         want = tuple(g for g in range(15) if arith.cullen_mod(n, (1 << (1 << g)) + 1) == 0)
         assert got.gammas == want, n
         if base == 1 << 64:
-            # every n1 of this row factors completely, so Omega(n1) is exact
-            assert got.n1_omega == sum(sympy.factorint(arith.odd_part(n)).values()), n
+            # n1_omega bounds Omega(n1), exactly when n1 factors completely
+            omega = sum(sympy.factorint(arith.odd_part(n)).values())
+            if arith.bounded_factor(arith.odd_part(n)).cofactor == 1:
+                assert got.n1_omega == omega, n
+            else:
+                assert got.n1_omega >= omega, n
     # C_(2^64) = 2^(2^64 + 64) + 1 with 2^64 + 64 = 64 * odd, so F_6 divides it
     assert structure.count_bound(1 << 64).gammas == (6,)
 
 
 @pytest.mark.parametrize(
-    ("n", "rho_runs"),
+    ("n", "past_1009_squared"),
     [(3 * 1009, False), (3**5 * 5 * 7 * 1013, False), (1009 * 1013, True)],
 )
-def test_count_bound_past_trial_division(n, rho_runs, rho_calls):
-    # a prime above 1000 is left by trial division and proven by is_prime;
-    # two of them make a cofactor above 1009^2, which only rho splits
-    assert structure.count_bound(n).n1_omega == sum(sympy.factorint(arith.odd_part(n)).values())
-    assert bool(rho_calls) == rho_runs
+def test_count_bound_past_trial_division(n, past_1009_squared):
+    # a prime above 1000 is left by the early stop of trial division; two
+    # of them make a part of n1 above 1009^2, which the primes below 1000
+    # cannot finish, and the primes below 2^16 factor exactly
+    n1 = arith.odd_part(n)
+    factors = sympy.factorint(n1)
+    large = math.prod(p**e for p, e in factors.items() if p > 1000)
+    assert (large >= 1009**2) == past_1009_squared
+    assert arith.bounded_factor(n1) == (factors, 1)
+    assert structure.count_bound(n).n1_omega == sum(factors.values())
+
+
+def test_count_bound_is_sound_on_known_factorisations():
+    # n1 = the product of each row: n1_omega >= Omega(n1), with equality
+    # when n1 factors completely, and also when every prime is in
+    # (2^16, 65543]: a cofactor of k of them lies in (2^(16k), 2^(16k + 1))
+    small, mid, above = [3, 5, 997], [1009, 7919, 65521], [65537, 65539]
+    beyond = [
+        next(sympy.primerange(65521**2, 65537**2)),  # left by the whole table, below 65537^2
+        2**61 - 1,  # proven by Miller-Rabin
+        2**127 - 1,  # prime, but not provable by is_prime
+        (1 << 40) + 15,
+        (1 << 48) + 21,
+    ]
+    rows = [[p] for p in small + mid + above + beyond]
+    rows += [[65537] * k for k in (2, 3, 5)]
+    rows += [[3, 3, 997, 65521], [7919, 65521], [65521, 65521], [3, 65537, 65537]]
+    rows += [[65537, 65539], [65537, 65539, 65543], [65539, 65539, 65537, 65543]]
+    rows += [[65537] * k + [65539] * k for k in (2, 3)]
+    rows += [[997, 1009, 65537, 65539], [(1 << 40) + 15, (1 << 48) + 21]]
+    rows += [[2**61 - 1, 65537], [2**127 - 1, 3], [5, 7919, (1 << 40) + 15, (1 << 40) + 15]]
+    for primes in rows:
+        assert all(sympy.isprime(p) for p in primes), primes
+        n1 = math.prod(primes)
+        exact = arith.bounded_factor(n1).cofactor == 1 or max(primes) <= 65543
+        for n in (n1, n1 << 3):
+            got = structure.count_bound(n).n1_omega
+            assert got == len(primes) if exact else got >= len(primes), (primes, n)
 
 
 @pytest.mark.parametrize("n1", [3**12, 3**5 * 5**2 * 7, 3 * 5 * 7 * 11 * 13])
