@@ -2,13 +2,11 @@
 Lehmer totient condition phi(N) | N - 1."""
 
 from .arith import (
-    PowerSignature,
     bounded_factor,
     cullen_mod,
     int_nth_root,
     is_prime,
     odd_part,
-    power_signature,
     v2,
 )
 from .bounds import (
@@ -40,11 +38,9 @@ from .screen import (
 )
 from .structure import (
     CountBound,
-    CullenInstance,
     PrimeShape,
     count_bound,
     cullen_value,
-    decompose,
     prime_shape,
     shape_divides,
 )

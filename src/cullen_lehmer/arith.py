@@ -1,8 +1,8 @@
 """Arbitrary-precision integer primitives shared by every other module:
-2-adic valuations, integer roots, perfect-power detection, primality
-(proven: deterministic Miller-Rabin below about 3.3e24, Proth's theorem for
-Proth numbers above, a ValueError for any other number above), the prime
-table (a uint32 array, so primes stay below 2**32), modular
+2-adic valuations, integer roots that say whether they are exact,
+primality (proven: deterministic Miller-Rabin below about 3.3e24, Proth's
+theorem for Proth numbers above, a ValueError for any other number above),
+the prime table (a uint32 array, so primes stay below 2**32), modular
 Cullen residues and the prime divisors of C_n in a prime table, and
 factoring by trial division (bounded_factor), which leaves any part it
 cannot finish in a cofactor whose prime factors all exceed 2^16.
@@ -175,39 +175,6 @@ def int_nth_root(x: int, w: int) -> tuple[int, bool]:
     while (r + 1) ** w <= x:
         r += 1
     return r, r**w == x
-
-
-class PowerSignature(NamedTuple):
-    """Maximal representation x = base**exponent with base not a power itself."""
-
-    base: int
-    exponent: int
-
-
-def power_signature(x: int) -> PowerSignature:
-    """Canonical perfect-power form of x >= 2; exponent 1 iff x is not a power.
-
-    Tries the prime exponents p < base.bit_length() in ascending order (a
-    p-th root of a base >= 2 needs 2^p <= base) and descends into every
-    exact root, multiplying the exponent by p, before moving to the next
-    prime.  A base that is no p-th power for any prime p is no power at all,
-    so the base left at the end is not a power and the exponent is maximal.
-    The primes come from the table up to the least power of two above
-    x.bit_length(), and at least 2^10: one table serves every x below
-    2^1024, and the few table sizes cannot crowd a trial-limit table out of
-    primes_up_to's cache.
-    """
-    if x < 2:
-        raise ValueError("power_signature requires x >= 2")
-    base, exponent = x, 1
-    for p in primes_up_to(1 << max(10, x.bit_length().bit_length())):
-        if p >= base.bit_length():
-            break
-        root, exact = int_nth_root(base, p)
-        while exact:
-            base, exponent = root, exponent * p
-            root, exact = int_nth_root(base, p)
-    return PowerSignature(base, exponent)
 
 
 def _mr_witness(x: int, a: int, d: int, s: int) -> bool:

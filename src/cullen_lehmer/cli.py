@@ -178,10 +178,10 @@ def cmd_exceptional(args) -> int:
     try:
         emitter.line(_config_line(args))
         rows = exceptional.scan_exceptional(3, args.n_max)
-        for inst, cands in rows:
+        for n, cands in rows:
             for c in cands:
                 d = {
-                    "n": inst.n,
+                    "n": n,
                     "w": c.w,
                     "rho": c.rho,
                     "exponent": c.exponent,
@@ -189,7 +189,7 @@ def cmd_exceptional(args) -> int:
                 }
                 emitter.record(
                     d,
-                    f"n={inst.n}: w={c.w} rho={c.rho} p={c.rho}*2^{c.exponent}+1 "
+                    f"n={n}: w={c.w} rho={c.rho} p={c.rho}*2^{c.exponent}+1 "
                     f"({c.p.bit_length()} bits)",
                 )
         violations = exceptional.uniqueness_violations(rows)

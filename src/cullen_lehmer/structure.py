@@ -1,7 +1,6 @@
 """Cullen numbers C_n = n*2^n + 1 and the structures the Lehmer condition
-acts on: the split n = 2^alpha * n1 with n1 odd, the shape m * 2^a + 1 of an
-odd prime, and the divisibility test (p - 1) | C_n - 1 expressed through
-that shape.
+acts on: the shape m * 2^a + 1 of an odd prime, the divisibility test
+(p - 1) | C_n - 1 expressed through that shape, and the count bound.
 """
 
 from __future__ import annotations
@@ -9,41 +8,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import arith
-from .arith import PowerSignature
 
 # C_n above this needs an explicit opt-in; inner loops must use cullen_mod.
 DEFAULT_CN_CAP = 300_000
 
 # The exclusion arguments assume n >= 3; smaller n are allowed but flagged.
 MIN_ANALYSIS_N = 3
-
-
-class CullenInstance(NamedTuple):
-    """n together with its even/odd split and the power form of the odd part.
-
-    n1_signature is None exactly when n1 == 1 (pure power of two), since a
-    power signature is undefined there.
-    """
-
-    n: int
-    alpha: int
-    n1: int
-    n1_signature: PowerSignature | None
-
-    @property
-    def small_n(self) -> bool:
-        """True for n < 3, outside the range the exclusion arguments cover."""
-        return self.n < MIN_ANALYSIS_N
-
-
-def decompose(n: int) -> CullenInstance:
-    """Split n >= 1 as 2^alpha * n1 (n1 odd) and attach the signature of n1."""
-    if n < 1:
-        raise ValueError("decompose requires n >= 1")
-    alpha = arith.v2(n)
-    n1 = n >> alpha
-    sig = arith.power_signature(n1) if n1 >= 2 else None
-    return CullenInstance(n, alpha, n1, sig)
 
 
 def cullen_value(n: int, cap: int = DEFAULT_CN_CAP) -> int:
@@ -95,12 +65,13 @@ def prime_shape(p: int) -> PrimeShape:
     return PrimeShape(p, arith.odd_part(p - 1), arith.v2(p - 1))
 
 
-def shape_divides(shape: PrimeShape, inst: CullenInstance) -> bool:
+def shape_divides(shape: PrimeShape, n: int) -> bool:
     """Whether p - 1 divides C_n - 1 = n * 2^n, read off the shape.
 
-    Equivalent to m | n1 and a <= n + alpha because m is odd.
+    With n = 2^alpha * n1 (n1 odd), p - 1 = m * 2^a divides n1 * 2^(n + alpha)
+    exactly when m | n1 and a <= n + alpha, and m | n1 iff m | n as m is odd.
     """
-    return inst.n1 % shape.m == 0 and shape.a <= inst.n + inst.alpha
+    return n % shape.m == 0 and shape.a <= n + arith.v2(n)
 
 
 class CountBound(NamedTuple):

@@ -64,43 +64,6 @@ def test_int_nth_root_random():
         arith.int_nth_root(10, 1)
 
 
-@pytest.mark.parametrize(
-    "x,base,exp",
-    [(729, 3, 6), (27, 3, 3), (15, 15, 1), (4, 2, 2), (2**20, 2, 20), (36, 6, 2)],
-)
-def test_power_signature_examples(x, base, exp):
-    assert arith.power_signature(x) == arith.PowerSignature(base, exp)
-
-
-def test_power_signature_rejects_one():
-    with pytest.raises(ValueError):
-        arith.power_signature(1)
-
-
-def _power_signature_descending(x):
-    """The signature by trying every exponent from x.bit_length() - 1 down;
-    the first exact root has the maximal exponent."""
-    for w in range(x.bit_length() - 1, 1, -1):
-        root, exact = arith.int_nth_root(x, w)
-        if exact:
-            return arith.PowerSignature(root, w)
-    return arith.PowerSignature(x, 1)
-
-
-def test_power_signature_matches_descending_exponents():
-    # 2^2003 and 3^1009 have prime exponents above 1000, 6^35 a root taken twice
-    for x in [*range(2, 200_001), 2**2003, 3**1009, 6**35]:
-        assert arith.power_signature(x) == _power_signature_descending(x), x
-
-
-def test_power_signature_exhaustive_small():
-    for x in range(2, 50_000):
-        sig = arith.power_signature(x)
-        assert sig.base**sig.exponent == x
-        if sig.exponent > 1:
-            assert arith.power_signature(sig.base).exponent == 1
-
-
 @pytest.mark.parametrize("x,expected", [(1537, False), (65537, True), (1, False), (2, True)])
 def test_is_prime_examples(x, expected):
     assert arith.is_prime(x) is expected

@@ -74,7 +74,7 @@ def test_exceptional_whole_reduction_range(capsys, fmt):
 def test_exceptional_failed_certificate_exits_1(capsys, monkeypatch):
     from cullen_lehmer import exceptional
 
-    def broken(inst, cands):
+    def broken(n, cands):
         raise RuntimeError("cofactor split failed")
 
     monkeypatch.setattr(exceptional, "certify_smaller_composite", broken)

@@ -1,12 +1,14 @@
+import math
 import random
 
 import pytest
+import sympy
 
-from cullen_lehmer import arith, exceptional, structure
+from cullen_lehmer import arith, exceptional
 
 
 def test_candidates_for_27():
-    cands = exceptional.exceptional_candidates(structure.decompose(27))
+    cands = exceptional.exceptional_candidates(27)
     assert len(cands) == 1
     c = cands[0]
     assert (c.w, c.rho, c.exponent, c.p) == (3, 3, 9, 1537)
@@ -15,34 +17,32 @@ def test_candidates_for_27():
 
 def test_candidates_empty_cases():
     # n1 = 3 is not a perfect power
-    assert exceptional.exceptional_candidates(structure.decompose(12)) == []
+    assert exceptional.exceptional_candidates(12) == []
     # n1 = 243 = 3^5 but 5 does not divide n + alpha = 243
-    assert exceptional.exceptional_candidates(structure.decompose(243)) == []
+    assert exceptional.exceptional_candidates(243) == []
     # n1 = 1: the all-Fermat-prime branch never yields candidates
     for alpha in range(1, 14):
-        assert exceptional.exceptional_candidates(structure.decompose(2**alpha)) == []
+        assert exceptional.exceptional_candidates(2**alpha) == []
 
 
 def test_candidate_power_identity_over_range():
     rows = exceptional.scan_exceptional(3, 10_000)
     assert sum(len(cands) for _, cands in rows) == 16
-    for inst, cands in rows:
+    for n, cands in rows:
         for c in cands:
-            assert c.rho**c.w == inst.n1
-            assert (c.p - 1) ** c.w == inst.n << inst.n
+            assert c.rho**c.w == arith.odd_part(n)
+            assert (c.p - 1) ** c.w == n << n
             assert c.w % 2 == 1 and c.w >= 3
             # the identity with w >= 3 puts p under (n * 2^n)^(1/3) + 1
-            assert (c.p - 1) ** 3 <= inst.n << inst.n
+            assert (c.p - 1) ** 3 <= n << n
 
 
 def test_bound_equality_at_w3_strict_above():
-    inst = structure.decompose(27)
-    c = exceptional.exceptional_candidates(inst)[0]
+    c = exceptional.exceptional_candidates(27)[0]
     root, exact = arith.int_nth_root(27 << 27, 3)
     assert exact and c.p == root + 1  # equality case
 
-    inst = structure.decompose(3125)  # n1 = 5^5, w = 5 admissible
-    (c,) = exceptional.exceptional_candidates(inst)
+    (c,) = exceptional.exceptional_candidates(3125)  # n1 = 5^5, w = 5 admissible
     assert c.w == 5
     root, _ = arith.int_nth_root(3125 << 3125, 3)
     assert c.p < root + 1
@@ -86,35 +86,59 @@ def test_uniqueness_scan_through_first_multi_candidate():
     assert exceptional.uniqueness_scan(20_000) == []
 
 
-def test_multi_candidate_certification_at_19683():
-    # 19683 = 3^9 is the smallest n with two admissible w (3 and 9); the
+@pytest.mark.parametrize("n", [19683, 10077696])
+def test_multi_candidate_certification(n):
+    # 19683 = 3^9 (alpha 0) is the smallest n with two admissible w (3 and
+    # 9), and 6^9 = 10077696 = 3^9 * 2^9 the first with alpha > 0; the
     # smaller-w candidate must be certified composite via the Y + 1 divisor
-    inst = structure.decompose(19683)
-    cands = exceptional.exceptional_candidates(inst)
+    cands = exceptional.exceptional_candidates(n)
     assert [c.w for c in cands] == [3, 9]
-    certs = exceptional.certify_smaller_composite(inst, cands)
+    certs = exceptional.certify_smaller_composite(n, cands)
     assert len(certs) == 1
     cert = certs[0]
     assert cert.w == 3 and cert.lam == 3
-    assert cert.p % cert.divisor == 0 and 1 < cert.divisor < cert.p
+    # Y = p_max - 1, so the divisor Y + 1 is the largest-w candidate itself
+    assert cert.divisor == cands[-1].p
+    assert 1 < cert.divisor < cert.p and 1 < cert.cofactor
     assert cert.divisor * cert.cofactor == cert.p
 
 
 def test_certification_requires_two_candidates():
-    inst = structure.decompose(27)
-    cands = exceptional.exceptional_candidates(inst)
+    cands = exceptional.exceptional_candidates(27)
     with pytest.raises(ValueError):
-        exceptional.certify_smaller_composite(inst, cands)
+        exceptional.certify_smaller_composite(27, cands)
+
+
+def test_certification_rejects_w_not_dividing_w_max():
+    # w_max is a multiple of every candidate w; a pair that is not cannot
+    # be certified, and that raises
+    cands = [
+        exceptional.ExceptionalCandidate(3, 3, 9, 3 * 2**9 + 1),
+        exceptional.ExceptionalCandidate(5, 3, 9, 3 * 2**9 + 1),
+    ]
+    with pytest.raises(RuntimeError, match="does not divide"):
+        exceptional.certify_smaller_composite(27, cands)
+
+
+def test_candidates_match_factorint():
+    # an independent oracle: n1 = prod q^e is an exact w-th power exactly
+    # when w divides every e, so the candidates are the odd w >= 3 dividing
+    # both gcd(e) and n + alpha
+    for n in range(3, 30_001):
+        alpha = arith.v2(n)
+        n1 = n >> alpha
+        g = math.gcd(*sympy.factorint(n1).values()) if n1 > 1 else 0
+        expected = [w for w in range(3, g + 1, 2) if g % w == 0 and (n + alpha) % w == 0]
+        assert [c.w for c in exceptional.exceptional_candidates(n)] == expected, n
 
 
 def _scan_every_n(n_lo, n_hi):
-    """The scan by definition: decompose and candidates for every n."""
+    """The scan by definition: the candidates of every n."""
     rows = []
     for n in range(n_lo, n_hi + 1):
-        inst = structure.decompose(n)
-        cands = exceptional.exceptional_candidates(inst)
+        cands = exceptional.exceptional_candidates(n)
         if cands:
-            rows.append((inst, cands))
+            rows.append((n, cands))
     return rows
 
 
@@ -122,15 +146,15 @@ def _scan_every_n(n_lo, n_hi):
 def test_scan_exceptional_matches_every_n_scan(n_lo, n_hi):
     def key(rows):
         return [
-            (inst.n, [(c.w, c.rho, c.exponent, c.p) for c in cands])
-            for inst, cands in rows
+            (n, [(c.w, c.rho, c.exponent, c.p) for c in cands])
+            for n, cands in rows
         ]
 
     expected = _scan_every_n(n_lo, n_hi)
     assert key(exceptional.scan_exceptional(n_lo, n_hi)) == key(expected)
     if n_lo <= 19683 <= n_hi:
         # the first n with two admissible w (3 and 9) is in the window
-        assert any(inst.n == 19683 and len(cands) == 2 for inst, cands in expected)
+        assert any(n == 19683 and len(cands) == 2 for n, cands in expected)
     assert exceptional.uniqueness_violations(expected) == []
 
 
@@ -145,11 +169,11 @@ def test_uniqueness_needs_no_primality_test(monkeypatch):
     rows = exceptional.scan_exceptional(3, 200_000)
     assert len(rows) == 48
     assert sum(len(cands) for _, cands in rows) == 49
-    assert [inst.n for inst, cands in rows if len(cands) > 1] == [19683]
+    assert [n for n, cands in rows if len(cands) > 1] == [19683]
 
 
 def test_failed_certificate_is_a_violation(monkeypatch):
-    def broken(inst, cands):
+    def broken(n, cands):
         raise RuntimeError("cofactor split failed")
 
     monkeypatch.setattr(exceptional, "certify_smaller_composite", broken)

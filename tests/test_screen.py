@@ -88,6 +88,15 @@ def test_witness_search_examples(n, status, witness):
         assert _residue_witness(n, 10**6) == (status, witness)
 
 
+def test_witness_search_flags_small_n():
+    # n < 3 lies outside the range the exclusion arguments cover, and the
+    # verdict's reason says so; from n = 3 on it does not
+    note = "n < 3 is outside the exclusion arguments"
+    assert note in screen.witness_search(1).reason
+    assert note in screen.witness_search(2).reason
+    assert note not in screen.witness_search(3).reason
+
+
 def _omega(x):
     """Omega(x), the prime factors of x >= 1 with multiplicity, by trial
     division."""

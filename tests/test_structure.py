@@ -8,35 +8,6 @@ import sympy
 from cullen_lehmer import arith, screen, structure
 
 
-def test_decompose_examples():
-    inst = structure.decompose(12)
-    assert (inst.alpha, inst.n1) == (2, 3)
-    assert inst.n1_signature == arith.PowerSignature(3, 1)
-
-    inst = structure.decompose(27)
-    assert (inst.alpha, inst.n1) == (0, 27)
-    assert inst.n1_signature == arith.PowerSignature(3, 3)
-
-    inst = structure.decompose(16)
-    assert (inst.alpha, inst.n1) == (4, 1)
-    assert inst.n1_signature is None
-
-
-def test_decompose_flags_small_n():
-    assert structure.decompose(1).small_n
-    assert structure.decompose(2).small_n
-    assert not structure.decompose(3).small_n
-
-
-def test_decompose_reconstructs():
-    rng = random.Random(10)
-    for _ in range(2000):
-        n = rng.randrange(1, 10**9)
-        inst = structure.decompose(n)
-        assert inst.n1 % 2 == 1
-        assert inst.n1 << inst.alpha == n
-
-
 def test_cullen_value_examples():
     assert structure.cullen_value(1) == 3
     assert structure.cullen_value(6) == 385
@@ -96,13 +67,12 @@ def test_shape_structural_validation():
 
 
 def test_shape_divides_examples():
-    inst6 = structure.decompose(6)
-    assert structure.shape_divides(structure.prime_shape(11), inst6) is False
-    assert structure.shape_divides(structure.prime_shape(7), inst6) is True
+    assert structure.shape_divides(structure.prime_shape(11), 6) is False
+    assert structure.shape_divides(structure.prime_shape(7), 6) is True
     # m = 1 divides everything once the exponent fits
     s3 = structure.prime_shape(3)
     for n in (1, 2, 17, 100):
-        assert structure.shape_divides(s3, structure.decompose(n))
+        assert structure.shape_divides(s3, n)
 
 
 def test_shape_divides_matches_bigint(primes_10k):
@@ -111,9 +81,8 @@ def test_shape_divides_matches_bigint(primes_10k):
     for _ in range(4000):
         n = rng.randrange(1, 501)
         p = odd_primes[rng.randrange(len(odd_primes))]
-        inst = structure.decompose(n)
         direct = (n * 2**n) % (p - 1) == 0
-        assert structure.shape_divides(structure.prime_shape(p), inst) == direct
+        assert structure.shape_divides(structure.prime_shape(p), n) == direct
 
 
 def test_cullen_one_mod_three_when_three_divides_n():
