@@ -213,20 +213,16 @@ class FinalForm(NamedTuple):
 
 class BoundChain(NamedTuple):
     steps: tuple[BoundStep, ...]
-    final_form: FinalForm | None
-    min_omega: int
-
-    @property
-    def complete(self) -> bool:
-        return self.final_form is not None
+    final_form: FinalForm
 
 
-def refine_chain(min_omega: int = LEHMER_MIN_OMEGA) -> BoundChain:
+def refine_chain() -> BoundChain:
     """Run the whole cascade under the hypothesis that some C_n is a Lehmer
-    number with at least min_omega distinct prime factors.  A side case is
-    refuted when its k bound drops below min_omega; a main-line k bound
-    below min_omega halts the cascade short of the final form.  A computed
-    value over the stated constant it relies on raises RuntimeError."""
+    number, so has at least LEHMER_MIN_OMEGA distinct prime factors (read
+    when called).  A side case is refuted by its k bound falling below that
+    constant.  Every check raises RuntimeError naming its step when it does
+    not hold: a computed value over the stated constant it relies on, or a
+    side case whose k bound reaches LEHMER_MIN_OMEGA."""
     steps: list[BoundStep] = []
     assumptions = ("lehmer C_n", "n1 = rho^w, w >= 3")
     n_bound = stated = k_bound = None
@@ -240,7 +236,6 @@ def refine_chain(min_omega: int = LEHMER_MIN_OMEGA) -> BoundChain:
                 rel = "<" if strict else "<="
                 raise RuntimeError(f"cascade step {anchor}: {value} is not {rel} stated {limit}")
         steps.append(BoundStep(label, assumptions + extra, k, n_bound, stated, anchor, detail))
-        return k
 
     def threshold(anchor, label, constant):
         nonlocal n_bound, stated
@@ -253,7 +248,7 @@ def refine_chain(min_omega: int = LEHMER_MIN_OMEGA) -> BoundChain:
             f"sqrt(n)/(9 sqrt(ln n)) {claim} from n = {n_bound}; "
             f"surviving n < {n_bound} (stated {stated})"
         )
-        return add(anchor, label.format(k=k_bound), k_bound, detail)
+        add(anchor, label.format(k=k_bound), k_bound, detail)
 
     def fermat_cap(anchor, label, _constant):
         nonlocal fermat
@@ -263,7 +258,7 @@ def refine_chain(min_omega: int = LEHMER_MIN_OMEGA) -> BoundChain:
             f"2^(2^gamma)+1 <= C_n forces gamma <= {size_cap}; known primes force gamma "
             f"<= {eff_cap}, so at most {fermat} Fermat-prime factors"
         )
-        return add(anchor, label, None, detail)
+        add(anchor, label, None, detail)
 
     def count(anchor, label, stated_log):
         """k bound: Fermat primes plus factors with m >= 3 (or the 3 | n step)."""
@@ -283,10 +278,11 @@ def refine_chain(min_omega: int = LEHMER_MIN_OMEGA) -> BoundChain:
             )
         k_bound = fermat + cap3
         detail = f"{reason} k <= {fermat}+{cap3} = {k_bound}"
-        return add(anchor, label, k_bound, detail, quoted=quoted)
+        add(anchor, label, k_bound, detail, quoted=quoted)
 
     def side_case(anchor, label, constant):
-        """A case off the main line, refuted once its k bound is below min_omega."""
+        """A case off the main line, refuted by its k bound being below
+        LEHMER_MIN_OMEGA; checked as a strict stated constant like its cap."""
         if anchor == "case-3-coprime":
             value, cap = math.log(stated) / math.log(5), nonfermat_factor_cap(stated, 5)
             case, conclusion = "3 does not divide n", "3 | n"
@@ -304,11 +300,9 @@ def refine_chain(min_omega: int = LEHMER_MIN_OMEGA) -> BoundChain:
                 f"(stated < {constant}); worst case q = 5, larger q only shrink it, and "
                 f"q >= 59 has q^3 > {stated}; k <= {int(value)}+{fermat} = {k}"
             )
-        if k < min_omega:
-            detail += f" < {min_omega}: contradiction, hence {conclusion}"
-        else:
-            detail += f" >= {min_omega}: no contradiction"
-        return add(anchor, label, k, detail, (case,), ((value, constant, True),))
+        detail += f" < {LEHMER_MIN_OMEGA}: contradiction, hence {conclusion}"
+        quoted = ((value, constant, True), (k, LEHMER_MIN_OMEGA, True))
+        add(anchor, label, k, detail, (case,), quoted)
 
     # the cascade in order, each step with the stated constant it relies on
     cascade = (
@@ -323,18 +317,8 @@ def refine_chain(min_omega: int = LEHMER_MIN_OMEGA) -> BoundChain:
         (side_case, "case-q5", "side case: some prime q >= 5 divides n", STATED_Q5_CAP),
     )
     for run, anchor, label, constant in cascade:
-        k = run(anchor, label, constant)
-        if run is side_case and k >= min_omega:
-            return BoundChain(tuple(steps), None, min_omega)
-        if run is count and k < min_omega:
-            detail = (
-                f"main-line bound k <= {k} is already below the distinct-prime threshold "
-                f"{min_omega}; no hypothetical survives, the staged case analysis stops "
-                "before the final form"
-            )
-            add("halt", "cascade halted", k, detail)
-            return BoundChain(tuple(steps), None, min_omega)
+        run(anchor, label, constant)
 
     detail = f"n = 2^a*3^b, n < {stated} (computed {n_bound}), k <= {k_bound}"
     add("final-form", "final form", k_bound, detail)
-    return BoundChain(tuple(steps), FinalForm("2^a*3^b", stated, n_bound, k_bound), min_omega)
+    return BoundChain(tuple(steps), FinalForm("2^a*3^b", stated, n_bound, k_bound))

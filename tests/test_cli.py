@@ -18,12 +18,6 @@ def test_bounds_default_final_line(capsys):
     assert "n = 2^α·3^β, n < 200,000, k ≤ 15" in out
 
 
-def test_bounds_high_min_omega_incomplete(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--min-omega", "99")
-    assert code == 1
-    assert "chain incomplete" in out
-
-
 def test_bounds_jsonl_one_step_per_line(capsys):
     code, out, err = run_cli(capsys, "bounds", "--format", "jsonl")
     assert code == 0
@@ -252,13 +246,14 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["bogus-command"]) == 2
 
 
-def test_bounds_broken_stated_constant_exits_2(monkeypatch, capsys):
+def test_bounds_broken_stated_constant_exits_1(monkeypatch, capsys):
     from cullen_lehmer import bounds
 
     monkeypatch.setattr(bounds, "STATED_N_AT_K17", 250_000)
-    code, _, err = run_cli(capsys, "bounds")
-    assert code == 2
-    assert err.startswith("error: ") and "threshold-k17" in err
+    code, out, err = run_cli(capsys, "bounds")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cascade step threshold-k17: ")
 
 
 def test_bounds_records_carry_no_config_hash(capsys):
@@ -270,6 +265,7 @@ def test_bounds_records_carry_no_config_hash(capsys):
 
 def test_flags_only_where_read(capsys):
     assert cli.main(["bounds", "--workers", "2"]) == 2
+    assert cli.main(["bounds", "--min-omega", "14"]) == 2
     assert cli.main(["exceptional", "--min-omega", "3"]) == 2
     assert cli.main(["screen", "--min-omega", "3"]) == 2
     assert cli.main(["screen", "--mr-rounds", "8"]) == 2

@@ -389,6 +389,19 @@ def test_unprovable_prime_n1_is_refuted_by_count():
     )
 
 
+def test_proth_prime_n1_is_refuted_by_count():
+    # a 278-bit Proth prime: only Proth's theorem in is_prime proves it
+    # prime, so it counts 1 and, with F_0 = 3 | C_n, gives bound 2; left
+    # unproven it would count (278 - 1) // 16 = 17, bound 18 >= 14, and go on
+    # to the residue scan
+    n = 3 * 2**276 + 1
+    assert n > arith._DET_MR_LIMIT and arith.is_prime(n)
+    assert structure.count_bound(n) == structure.CountBound(1, (0,))
+    v = screen.witness_search(n)
+    assert (v.status, v.witness) == ("REFUTED_COUNT", 2)
+    assert v.reason.endswith(f"<= 1 + 1 = 2 < 14 distinct prime factors: n1 = {n}, gamma = 0")
+
+
 # n -> count bound of all 113 n = 2^a*3^b < 200,000, from sympy.factorint
 # and C_n % F_gamma in big ints; at most 11, so every one is REFUTED_COUNT
 _COUNT_BOUND = {
