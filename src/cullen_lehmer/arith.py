@@ -8,8 +8,8 @@ factoring by trial division (bounded_factor), which leaves any part it
 cannot finish in a cofactor whose prime factors all exceed 2^16.
 
 cullen_divisors scans the prime table in numpy: binary powering of 2^n mod
-q over blocks of primes, in float64 with balanced residues for blocks of
-primes below FLOAT_BELOW = 2**26, in uint64 for blocks holding a larger one.
+q over blocks of primes, in float64 with balanced residues, exact for every
+prime below FLOAT_BELOW = 2**26, the bound it checks on its limit.
 
 numpy is imported inside the functions that use it, never at module level:
 by cullen_divisors, for a table that is not empty, and by primes_up_to for
@@ -51,15 +51,14 @@ VECTOR_ABOVE = 10**6
 # Odd numbers per segment of the prime sieve, one byte each.
 SIEVE_SEGMENT = 1 << 17
 
-# Blocks of the numpy kernel whose largest prime is below this run in
-# float64: balanced residues |x| <= (q+1)/2 <= 2**25 keep every doubled
-# square 2*x^2 <= 2**51 below 2**53, exact in a double.  Blocks holding a
-# larger prime (the table reaches 2**32) run in uint64.
+# cullen_divisors takes a limit below this, so the numpy kernel runs every
+# prime in float64: balanced residues |x| <= (q+1)/2 <= 2**25 keep every
+# doubled square 2*x^2 <= 2**51 below 2**53, exact in a double.
 FLOAT_BELOW = 1 << 26
 
 # The numpy kernel's powering starts at 2^lead for a leading bit-prefix of n
-# with value lead <= LEAD_MAX, which keeps the start value within the float64
-# path's 2**51 bound and its quotient within 2**25 + 1.
+# with value lead <= LEAD_MAX, which keeps the start value within the kernel's
+# 2**51 bound and its quotient within 2**25 + 1.
 LEAD_MAX = 25
 
 
@@ -147,8 +146,8 @@ def odd_part(x: int) -> int:
 def int_nth_root(x: int, w: int) -> tuple[int, bool]:
     """(floor(x^(1/w)), exact?) for x >= 1, w >= 2.
 
-    Exact integer arithmetic throughout; the float fast path is corrected
-    so boundary cases cannot leak through.
+    Integer Newton iteration from the over-estimate 2^ceil(bits/w), which
+    descends to the floor, then checked by exact powers.
     """
     if x < 1:
         raise ValueError("int_nth_root requires x >= 1")
@@ -159,17 +158,12 @@ def int_nth_root(x: int, w: int) -> tuple[int, bool]:
     if w >= x.bit_length():
         # 2^w > x, so the root can only be 1
         return 1, False
-    if x < (1 << 53):
-        r = int(round(x ** (1.0 / w)))
-        r = max(r, 1)
-    else:
-        # Newton iteration from an over-estimate; converges to the floor
-        r = 1 << -(-x.bit_length() // w)
-        while True:
-            t = ((w - 1) * r + x // r ** (w - 1)) // w
-            if t >= r:
-                break
-            r = t
+    r = 1 << -(-x.bit_length() // w)
+    while True:
+        t = ((w - 1) * r + x // r ** (w - 1)) // w
+        if t >= r:
+            break
+        r = t
     while r**w > x:
         r -= 1
     while (r + 1) ** w <= x:
@@ -220,9 +214,9 @@ def _provable(x: int) -> bool:
 
 def is_prime(x: int) -> bool:
     """Primality with a proof: trial division by the primes below 1000,
-    then Miller-Rabin with the first thirteen prime bases below
-    _DET_MR_LIMIT (about 3.3e24), where they are deterministic, then
-    Proth's theorem (Proth 1878).
+    which stops at the first p with p*p > x, then Miller-Rabin with the
+    first thirteen prime bases below _DET_MR_LIMIT (about 3.3e24), where
+    they are deterministic, then Proth's theorem (Proth 1878).
 
     Above the limit a perfect square is composite, and any other x must be
     a Proth number (see _provable): with the least prime a < 1000 of
@@ -233,8 +227,9 @@ def is_prime(x: int) -> bool:
     if x < 2:
         return False
     for p in _SMALL_PRIMES:
-        if x == p:
+        if p * p > x:
             return True
+        # p*p <= x, so x is not p itself
         if x % p == 0:
             return False
     if x < 1_002_001:
@@ -268,43 +263,44 @@ def cullen_divisors(n: int, limit: int) -> Iterator[int]:
     """The primes q <= limit with q | C_n, ascending, each once, by the
     numpy kernel _cullen_divisors_vec.
 
-    A generator, so a caller that stops at the first witness stops the scan
-    there.  An empty table (limit < 2) yields nothing and imports nothing.
+    Raises ValueError for limit >= FLOAT_BELOW before sieving anything.
+    The iterator scans lazily, so a caller that stops at the first witness
+    stops the scan there.  An empty table (limit < 2) yields nothing and
+    imports nothing.
     """
     if n < 1:
         raise ValueError("cullen_divisors requires n >= 1")
+    if limit >= FLOAT_BELOW:
+        raise ValueError(f"cullen_divisors requires limit < 2**26, got {limit}")
     primes = primes_up_to(limit)
-    if primes:
-        yield from _cullen_divisors_vec(n, primes)
+    return _cullen_divisors_vec(n, primes) if primes else iter(())
 
 
 def _cullen_divisors_vec(n: int, primes: array) -> Iterator[int]:
-    """cullen_divisors over whole blocks of the table in numpy.
+    """cullen_divisors over whole blocks of a table of primes below
+    FLOAT_BELOW = 2**26 in numpy.
 
     Blocks start at 1024 primes and double up to 2**16, so an n with a
     small witness costs little and the temporaries stay small.  n mod q is
     n itself in a block whose smallest prime exceeds n; in any other block
     it comes from Horner's rule over the 32-bit limbs of n in uint64 (each
-    step is below q * 2**32 <= 2**64), so every n >= 1 works.  2^n mod q
+    step is below q * 2**32 < 2**58), so every n >= 1 works.  2^n mod q
     comes from left-to-right binary powering that starts at 2^lead, for
     the longest leading bit-prefix of n whose value lead is at most
     LEAD_MAX = 25, reduced once; then C_n mod q = 2^n * (n mod q) + 1
-    mod q, on one of two paths:
+    mod q.
 
-    - A block whose largest prime is below FLOAT_BELOW = 2**26 runs in
-      float64 with balanced residues |x| <= (q+1)/2 <= 2**25, reduced by
-      x - rint(x * fl(1/q)) * q (Shoup's floating-point quotient, as in
-      NTL's MulMod).  Every step is exact.  The start value 2^lead <= 2**25
-      and each square or doubled square s have |s| <= 2**51 < 2**53
-      (for the squares, |s| <= 2*((q+1)/2)^2).  s * fl(1/q) is within
-      relative 2**-52 of s/q, where |s/q| < 2**25 + 1 (for the start value
-      because q >= 2), so the rint quotient est is the integer nearest s/q,
-      or, where s/q lies within about 2**-27 of a half-integer, the other
-      neighbour; either way the integer s - est*q is below q/2 + 1 in
-      magnitude, so at most (q+1)/2.  And |est*q| < 2**53 and
-      |x * (n mod q)| < 2**51, so every product and difference is exact.
-    - Any other block runs in uint64 with residues below q < 2**32, so every
-      product is below 2**64; each step is one hardware % per element.
+    Every step runs in float64 with balanced residues |x| <= (q+1)/2 <=
+    2**25, reduced by x - rint(x * fl(1/q)) * q (Shoup's floating-point
+    quotient, as in NTL's MulMod), and every step is exact.  The start
+    value 2^lead <= 2**25 and each square or doubled square s have
+    |s| <= 2**51 < 2**53 (for the squares, |s| <= 2*((q+1)/2)^2).
+    s * fl(1/q) is within relative 2**-52 of s/q, where |s/q| < 2**25 + 1
+    (for the start value because q >= 2), so the rint quotient est is the
+    integer nearest s/q, or, where s/q lies within about 2**-27 of a
+    half-integer, the other neighbour; either way the integer s - est*q is
+    below q/2 + 1 in magnitude, so at most (q+1)/2.  And |est*q| < 2**53
+    and |x * (n mod q)| < 2**51, so every product and difference is exact.
     """
     import numpy as np
 
@@ -316,26 +312,21 @@ def _cullen_divisors_vec(n: int, primes: array) -> Iterator[int]:
     start, size = 0, 1024
     while start < len(table):
         block = table[start : start + size]
-        in_float = block[-1] < FLOAT_BELOW
         # n mod q = n needs every q of the block above n: n mod n is 0
-        n_below = int(block[0]) > n
-        q = None if in_float and n_below else block.astype(np.uint64)
-        if n_below:
+        if int(block[0]) > n:
             n_mod_q = n
         else:
+            q = block.astype(np.uint64)
             n_mod_q = 0
             for limb in limbs:
                 n_mod_q = ((n_mod_q << 32) + limb) % q
-        if in_float:
-            hit = _cullen_zero_float(lead, bits, block.astype(np.float64), n_mod_q)
-        else:
-            hit = _cullen_zero_uint64(lead, bits, q, n_mod_q)
+        hit = _cullen_zero(lead, bits, block.astype(np.float64), n_mod_q)
         yield from block[hit].tolist()
         start += size
         size = min(2 * size, 1 << 16)
 
 
-def _cullen_zero_float(lead: int, bits: str, q, n_mod_q):
+def _cullen_zero(lead: int, bits: str, q, n_mod_q):
     """C_n mod q == 0 for each prime q < FLOAT_BELOW of a float64 array, n
     given by its leading prefix value lead <= LEAD_MAX, the bits after that
     prefix, and n mod q; see _cullen_divisors_vec for why every step is
@@ -362,20 +353,6 @@ def _cullen_zero_float(lead: int, bits: str, q, n_mod_q):
     # |x| <= (q+1)/2, so -1 mod q is x = -1, or x = q - 1 for q <= 3
     x += 1
     return (x == 0) | (x == q)
-
-
-def _cullen_zero_uint64(lead: int, bits: str, q, n_mod_q):
-    """C_n mod q == 0 for each prime q < 2**32 of a uint64 array, n given by
-    its leading prefix value lead <= LEAD_MAX, the bits after that prefix,
-    and n mod q."""
-    import numpy as np
-
-    x = np.uint64(1 << lead) % q
-    for bit in bits:
-        x = x * x % q
-        if bit == "1":
-            x = (x << 1) % q
-    return (x * n_mod_q + 1) % q == 0
 
 
 class FactorResult(NamedTuple):

@@ -145,16 +145,14 @@ def nonfermat_factor_cap(n_bound: int, min_m: int) -> int:
     multiplier m exceeds 1, i.e. floor(log(n_bound) / log(min_m)).
 
     Those multipliers are distinct odd divisors >= min_m whose product is
-    bounded by the odd part of n < n_bound.  The floor is certified by
-    exact integer powers.
+    bounded by the odd part of n < n_bound.  The floor is counted by exact
+    integer powers.
     """
     if n_bound < 2 or min_m < 3 or min_m % 2 == 0:
         raise ValueError("nonfermat_factor_cap requires n_bound >= 2 and odd min_m >= 3")
-    f = int(math.log(n_bound) / math.log(min_m))
+    f = 0
     while min_m ** (f + 1) <= n_bound:
         f += 1
-    while f > 0 and min_m**f > n_bound:
-        f -= 1
     return f
 
 

@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="which_set",
         choices=("pow23", "range", "file"),
         default="pow23",
-        help="pow23: n = 2^a*3^b <= n-max; range: 1..n-max; file: one n per line",
+        help="pow23: n = 2^a*3^b <= n-max; range: 1..n-max; file: one decimal n per line",
     )
     p_scr.add_argument("--n-max", type=int, help="cap of --set pow23 or range (default 3000)")
     p_scr.add_argument("--n-file", help="file of n values, read only with --set file")
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trial-limit",
         type=int,
         default=screen.DEFAULT_TRIAL_LIMIT,
-        help="scan prime witnesses up to this bound, below 2^32 (default 10^6); read only"
+        help="scan prime witnesses up to this bound, below 2^26 (default 10^6); read only"
         " for n whose count bound reaches 14",
     )
     p_scr.add_argument(
@@ -211,11 +211,18 @@ def cmd_screen(args) -> int:
         except OSError as exc:
             print(f"cannot read {args.n_file}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            n_values = [int(line) for line in text.split()]
-        except ValueError:
-            print(f"{args.n_file} must contain one integer per line", file=sys.stderr)
-            return EXIT_USAGE
+        n_values = []
+        for number, line in enumerate(text.split("\n"), 1):
+            digits = line.strip()
+            if not digits:
+                continue
+            if not (digits.isascii() and digits.isdigit()):
+                print(
+                    f"{args.n_file}:{number}: want one decimal n per line: {line!r}",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
+            n_values.append(int(digits))
     elif args.n_file:
         print("--n-file is read only with --set file", file=sys.stderr)
         return EXIT_USAGE

@@ -88,8 +88,8 @@ class ScreenConfig(_ScreenConfigFields):
         # differently, so only an int is taken
         if type(trial_limit) is not int:
             raise ValueError(f"trial limit must be an int, got {trial_limit!r}")
-        if not 0 <= trial_limit < 1 << 32:
-            raise ValueError(f"trial limit must be in [0, 2**32), got {trial_limit}")
+        if not 0 <= trial_limit < arith.FLOAT_BELOW:
+            raise ValueError(f"trial limit must be in [0, 2**26), got {trial_limit}")
         return super().__new__(cls, trial_limit)
 
 

@@ -219,32 +219,30 @@ def test_vector_kernel_matches_cullen_mod():
         assert list(arith._cullen_divisors_vec(n, primes)) == want, n
 
 
-def test_vector_kernel_exact_on_both_sides_of_the_float_cut():
-    # tables[0] is one 1024-prime block ending at the largest prime below
-    # FLOAT_BELOW, so it runs in float64 at the top of its range; tables[1]
-    # has a float64 block of 1024 primes below the cut, then a uint64 block
-    # that mixes the next 400 with primes above the cut and the largest
-    # primes below 2**32
+def test_vector_kernel_exact_at_the_top_of_its_range(monkeypatch):
+    # one 1024-prime block ending at the largest prime below FLOAT_BELOW,
+    # so float64 runs at the top of its range
     cut = arith.FLOAT_BELOW
     below = list(sympy.primerange(cut - 30_000, cut))
-    above = list(sympy.primerange(cut, cut + 10_000))
-    top = list(sympy.primerange(2**32 - 8_000, 2**32))
-    assert len(below) > 1024 + 400 and above and top
-    tables = [array("I", below[-1024:]), array("I", below[-1424:] + above + top)]
-    # q | C_(q-2) for every odd prime q, so each path must report a hit: the
-    # first two in float64, the rest in uint64
-    hit_primes = [below[-1424 + 1023], below[-1], above[0], above[-1], top[-1]]
+    assert len(below) > 1024
+    table = array("I", below[-1024:])
+    # q | C_(q-2) for every odd prime q, so the top prime must be reported
     rng = random.Random(26)
-    ns = {1, 2, 3, 96, 139968, 2**64 + 1, *(rng.randrange(1, 2**33) for _ in range(10))}
-    ns |= {q - 2 for q in hit_primes}
-    hits = [set(), set()]
-    for table, found, block_starts in zip(tables, hits, [(0,), (0, 1024)]):
-        # for tables[1], the n mod q edges fall on both paths
-        for n in sorted(ns | _kernel_edge_ns(table, block_starts)):
-            want = [q for q in table if arith.cullen_mod(n, q) == 0]
-            assert list(arith._cullen_divisors_vec(n, table)) == want, n
-            found.update(want)
-    assert below[-1] in hits[0] and set(hit_primes) <= hits[1]
+    # 2**64 - 59 has two 32-bit limbs, 2**64 + 1 three
+    ns = {1, 2, 3, 96, 139968, 2**64 - 59, 2**64 + 1}
+    ns |= {rng.randrange(1, 2**33) for _ in range(10)}
+    ns |= {below[-1] - 2}
+    found = set()
+    for n in sorted(ns | _kernel_edge_ns(table, (0,))):
+        want = [q for q in table if arith.cullen_mod(n, q) == 0]
+        assert list(arith._cullen_divisors_vec(n, table)) == want, n
+        found.update(want)
+    assert below[-1] in found
+    # a limit at the cut is refused at the call, before any table is sieved
+    monkeypatch.setattr(arith, "primes_up_to", lambda limit: pytest.fail("sieved"))
+    for limit in (cut, 2**32):
+        with pytest.raises(ValueError, match="2\\*\\*26"):
+            arith.cullen_divisors(96, limit)
 
 
 def _cullen_divisors_loop(n, limit):

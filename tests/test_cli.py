@@ -150,6 +150,18 @@ def test_screen_file_set_takes_n_past_uint64(tmp_path, capsys):
     assert f"n={2**64}: REFUTED_COUNT witness=1" in out
 
 
+@pytest.mark.parametrize("bad", ["1_000", "+5", "5 7", "-5", "0x10", "٣"])
+def test_screen_file_set_reads_one_decimal_n_per_line(tmp_path, capsys, bad):
+    nf = tmp_path / "ns.txt"
+    nf.write_text("6\n\n 9 \r\n\n")
+    code, out, _ = run_cli(capsys, "screen", "--set", "file", "--n-file", str(nf))
+    assert code == 0 and "n=6:" in out and "n=9:" in out
+    nf.write_text(f"6\n\n{bad}\n9\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "screen", "--set", "file", "--n-file", str(nf))
+    assert (code, out) == (2, "")
+    assert f"{nf}:3: want one decimal n per line: {bad!r}" in err
+
+
 def test_screen_file_set_requires_file(capsys):
     code, _, err = run_cli(capsys, "screen", "--set", "file")
     assert code == 2
@@ -284,8 +296,8 @@ def test_unopenable_output_exits_2(tmp_path, capsys, command):
     assert err.startswith("error: cannot open results file") and str(path) in err
 
 
-@pytest.mark.parametrize("limit", ["-1", "4294967296", "5000000000"])
+@pytest.mark.parametrize("limit", ["-1", "67108864", "4294967296", "5000000000"])
 def test_screen_trial_limit_outside_uint32_exits_2(capsys, limit):
     code, _, err = run_cli(capsys, "screen", "--n-max", "10", "--trial-limit", limit)
     assert code == 2
-    assert err.startswith("error: ") and "2**32" in err
+    assert err.startswith("error: ") and "2**26" in err
