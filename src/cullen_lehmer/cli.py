@@ -302,6 +302,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    # a file n of more than 4300 digits, its n1 in a reason and its JSON
+    # record all pass through int/str conversion; lifted only in this
+    # process, not in main, which library callers run inside their own
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         sys.exit(main())
     except BrokenPipeError:

@@ -151,6 +151,19 @@ def witness_search(
     alpha = arith.v2(n)
     n1 = n >> alpha
     note = "; n < 3 is outside the exclusion arguments" if n < structure.MIN_ANALYSIS_N else ""
+    if count is None:
+        count = structure.count_bound(n)
+    bound = count.bound
+    if bound < LEHMER_MIN_OMEGA:
+        listed = ", ".join(map(str, count.gammas)) or "none"
+        reason = (
+            f"a Lehmer C_{n} has at most Omega(n1) + #{{gamma : F_gamma | C_{n}}} <= "
+            f"{count.n1_omega} + {len(count.gammas)} = {bound} < {LEHMER_MIN_OMEGA} "
+            f"distinct prime factors: n1 = {n1}, gamma = {listed}{note}"
+        )
+        return Verdict(
+            n, REFUTED_COUNT, bound, reason, cfg.trial_limit, time.perf_counter() - start
+        )
 
     def done(status, witness, reason):
         return Verdict(
@@ -160,18 +173,6 @@ def witness_search(
             reason=reason + note,
             trial_limit_used=cfg.trial_limit,
             elapsed=time.perf_counter() - start,
-        )
-
-    if count is None:
-        count = structure.count_bound(n)
-    if count.bound < LEHMER_MIN_OMEGA:
-        gammas = ", ".join(map(str, count.gammas)) or "none"
-        return done(
-            REFUTED_COUNT,
-            count.bound,
-            f"a Lehmer C_{n} has at most Omega(n1) + #{{gamma : F_gamma | C_{n}}} <= "
-            f"{count.n1_omega} + {len(count.gammas)} = {count.bound} < {LEHMER_MIN_OMEGA} "
-            f"distinct prime factors: n1 = {n1}, gamma = {gammas}",
         )
 
     for q in arith.cullen_divisors(n, cfg.trial_limit):
@@ -193,7 +194,7 @@ def witness_search(
     return done(
         UNDECIDED,
         None,
-        f"no witness below {cfg.trial_limit} and count bound {count.bound} >= {LEHMER_MIN_OMEGA}",
+        f"no witness below {cfg.trial_limit} and count bound {bound} >= {LEHMER_MIN_OMEGA}",
     )
 
 
@@ -231,7 +232,13 @@ def load_records(path: Path, cfg_hash: str) -> dict[int, Verdict]:
                 continue
             try:
                 d = json.loads(line)
-                if isinstance(d, dict) and d.get("config_hash") == cfg_hash:
+                # true == 1 and 5.0 == 5, but only an int is an n: the
+                # exact-int rule ScreenConfig applies to trial_limit
+                if (
+                    isinstance(d, dict)
+                    and d.get("config_hash") == cfg_hash
+                    and type(d["n"]) is int
+                ):
                     found[d["n"]] = _verdict_from_record(d)
             except (KeyError, TypeError, ValueError):
                 continue  # not JSON, or JSON missing a field or of the wrong type

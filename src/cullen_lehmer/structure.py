@@ -98,8 +98,11 @@ def count_bound(n: int) -> CountBound:
     2^i + 1, so i = 2^gamma and p = F_gamma = 2^(2^gamma) + 1.  No fact
     about which F_gamma are prime is used.
 
-    Only gamma with L = 2^gamma <= n.bit_length() can have F_gamma | C_n,
-    so each test is a cullen_mod with a modulus of at most 2n + 1.  For
+    Only gamma with L = 2^gamma <= n.bit_length() can have F_gamma | C_n.
+    For such a gamma, 2^L = -1 (mod F_gamma), so 2 has order 2L modulo
+    F_gamma and 2^n = 2^(n mod 2L): each test reduces n modulo F_gamma,
+    which is at most 2n + 1, and takes at most gamma + 1 squarings, where
+    pow(2, n, F_gamma) would take n.bit_length().  For
     L > n.bit_length(), so n < 2^(L-1), let F = F_gamma: 2^L = -1 (mod F)
     gives 2^n = e*2^s with s = n mod L, e = +-1, and 2^-s = -2^(L-s), so
     F | C_n means n = e*2^(L-s) (mod F).  For s = 0 that is n = 2^L (too
@@ -119,5 +122,9 @@ def count_bound(n: int) -> CountBound:
     split = arith.bounded_factor(arith.odd_part(n))
     omega = sum(split.factors.values()) + (split.cofactor.bit_length() - 1) // 16
     span = n.bit_length().bit_length()
-    gammas = tuple(g for g in range(span) if arith.cullen_mod(n, (1 << (1 << g)) + 1) == 0)
-    return CountBound(omega, gammas)
+    gammas = []
+    for g in range(span):
+        f = (1 << (1 << g)) + 1
+        if (n % f * pow(2, n % (2 << g), f) + 1) % f == 0:
+            gammas.append(g)
+    return CountBound(omega, tuple(gammas))

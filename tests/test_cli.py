@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,20 @@ def test_screen_file_set_takes_n_past_uint64(tmp_path, capsys):
     assert code == 0
     assert f"n={n}: REFUTED_SHAPE witness=6563" in out
     assert f"n={2**64}: REFUTED_COUNT witness=1" in out
+
+
+def test_console_script_screens_an_n_past_the_int_digit_limit(tmp_path):
+    # Python refuses int/str conversion past 4300 digits by default; the
+    # process entry point lifts that limit, so a file n of 4301 digits is
+    # screened: 89 | C_n and 88 = 11*2^3, while 11 does not divide n
+    nf = tmp_path / "ns.txt"
+    nf.write_text("3" * 4301 + "\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "cullen_lehmer.cli", "screen", "--set", "file", "--n-file", str(nf)]
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert ": REFUTED_SHAPE witness=89  (89 | C_" in out.stdout
 
 
 @pytest.mark.parametrize("bad", ["1_000", "+5", "5 7", "-5", "0x10", "٣"])

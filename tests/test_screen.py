@@ -231,6 +231,25 @@ def test_resume_skips_lines_that_are_not_records(tmp_path, line):
     assert set(screen.load_records(out, cfg_hash)) == {6, 9}
 
 
+def test_resume_skips_records_whose_n_is_no_int(tmp_path):
+    # true == 1 and 5.0 == 5, but a record must name its n as an int, as
+    # ScreenConfig requires of trial_limit; otherwise the screen would show
+    # n=True and n=5.0
+    out = tmp_path / "results.jsonl"
+    cfg = screen.ScreenConfig(trial_limit=10_000)
+    cfg_hash = screen.config_hash(cfg)
+    lines = []
+    for n, alias in ((1, True), (5, 5.0)):
+        d = screen.record_dict(screen.witness_search(n, cfg), cfg_hash)
+        lines.append(json.dumps({**d, "n": alias}) + "\n")
+    out.write_text("".join(lines))
+    assert screen.load_records(out, cfg_hash) == {}
+    report = screen.screen_set([1, 5], cfg, output_path=out, resume=True)
+    assert (report.reused, report.computed) == (0, 2)
+    assert [type(v.n) for v in report.verdicts] == [int, int]
+    assert set(screen.load_records(out, cfg_hash)) == {1, 5}
+
+
 def test_resume_seals_torn_line_before_appending(tmp_path):
     out = tmp_path / "results.jsonl"
     cfg = screen.ScreenConfig(trial_limit=10_000)

@@ -149,6 +149,31 @@ def test_count_bound_far_past_uint64(base):
     assert structure.count_bound(1 << 64).gammas == (6,)
 
 
+@pytest.mark.parametrize("g", range(7))
+def test_two_has_order_two_to_the_gamma_plus_one_modulo_f_gamma(g):
+    # 2^(2^g) = -1 (mod F_g), so count_bound may reduce the exponent n
+    # modulo 2^(g + 1)
+    f = (1 << (1 << g)) + 1
+    rng = random.Random(g)
+    ns = [*range(1, 5001), *range(1, 2 << g)]
+    ns += [rng.getrandbits(rng.randrange(1, 4001)) for _ in range(200)]
+    for n in ns:
+        assert pow(2, n, f) == pow(2, n % (2 << g), f), (g, n)
+
+
+def test_count_bound_of_a_fourteen_thousand_bit_n():
+    # (10^4301 - 1) // 3 is 4301 threes, 14,288 bits, so count_bound tests
+    # gamma <= 13; pow(2, n, F_13) alone would take 14,288 squarings of
+    # 8193-bit numbers, about 2 s
+    n = (10**4301 - 1) // 3
+    assert n % 2 == 1 and n.bit_length().bit_length() == 14
+    start = time.perf_counter()
+    got = structure.count_bound(n)
+    assert time.perf_counter() - start < 0.5
+    want = tuple(g for g in range(14) if arith.cullen_mod(n, (1 << (1 << g)) + 1) == 0)
+    assert got.gammas == want == (2,)
+
+
 @pytest.mark.parametrize(
     ("n", "past_1009_squared"),
     [(3 * 1009, False), (3**5 * 5 * 7 * 1013, False), (1009 * 1013, True)],
