@@ -20,8 +20,8 @@ count bound does not refute C_n, so a screen of n whose count bounds all
 refute never imports numpy.
 
 bounded_factor sieves primes_up_to(1 << 16) only for an x of at least
-1009^2 = 1,018,081, so the cascade, and the screen of every n <= 2^14 and
-of every n = 2^a*3^b below 200,000, never build that table.
+_SMALL_PRIMES_FINISH_BELOW, so the cascade, and the screen of every
+n <= 2^14 and of every n = 2^a*3^b below 200,000, never build that table.
 
 All functions are pure; the only state here is the cache of the prime
 table, which every caller in the process shares and none modifies.
@@ -127,6 +127,7 @@ def _numpy_readout(segment: bytearray, lo: int) -> bytes:
 
 
 _SMALL_PRIMES = tuple(primes_up_to(1000))
+_SMALL_PRIMES_FINISH_BELOW = 1009**2  # no prime in [1000, 1009): below this, _SMALL_PRIMES finish x
 
 
 def v2(x: int) -> int:
@@ -232,8 +233,7 @@ def is_prime(x: int) -> bool:
         # p*p <= x, so x is not p itself
         if x % p == 0:
             return False
-    if x < 1_002_001:
-        # trial division by primes < 1001 is complete here
+    if x < _SMALL_PRIMES_FINISH_BELOW:
         return True
     if x < _DET_MR_LIMIT:
         d = x - 1
@@ -373,21 +373,21 @@ def bounded_factor(x: int) -> FactorResult:
     """Factor x by trial division, leaving in the cofactor a part it
     cannot finish.
 
-    x < 1009^2 = 1,018,081 is divided by the primes below 1000, any larger
-    x by the primes below 2^16, the cached primes_up_to(1 << 16), so a
-    smaller x never sieves that table.  The division runs in ascending
-    order and stops at the first p with p*p > x; the part left then is 1
-    or a prime.  A part left after the whole table has no prime factor
-    below the least prime above the table, 1009 or 65537 = 2^16 + 1, so
-    it is 1 or a prime when below that prime's square; the whole smaller
-    table runs only for an x below 1009^2.  A part of at least 65537^2
+    x < _SMALL_PRIMES_FINISH_BELOW is divided by the primes below 1000,
+    any larger x by the cached primes_up_to(1 << 16), so a smaller x
+    never sieves that table.  The division runs in ascending order and
+    stops at the first p with p*p > x; the part left then is 1 or a prime.
+    A part left after the whole table has no prime factor below the least
+    prime above the table, 1009 or 65537 = 2^16 + 1, so it is 1 or a prime
+    when below that prime's square; the whole smaller table runs only for
+    an x below 1009^2.  A part of at least 65537^2
     counts as one prime when is_prime proves it prime, and stays in the
     cofactor otherwise.
     """
     if x < 1:
         raise ValueError("bounded_factor requires x >= 1")
     factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES if x < 1009**2 else primes_up_to(1 << 16):
+    for p in _SMALL_PRIMES if x < _SMALL_PRIMES_FINISH_BELOW else primes_up_to(1 << 16):
         if p * p > x:
             break
         while x % p == 0:

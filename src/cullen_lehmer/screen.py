@@ -4,10 +4,9 @@ and refute the Lehmer necessary conditions on C_n.
 The ladder has two stages.  First the count step: a Lehmer C_n has at
 most structure.count_bound(n) distinct prime factors, and at least
 LEHMER_MIN_OMEGA (Cohen & Hagis 1980), so a bound below that refutes C_n
-without building it.  Only an n the bound leaves reaches the residue scan:
-every prime factor q of a Lehmer C_n must satisfy (q - 1) | n * 2^n, and
-C_n must be squarefree, which the prime divisors of C_n up to the trial
-limit, from arith.cullen_divisors, are tested against.
+without building it.  Only an n the bound leaves reaches the residue scan,
+which tests each prime q | C_n up to the trial limit (arith.cullen_divisors):
+a Lehmer C_n has (q - 1) | n * 2^n (structure.shape_divides) and no q^2.
 There is deliberately no status meaning "the Lehmer property holds": the
 screen can only refute or leave a value undecided.
 """
@@ -129,7 +128,7 @@ def witness_search(
     Order: the count bound of structure.count_bound, which refutes C_n when
     it is below LEHMER_MIN_OMEGA (REFUTED_COUNT, witness the bound); then,
     only for an n it leaves, ascending prime divisors of C_n up to
-    cfg.trial_limit, testing the shape and squarefree conditions.
+    cfg.trial_limit, each tested by structure.shape_divides and for squares.
     UNDECIDED is the honest fallback when neither stage refutes.  count,
     when given, is structure.count_bound(n), already computed by the
     caller (screen_set, which must know before it opens the results file
@@ -138,9 +137,9 @@ def witness_search(
     No n <= 2^14 ever reaches the scan.  n1 is odd, so each of its prime
     factors is at least 3 and Omega(n1) <= floor(log_3 n) <= floor(log_3
     2^14) = 8, as count_bound counts it once n1 is factored completely.
-    Trial division by the primes below 1000 alone does that for every
-    n1 < 1009^2 = 1,018,081, so the table of primes below 2^16 is never
-    built.  And count_bound tests only the gamma below
+    The primes below 1000 alone do that for every n1 below
+    arith._SMALL_PRIMES_FINISH_BELOW, so the table of primes below 2^16 is
+    never built.  And count_bound tests only the gamma below
     n.bit_length().bit_length() = 4.  So the bound is at most 12, below
     LEHMER_MIN_OMEGA = 14.  The first 2^a*3^b to reach the scan is
     3^13 = 1,594,323, with bound 13 + 1 = 14 (F_1 = 5 divides its C_n).
@@ -176,16 +175,16 @@ def witness_search(
         )
 
     for q in arith.cullen_divisors(n, cfg.trial_limit):
-        # q - 1 = m*2^a with m odd divides n*2^n = n1*2^(n + alpha) exactly
-        # when m | n1 and a <= n + alpha (structure.shape_divides)
-        m, a = arith.odd_part(q - 1), arith.v2(q - 1)
-        if n1 % m == 0 and a <= n + alpha:
+        # q comes from the prime table, so its shape needs no primality test
+        shape = structure.PrimeShape(q, arith.odd_part(q - 1), arith.v2(q - 1))
+        if structure.shape_divides(shape, n):
             if arith.cullen_mod(n, q * q) == 0:
                 return done(REFUTED_SQUARE, q, f"{q}^2 divides C_{n}: not squarefree")
             continue
+        _, m, a = shape
         why = (
             f"m = {m} does not divide n1 = {n1}"
-            if n1 % m
+            if n % m  # m is odd, so m | n exactly when m | n1
             else f"a = {a} exceeds n + alpha = {n + alpha}"
         )
         return done(

@@ -112,8 +112,8 @@ def count_bound(n: int) -> CountBound:
     2^gamma = k + 2^k, impossible since 2^gamma - 2^k >= 2^k > k.
 
     n1_omega bounds Omega(n1) from above, by arith.bounded_factor: each
-    prime it finds counts with its exponent, which is exact whenever it
-    factors n1 completely, as for every n1 < 1009^2 = 1,018,081.  A
+    prime it finds counts with its exponent, exact whenever it factors n1
+    completely, as for any n1 < arith._SMALL_PRIMES_FINISH_BELOW.  A
     cofactor c it leaves counts (c.bit_length() - 1) // 16.  Every prime
     factor of c exceeds 2^16, so if c has k >= 1 of them, counted with
     multiplicity, then 2^(16k) < c < 2^c.bit_length(), that is

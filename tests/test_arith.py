@@ -96,6 +96,14 @@ def test_is_prime_pseudoprime_battery():
             arith.is_prime(x)
 
 
+def test_is_prime_below_1009_squared_needs_no_miller_rabin(monkeypatch):
+    # no prime lies in [1000, 1009), so trial division by the primes below
+    # 1000 settles every x below 1009^2, here checked from 1001^2 on
+    monkeypatch.setattr(arith, "_mr_witness", lambda *args: pytest.fail("Miller-Rabin ran"))
+    for x in range(1001**2, 1009**2):
+        assert arith.is_prime(x) == sympy.isprime(x), x
+
+
 def test_is_prime_matches_sympy_large():
     rng = random.Random(3)
     for _ in range(60):

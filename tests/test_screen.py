@@ -394,6 +394,47 @@ def test_count_bound_of_fourteen_stays_undecided(n):
     assert v.reason == "no witness below 1000000 and count bound 14 >= 14"
 
 
+@pytest.mark.parametrize(
+    "n,divisors,reason",
+    [
+        (
+            1594323,
+            [5, 367019],
+            "367019 | C_1594323 but q - 1 = 183509*2^1 does not divide n*2^n: "
+            "m = 183509 does not divide n1 = 1594323",
+        ),
+        (
+            97261323672455430408,
+            [6563],
+            "6563 | C_97261323672455430408 but q - 1 = 3281*2^1 does not divide n*2^n: "
+            "m = 3281 does not divide n1 = 12157665459056928801",
+        ),
+    ],
+    ids=["3^13", "3^40*8"],
+)
+def test_residue_scan_tests_each_divisor_by_shape_divides(monkeypatch, n, divisors, reason):
+    # 3^13 and 3^40*8 pass the count stage; the scan tests every divisor it
+    # yields by structure.shape_divides.  5 = 1*2^2 + 1 passes the shape
+    # test for 3^13 and 25 does not divide its C_n, so the scan goes on
+    yielded, shaped = [], []
+
+    def divisors_seen(*args):
+        for q in real_divisors(*args):
+            yielded.append(q)
+            yield q
+
+    def shape_seen(shape, n):
+        shaped.append(shape.p)
+        return real_shape(shape, n)
+
+    real_divisors, real_shape = arith.cullen_divisors, structure.shape_divides
+    monkeypatch.setattr(arith, "cullen_divisors", divisors_seen)
+    monkeypatch.setattr(structure, "shape_divides", shape_seen)
+    v = screen.witness_search(n)
+    assert (v.status, v.witness, v.reason) == ("REFUTED_SHAPE", divisors[-1], reason)
+    assert yielded == shaped == divisors
+
+
 def test_unprovable_prime_n1_is_refuted_by_count():
     # an 82-bit prime above the deterministic Miller-Rabin limit that is not
     # a Proth number: its primality is not proven, so it stays in the
