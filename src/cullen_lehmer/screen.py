@@ -143,12 +143,18 @@ def witness_search(
     n.bit_length().bit_length() = 4.  So the bound is at most 12, below
     LEHMER_MIN_OMEGA = 14.  The first 2^a*3^b to reach the scan is
     3^13 = 1,594,323, with bound 13 + 1 = 14 (F_1 = 5 divides its C_n).
+
+    A shape witness q always has m = odd_part(q - 1) not dividing n1, even
+    for an n <= 24 given a count by hand.  q - 1 = m*2^a fails to divide
+    n*2^n exactly when m does not divide n1 or a > n + alpha.  Every table
+    prime is below 2^26, so a <= 25, and a > n + alpha needs n + alpha <=
+    24, so n <= 24.  Factoring C_1, ..., C_24 shows that no prime q | C_n
+    there has m | n1 and a > n + alpha.
     """
     if n < 1:
         raise ValueError("witness_search requires n >= 1")
     start = time.perf_counter()
-    alpha = arith.v2(n)
-    n1 = n >> alpha
+    n1 = arith.odd_part(n)
     note = "; n < 3 is outside the exclusion arguments" if n < structure.MIN_ANALYSIS_N else ""
     if count is None:
         count = structure.count_bound(n)
@@ -181,14 +187,13 @@ def witness_search(
             if arith.cullen_mod(n, q * q) == 0:
                 return done(REFUTED_SQUARE, q, f"{q}^2 divides C_{n}: not squarefree")
             continue
+        # m does not divide n1: a > n + alpha never happens (docstring)
         _, m, a = shape
-        why = (
-            f"m = {m} does not divide n1 = {n1}"
-            if n % m  # m is odd, so m | n exactly when m | n1
-            else f"a = {a} exceeds n + alpha = {n + alpha}"
-        )
         return done(
-            REFUTED_SHAPE, q, f"{q} | C_{n} but q - 1 = {m}*2^{a} does not divide n*2^n: {why}"
+            REFUTED_SHAPE,
+            q,
+            f"{q} | C_{n} but q - 1 = {m}*2^{a} does not divide n*2^n: "
+            f"m = {m} does not divide n1 = {n1}",
         )
     return done(
         UNDECIDED,

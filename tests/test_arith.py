@@ -151,21 +151,25 @@ def test_cullen_mod_matches_bigint(primes_10k):
         assert arith.cullen_mod(n, q) == (n * 2**n + 1) % q
 
 
-def _segment_edges_past_vector_above():
-    # the sieve's segments start at the odd numbers 2*k*SIEVE_SEGMENT + 1
-    span = 2 * arith.SIEVE_SEGMENT
-    edge = -(-arith.VECTOR_ABOVE // span) * span
-    return [edge - 1, edge, edge + 1, edge + 2, edge + span + 1]
+def _read_out_edges():
+    # each segment is read out in chunks of READ_CHUNK bytes, the chunk k
+    # ending below the odd number 2*k*READ_CHUNK + 1, and the segment k
+    # ends below 2*k*SIEVE_SEGMENT + 1: limits around the first chunk
+    # edges, the first segment edge, a chunk edge past it, and the fourth
+    # segment edge
+    chunk, segment = 2 * arith.READ_CHUNK, 2 * arith.SIEVE_SEGMENT
+    edges = [e + d for e in (chunk, 3 * chunk, segment) for d in (-1, 0, 1)]
+    fourth = [4 * segment + d for d in (-1, 0, 1, 2)]
+    return [*edges, segment + chunk + 1, *fourth, 5 * segment + 1]
 
 
-# past VECTOR_ABOVE each segment's primes are read out with numpy; 1009 is
-# the largest prime sieving a table to 1009^2
+# 1009 is the largest prime sieving a table to 1009^2
 @pytest.mark.parametrize(
     "limit",
     [
         *(0, 1, 2, 3, 100, 7919, 30_000),
-        arith.VECTOR_ABOVE + 1,
-        *_segment_edges_past_vector_above(),
+        *_read_out_edges(),
+        10**6 + 1,
         1009**2,
         2_000_003,
     ],
@@ -188,6 +192,22 @@ def _naive_primes(limit):
 def test_primes_up_to_matches_naive_sieve():
     for limit in [*range(301), 10**6]:
         assert list(arith.primes_up_to(limit)) == _naive_primes(limit), limit
+
+
+def test_primes_up_to_ten_million_imports_no_numpy():
+    # the sieve reads every segment out in pure Python, so a table the
+    # size of a residue scan's is built without numpy's 13 MB
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(arith.__file__).resolve().parent.parent)!r})\n"
+        "from cullen_lehmer import arith\n"
+        "table = arith.primes_up_to(10**7)\n"
+        "print(len(table), table[-1], 'numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.split() == ["664579", "9999991", "False"]
 
 
 def test_primes_up_to_rejects_limits_past_uint32():

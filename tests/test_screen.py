@@ -6,6 +6,7 @@ import typing
 from pathlib import Path
 
 import pytest
+import sympy
 
 from cullen_lehmer import arith, bounds, screen, structure
 
@@ -435,6 +436,22 @@ def test_residue_scan_tests_each_divisor_by_shape_divides(monkeypatch, n, diviso
     assert yielded == shaped == divisors
 
 
+def test_shape_witness_below_two_to_the_26_always_fails_on_m():
+    # a table prime q < 2^26 has a = v2(q - 1) <= 25, so a > n + alpha needs
+    # n <= 24; no prime q | C_n there has m | n1 and a > n + alpha, so with
+    # a count passed by hand each shape reason names an m not dividing n1
+    count = structure.CountBound(bounds.LEHMER_MIN_OMEGA, ())
+    for n in range(1, 25):
+        n1 = arith.odd_part(n)
+        for q in sympy.factorint((n << n) + 1):
+            shape = structure.PrimeShape(q, arith.odd_part(q - 1), arith.v2(q - 1))
+            assert n1 % shape.m or structure.shape_divides(shape, n), (n, q)
+        v = screen.witness_search(n, count=count)
+        if v.status == screen.REFUTED_SHAPE:
+            m = arith.odd_part(v.witness - 1)
+            assert f": m = {m} does not divide n1 = {n1}" in v.reason, v.reason
+
+
 def test_unprovable_prime_n1_is_refuted_by_count():
     # an 82-bit prime above the deterministic Miller-Rabin limit that is not
     # a Proth number: its primality is not proven, so it stays in the
@@ -481,9 +498,9 @@ _COUNT_BOUND = {
 
 
 def test_residue_only_verdicts_at_ten_million():
-    # a trial limit past VECTOR_ABOVE changes no verdict: the count bound
-    # refutes all 113 values before any residue scan, so no scan and no
-    # worker runs
+    # a trial limit ten times the default changes no verdict: the count
+    # bound refutes all 113 values before any residue scan, so no scan and
+    # no worker runs
     assert len(_COUNT_BOUND) == 113
     cfg = screen.ScreenConfig(trial_limit=10**7)
     report = screen.screen_set(screen.enumerate_2a3b(199_999), cfg)
