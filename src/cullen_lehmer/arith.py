@@ -13,10 +13,12 @@ prime below FLOAT_BELOW = 2**26, the bound it checks on its limit.
 
 numpy is imported inside the functions that use it, never at module level,
 and only by cullen_divisors, for a table that is not empty; the sieve is
-pure Python at every limit.  So a process that scans no C_n never pays
-numpy's memory.  screen_set runs the residue scan only for an n whose
-count bound does not refute C_n, so a screen of n whose count bounds all
-refute never imports numpy.
+pure Python at every limit, and moves its primes out of each segment as
+byte planes, with no Python step per odd number (cold, about 0.04 s to
+10^7 and 0.31 s to 2^26 - 1 on a 2-core machine; see _sieve).  So a
+process that scans no C_n never pays numpy's memory.  screen_set runs
+the residue scan only for an n whose count bound does not refute C_n, so
+a screen of n whose count bounds all refute never imports numpy.
 
 bounded_factor sieves primes_up_to(1 << 16) only for an x of at least
 _SMALL_PRIMES_FINISH_BELOW, so the cascade, and the screen of every
@@ -29,11 +31,11 @@ table, which every caller in the process shares and none modifies.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 # Below this limit the first thirteen prime bases give a deterministic
@@ -42,14 +44,23 @@ _DET_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _DET_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-# Odd numbers per segment of the prime sieve, one byte each.
-SIEVE_SEGMENT = 1 << 17
+# Odd numbers per segment of the prime sieve, one byte each; a whole
+# number of _BLOCKs.  Against 1 << 17 it halves the slice assignments
+# that cross off: a cold sieve to 10^7 is about 8% faster, for about
+# 0.3 MB more peak RSS in a process that sieves to 10^7.
+SIEVE_SEGMENT = 1 << 18
 
-# Bytes of a segment the sieve reads out at a time; the odd offsets
-# 1, 3, ..., 2*READ_CHUNK - 1 of one chunk are built once per sieve.  At
-# 1 << 12 that list of ints raised the peak RSS of a sieve to 10^6 by
-# about 0.1 MB, for a sieve to 10^7 about 3% faster than at 1 << 10.
-READ_CHUNK = 1 << 10
+# The sieve's read-out follows the bytes of a uint32 prime: the odd numbers
+# of a run of _RUN share bits 8-31 of their value, and those of a block of
+# _BLOCK share bits 16-31.
+_RUN = 128
+_BLOCK = 1 << 15
+_BYTE = [bytes((r,)) for r in range(256)]
+_ZERO_TO_TWO = bytes.maketrans(b"\0", b"\2")
+_ONE_TO_TWO = bytes.maketrans(b"\1", b"\2")
+
+# Where bytes 0 and 1 of a uint32, least significant first, sit in memory.
+_LOW_LANE, _RUN_LANE = (0, 1) if sys.byteorder == "little" else (3, 2)
 
 # cullen_divisors takes a limit below this, so the numpy kernel runs every
 # prime in float64: balanced residues |x| <= (q+1)/2 <= 2**25 keep every
@@ -79,22 +90,39 @@ def _sieve(limit: int) -> array:
     SIEVE_SEGMENT odd numbers, crossed off by the odd primes up to
     isqrt(limit) (found by the same sieve).
 
-    Each segment is read out READ_CHUNK bytes at a time: compress picks
-    the offsets 2*j + 1 of the set bytes j from one list built per call,
-    and each survivor is shifted by the chunk's base, so only the primes
-    become new ints, not every odd number.
+    The primes leave each segment as bytes, one byte plane of the uint32
+    table at a time, with no Python step per odd number.  A segment starts
+    as the low bytes of its odd numbers, which are odd, and crossing off
+    writes 0, so deleting the zeros leaves the low byte of each prime, in
+    order.  The odd numbers of a block of _BLOCK share bits 16-31, the
+    block's index; those of a run of _RUN share bits 8-15, the run's index
+    in its block, which is written once per prime of the run.  To count the
+    primes of each run, the run's first byte (1 if the run's first odd
+    number is prime, else 0) is made nonzero before the zeros go: a 0
+    there becomes a 2.  No other byte is 1 or 2, so what is left splits
+    into one piece per run.  Each prime of a block starts as the uint32 of
+    the block's bits 16-31, and strided slice assignment writes the low and
+    the run planes into it, at the lanes _LOW_LANE and _RUN_LANE take from
+    sys.byteorder; the block's primes join the table as one buffer.  Only
+    the little-endian lanes have been run: no big-endian host was at hand.
+
+    Measured in fresh interpreters on a 2-core machine (CPython 3.11.7,
+    medians of 9 runs), a sieve to 10^7 takes 0.039 s cold and 0.045 s
+    with numpy already imported, and one to 2^26 - 1 0.31-0.32 s.
     """
     table = array("I")
     if limit < 2:
         return table
     table.append(2)
     odd_primes = _sieve(math.isqrt(limit))[1:]
-    odds = list(range(1, 2 * READ_CHUNK, 2))
-    # segment[j] stands for the odd number 2*(lo + j) + 1
     half = (limit + 1) // 2
+    # segment[j] is the low byte of the odd number 2*(lo + j) + 1, or 0
+    # once that number is crossed off
+    lows_of_block = bytearray(range(1, 256, 2)) * (_BLOCK // _RUN)
     for lo in range(0, half, SIEVE_SEGMENT):
         hi = min(lo + SIEVE_SEGMENT, half)
-        segment = bytearray(b"\x01") * (hi - lo)
+        segment = lows_of_block * -(-(hi - lo) // _BLOCK)
+        del segment[hi - lo :]
         if lo == 0:
             segment[0] = 0
         for p in odd_primes:
@@ -105,10 +133,21 @@ def _sieve(limit: int) -> array:
                 break
             if start < lo:
                 start = lo + (start - lo) % p
-            segment[start - lo :: p] = bytes(len(range(start, hi, p)))
-        for k in range(0, hi - lo, READ_CHUNK):
-            chunk = segment[k : k + READ_CHUNK]
-            table.extend(map(add, compress(odds, chunk), repeat(2 * (lo + k))))
+            segment[start - lo :: p] = bytearray(len(range(start, hi, p)))
+        for b in range(0, hi - lo, _BLOCK):
+            block = segment[b : b + _BLOCK]
+            firsts = block[::_RUN]
+            block[::_RUN] = firsts.translate(_ZERO_TO_TWO)
+            marked = block.translate(None, b"\0")
+            lows = marked.translate(None, b"\2")
+            # each run's piece holds its primes but the run's first odd number
+            runs = marked.translate(_ONE_TO_TWO).split(b"\2")[1:]
+            counts = map(add, map(len, runs), firsts)
+            # each prime of the block starts as the block's bits 16-31
+            unit = bytearray(array("I", [(lo + b) // _BLOCK << 16])) * len(lows)
+            unit[_LOW_LANE::4] = lows
+            unit[_RUN_LANE::4] = b"".join(map(mul, _BYTE, counts))
+            table.frombytes(unit)
     return table
 
 

@@ -152,15 +152,17 @@ def test_cullen_mod_matches_bigint(primes_10k):
 
 
 def _read_out_edges():
-    # each segment is read out in chunks of READ_CHUNK bytes, the chunk k
-    # ending below the odd number 2*k*READ_CHUNK + 1, and the segment k
-    # ends below 2*k*SIEVE_SEGMENT + 1: limits around the first chunk
-    # edges, the first segment edge, a chunk edge past it, and the fourth
-    # segment edge
-    chunk, segment = 2 * arith.READ_CHUNK, 2 * arith.SIEVE_SEGMENT
-    edges = [e + d for e in (chunk, 3 * chunk, segment) for d in (-1, 0, 1)]
-    fourth = [4 * segment + d for d in (-1, 0, 1, 2)]
-    return [*edges, segment + chunk + 1, *fourth, 5 * segment + 1]
+    # the sieve reads its primes out byte plane by byte plane: a run of 128
+    # odd numbers ends below 256*k + 1, a block of 2^15 below 65536*k + 1,
+    # and the segment k below 2*k*SIEVE_SEGMENT + 1.  Limits around run
+    # edges (at 513 = 27*19 the short last run holds no prime), block edges
+    # (65537 is a prime, the first odd number of a block), a run edge past
+    # the fourth block edge, and the first two segment edges
+    runs = [256 * k + d for k in (1, 2, 8, 24) for d in (-1, 0, 1)]
+    blocks = [65535, 65537, 65539, 262143, 262144, 262145, 262144 + 2049, 20 * 65536 + 1]
+    segment = 2 * arith.SIEVE_SEGMENT
+    segments = [segment * k + d for k in (1, 2) for d in (-1, 0, 1)]
+    return sorted({*runs, *blocks, *segments, 2 * segment + 2})
 
 
 # 1009 is the largest prime sieving a table to 1009^2
@@ -196,18 +198,20 @@ def test_primes_up_to_matches_naive_sieve():
 
 def test_primes_up_to_ten_million_imports_no_numpy():
     # the sieve reads every segment out in pure Python, so a table the
-    # size of a residue scan's is built without numpy's 13 MB
+    # size of a residue scan's is built without numpy's 13 MB.  The sum of
+    # the primes below 10^7 (OEIS A046731) also catches a wrong byte in a
+    # single prime, which the length and the last prime alone do not
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(Path(arith.__file__).resolve().parent.parent)!r})\n"
         "from cullen_lehmer import arith\n"
         "table = arith.primes_up_to(10**7)\n"
-        "print(len(table), table[-1], 'numpy' in sys.modules)\n"
+        "print(len(table), table[-1], sum(table), 'numpy' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
-    assert out.stdout.split() == ["664579", "9999991", "False"]
+    assert out.stdout.split() == ["664579", "9999991", "3203324994356", "False"]
 
 
 def test_primes_up_to_rejects_limits_past_uint32():
