@@ -39,10 +39,11 @@ from .screen import (
 from .structure import (
     CountBound,
     PrimeShape,
+    RatioWalk,
     count_bound,
     cullen_value,
     prime_shape,
-    shape_divides,
+    ratio_walk,
 )
 
 __version__ = "0.1.0"

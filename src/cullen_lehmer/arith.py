@@ -3,22 +3,13 @@
 primality (proven: deterministic Miller-Rabin below about 3.3e24, Proth's
 theorem for Proth numbers above, a ValueError for any other number above),
 the prime table (a uint32 array, so primes stay below 2**32), modular
-Cullen residues and the prime divisors of C_n in a prime table, and
-factoring by trial division (bounded_factor), which leaves any part it
-cannot finish in a cofactor whose prime factors all exceed 2^16.
+Cullen residues, and factoring by trial division (bounded_factor), which
+leaves any part it cannot finish in a cofactor whose prime factors all
+exceed 2^16.
 
-cullen_divisors scans the prime table in numpy: binary powering of 2^n mod
-q over blocks of primes, in float64 with balanced residues, exact for every
-prime below FLOAT_BELOW = 2**26, the bound it checks on its limit.
-
-numpy is imported inside the functions that use it, never at module level,
-and only by cullen_divisors, for a table that is not empty; the sieve is
-pure Python at every limit, and moves its primes out of each segment as
-byte planes, with no Python step per odd number (cold, about 0.04 s to
-10^7 and 0.31 s to 2^26 - 1 on a 2-core machine; see _sieve).  So a
-process that scans no C_n never pays numpy's memory.  screen_set runs
-the residue scan only for an n whose count bound does not refute C_n, so
-a screen of n whose count bounds all refute never imports numpy.
+Everything here is pure Python.  The sieve moves its primes out of each
+segment as byte planes, with no Python step per odd number (cold, about
+0.04 s to 10^7 and 0.31 s to 2^26 - 1 on a 2-core machine; see _sieve).
 
 bounded_factor sieves primes_up_to(1 << 16) only for an x of at least
 _SMALL_PRIMES_FINISH_BELOW, so the cascade, and the screen of every
@@ -33,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections.abc import Iterator
 from functools import lru_cache
 from operator import add, mul
 from typing import NamedTuple
@@ -61,17 +51,6 @@ _ONE_TO_TWO = bytes.maketrans(b"\1", b"\2")
 
 # Where bytes 0 and 1 of a uint32, least significant first, sit in memory.
 _LOW_LANE, _RUN_LANE = (0, 1) if sys.byteorder == "little" else (3, 2)
-
-# cullen_divisors takes a limit below this, so the numpy kernel runs every
-# prime in float64: balanced residues |x| <= (q+1)/2 <= 2**25 keep every
-# doubled square 2*x^2 <= 2**51 below 2**53, exact in a double.
-FLOAT_BELOW = 1 << 26
-
-# The numpy kernel's powering starts at 2^lead for a leading bit-prefix of n
-# with value lead <= LEAD_MAX, which keeps the start value within the kernel's
-# 2**51 bound and its quotient within 2**25 + 1.
-LEAD_MAX = 25
-
 
 @lru_cache(maxsize=8)
 def primes_up_to(limit: int) -> array:
@@ -107,8 +86,8 @@ def _sieve(limit: int) -> array:
     the little-endian lanes have been run: no big-endian host was at hand.
 
     Measured in fresh interpreters on a 2-core machine (CPython 3.11.7,
-    medians of 9 runs), a sieve to 10^7 takes 0.039 s cold and 0.045 s
-    with numpy already imported, and one to 2^26 - 1 0.31-0.32 s.
+    medians of 9 runs), a sieve to 10^7 takes 0.039 s cold, and one to
+    2^26 - 1 0.31-0.32 s.
     """
     table = array("I")
     if limit < 2:
@@ -282,102 +261,6 @@ def cullen_mod(n: int, q: int) -> int:
     if q < 2:
         raise ValueError("cullen_mod requires q >= 2")
     return (n % q * pow(2, n, q) + 1) % q
-
-
-def cullen_divisors(n: int, limit: int) -> Iterator[int]:
-    """The primes q <= limit with q | C_n, ascending, each once, by the
-    numpy kernel _cullen_divisors_vec.
-
-    Raises ValueError for limit >= FLOAT_BELOW before sieving anything.
-    The iterator scans lazily, so a caller that stops at the first witness
-    stops the scan there.  An empty table (limit < 2) yields nothing and
-    imports nothing.
-    """
-    if n < 1:
-        raise ValueError("cullen_divisors requires n >= 1")
-    if limit >= FLOAT_BELOW:
-        raise ValueError(f"cullen_divisors requires limit < 2**26, got {limit}")
-    primes = primes_up_to(limit)
-    return _cullen_divisors_vec(n, primes) if primes else iter(())
-
-
-def _cullen_divisors_vec(n: int, primes: array) -> Iterator[int]:
-    """cullen_divisors over whole blocks of a table of primes below
-    FLOAT_BELOW = 2**26 in numpy.
-
-    Blocks start at 1024 primes and double up to 2**16, so an n with a
-    small witness costs little and the temporaries stay small.  n mod q is
-    n itself in a block whose smallest prime exceeds n; in any other block
-    it comes from Horner's rule over the 32-bit limbs of n in uint64 (each
-    step is below q * 2**32 < 2**58), so every n >= 1 works.  2^n mod q
-    comes from left-to-right binary powering that starts at 2^lead, for
-    the longest leading bit-prefix of n whose value lead is at most
-    LEAD_MAX = 25, reduced once; then C_n mod q = 2^n * (n mod q) + 1
-    mod q.
-
-    Every step runs in float64 with balanced residues |x| <= (q+1)/2 <=
-    2**25, reduced by x - rint(x * fl(1/q)) * q (Shoup's floating-point
-    quotient, as in NTL's MulMod), and every step is exact.  The start
-    value 2^lead <= 2**25 and each square or doubled square s have
-    |s| <= 2**51 < 2**53 (for the squares, |s| <= 2*((q+1)/2)^2).
-    s * fl(1/q) is within relative 2**-52 of s/q, where |s/q| < 2**25 + 1
-    (for the start value because q >= 2), so the rint quotient est is the
-    integer nearest s/q, or, where s/q lies within about 2**-27 of a
-    half-integer, the other neighbour; either way the integer s - est*q is
-    below q/2 + 1 in magnitude, so at most (q+1)/2.  And |est*q| < 2**53
-    and |x * (n mod q)| < 2**51, so every product and difference is exact.
-    """
-    import numpy as np
-
-    table = np.frombuffer(primes, dtype=np.uint32)
-    bits = bin(n)[2:]
-    cut = 5 if int(bits[:5], 2) <= LEAD_MAX else 4
-    lead, bits = int(bits[:cut], 2), bits[cut:]
-    limbs = [n >> shift & 0xFFFFFFFF for shift in range((n.bit_length() - 1) & ~31, -1, -32)]
-    start, size = 0, 1024
-    while start < len(table):
-        block = table[start : start + size]
-        # n mod q = n needs every q of the block above n: n mod n is 0
-        if int(block[0]) > n:
-            n_mod_q = n
-        else:
-            q = block.astype(np.uint64)
-            n_mod_q = 0
-            for limb in limbs:
-                n_mod_q = ((n_mod_q << 32) + limb) % q
-        hit = _cullen_zero(lead, bits, block.astype(np.float64), n_mod_q)
-        yield from block[hit].tolist()
-        start += size
-        size = min(2 * size, 1 << 16)
-
-
-def _cullen_zero(lead: int, bits: str, q, n_mod_q):
-    """C_n mod q == 0 for each prime q < FLOAT_BELOW of a float64 array, n
-    given by its leading prefix value lead <= LEAD_MAX, the bits after that
-    prefix, and n mod q; see _cullen_divisors_vec for why every step is
-    exact."""
-    import numpy as np
-
-    inv = 1.0 / q
-    est = np.empty_like(q)
-
-    def reduce(x, out=None):
-        np.multiply(x, inv, out=est)
-        np.rint(est, out=est)
-        np.multiply(est, q, out=est)
-        return np.subtract(x, est, out=out)
-
-    x = reduce(2.0**lead)
-    for bit in bits:
-        np.multiply(x, x, out=x)
-        if bit == "1":
-            np.add(x, x, out=x)
-        reduce(x, out=x)
-    np.multiply(x, n_mod_q, out=x)
-    reduce(x, out=x)
-    # |x| <= (q+1)/2, so -1 mod q is x = -1, or x = q - 1 for q <= 3
-    x += 1
-    return (x == 0) | (x == q)
 
 
 class FactorResult(NamedTuple):

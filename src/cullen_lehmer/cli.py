@@ -4,7 +4,7 @@
     cullen-lehmer exceptional  enumerate exceptional-prime candidates and
                                check uniqueness over a range of n
     cullen-lehmer screen       refute the Lehmer necessary conditions on a
-                               set of n by count bound and residue scan
+                               set of n by count bound and totient-ratio walk
 
 Exit codes: 0 clean, 1 a check failed (uniqueness violation, a cascade
 check that does not hold, undecided n), 2 usage or configuration errors.
@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trial-limit",
         type=int,
         default=screen.DEFAULT_TRIAL_LIMIT,
-        help="scan prime witnesses up to this bound, below 2^26 (default 10^6); read only"
-        " for n whose count bound reaches 14",
+        help="largest prime the totient-ratio walk tries as a divisor of C_n, below 2^26"
+        " (default 10^6); read only for n whose count bound reaches 14",
     )
     p_scr.add_argument(
         "--resume", action="store_true", help="reuse matching records already in --output"

@@ -4,9 +4,11 @@ and refute the Lehmer necessary conditions on C_n.
 The ladder has two stages.  First the count step: a Lehmer C_n has at
 most structure.count_bound(n) distinct prime factors, and at least
 LEHMER_MIN_OMEGA (Cohen & Hagis 1980), so a bound below that refutes C_n
-without building it.  Only an n the bound leaves reaches the residue scan,
-which tests each prime q | C_n up to the trial limit (arith.cullen_divisors):
-a Lehmer C_n has (q - 1) | n * 2^n (structure.shape_divides) and no q^2.
+without building it.  Only an n the bound leaves reaches the totient-ratio
+walk (structure.ratio_walk), which tests the admissible primes
+p = m*2^a + 1, m | n1, up to the trial limit and bounds N/phi(N) below 2,
+or below 3 with C_n not the product of the primes found; it rests on the
+definition of a Lehmer number alone.
 There is deliberately no status meaning "the Lehmer property holds": the
 screen can only refute or leave a value undecided.
 """
@@ -22,24 +24,16 @@ from typing import NamedTuple
 from . import arith, structure
 from .bounds import LEHMER_MIN_OMEGA
 
-REFUTED_SHAPE = "REFUTED_SHAPE"
-REFUTED_SQUARE = "REFUTED_SQUARE"
 REFUTED_COUNT = "REFUTED_COUNT"
+REFUTED_RATIO = "REFUTED_RATIO"
 UNDECIDED = "UNDECIDED"
 
-STATUSES = frozenset(
-    {
-        REFUTED_SHAPE,
-        REFUTED_SQUARE,
-        REFUTED_COUNT,
-        UNDECIDED,
-    }
-)
+STATUSES = frozenset({REFUTED_COUNT, REFUTED_RATIO, UNDECIDED})
 
 DEFAULT_TRIAL_LIMIT = 10**6
 
 # Part of every config key, so --resume never mixes verdicts of two ladders.
-ALGORITHM_VERSION = 9
+ALGORITHM_VERSION = 10
 
 
 # A NamedTuple class cannot define __new__, so each record that validates
@@ -82,19 +76,19 @@ class ScreenConfig(_ScreenConfigFields):
         retired = (rho_budget, cn_cap)
         if any(retired):
             raise ValueError(f"no screen stage reads a factoring budget; pass 0, got {retired}")
-        # checked here, not only in the sieve, so a bad config fails before
-        # anything is opened or computed; an equal float or bool would key
-        # differently, so only an int is taken
+        # checked here, so a bad config fails before anything is opened or
+        # computed; an equal float or bool would key differently, so only
+        # an int is taken.  The range is the one every earlier version took
         if type(trial_limit) is not int:
             raise ValueError(f"trial limit must be an int, got {trial_limit!r}")
-        if not 0 <= trial_limit < arith.FLOAT_BELOW:
+        if not 0 <= trial_limit < 1 << 26:
             raise ValueError(f"trial limit must be in [0, 2**26), got {trial_limit}")
         return super().__new__(cls, trial_limit)
 
 
 def config_hash(cfg: ScreenConfig) -> str:
     """The exact key of cfg and ALGORITHM_VERSION, as sorted k=v pairs
-    joined by ",": "algorithm=9,trial_limit=1000000" for the default.
+    joined by ",": "algorithm=10,trial_limit=1000000" for the default.
 
     Every field is an int, so no value holds "," or "=" and two configs
     share a key only when they are equal.  A record is reused only under
@@ -127,29 +121,21 @@ def witness_search(
 
     Order: the count bound of structure.count_bound, which refutes C_n when
     it is below LEHMER_MIN_OMEGA (REFUTED_COUNT, witness the bound); then,
-    only for an n it leaves, ascending prime divisors of C_n up to
-    cfg.trial_limit, each tested by structure.shape_divides and for squares.
+    only for an n it leaves, structure.ratio_walk over the admissible
+    primes up to cfg.trial_limit (REFUTED_RATIO, witness the walk's X).
     UNDECIDED is the honest fallback when neither stage refutes.  count,
     when given, is structure.count_bound(n), already computed by the
-    caller (screen_set, which must know before it opens the results file
-    whether any n needs the prime table); elapsed then leaves out its time.
+    caller (screen_set); elapsed then leaves out its time.
 
-    No n <= 2^14 ever reaches the scan.  n1 is odd, so each of its prime
+    No n <= 2^14 ever reaches the walk.  n1 is odd, so each of its prime
     factors is at least 3 and Omega(n1) <= floor(log_3 n) <= floor(log_3
     2^14) = 8, as count_bound counts it once n1 is factored completely.
     The primes below 1000 alone do that for every n1 below
     arith._SMALL_PRIMES_FINISH_BELOW, so the table of primes below 2^16 is
     never built.  And count_bound tests only the gamma below
     n.bit_length().bit_length() = 4.  So the bound is at most 12, below
-    LEHMER_MIN_OMEGA = 14.  The first 2^a*3^b to reach the scan is
+    LEHMER_MIN_OMEGA = 14.  The first 2^a*3^b to reach the walk is
     3^13 = 1,594,323, with bound 13 + 1 = 14 (F_1 = 5 divides its C_n).
-
-    A shape witness q always has m = odd_part(q - 1) not dividing n1, even
-    for an n <= 24 given a count by hand.  q - 1 = m*2^a fails to divide
-    n*2^n exactly when m does not divide n1 or a > n + alpha.  Every table
-    prime is below 2^26, so a <= 25, and a > n + alpha needs n + alpha <=
-    24, so n <= 24.  Factoring C_1, ..., C_24 shows that no prime q | C_n
-    there has m | n1 and a > n + alpha.
     """
     if n < 1:
         raise ValueError("witness_search requires n >= 1")
@@ -161,44 +147,29 @@ def witness_search(
     bound = count.bound
     if bound < LEHMER_MIN_OMEGA:
         listed = ", ".join(map(str, count.gammas)) or "none"
+        status, witness = REFUTED_COUNT, bound
         reason = (
             f"a Lehmer C_{n} has at most Omega(n1) + #{{gamma : F_gamma | C_{n}}} <= "
             f"{count.n1_omega} + {len(count.gammas)} = {bound} < {LEHMER_MIN_OMEGA} "
-            f"distinct prime factors: n1 = {n1}, gamma = {listed}{note}"
+            f"distinct prime factors: n1 = {n1}, gamma = {listed}"
         )
-        return Verdict(
-            n, REFUTED_COUNT, bound, reason, cfg.trial_limit, time.perf_counter() - start
-        )
-
-    def done(status, witness, reason):
-        return Verdict(
-            n=n,
-            status=status,
-            witness=witness,
-            reason=reason + note,
-            trial_limit_used=cfg.trial_limit,
-            elapsed=time.perf_counter() - start,
-        )
-
-    for q in arith.cullen_divisors(n, cfg.trial_limit):
-        # q comes from the prime table, so its shape needs no primality test
-        shape = structure.PrimeShape(q, arith.odd_part(q - 1), arith.v2(q - 1))
-        if structure.shape_divides(shape, n):
-            if arith.cullen_mod(n, q * q) == 0:
-                return done(REFUTED_SQUARE, q, f"{q}^2 divides C_{n}: not squarefree")
-            continue
-        # m does not divide n1: a > n + alpha never happens (docstring)
-        _, m, a = shape
-        return done(
-            REFUTED_SHAPE,
-            q,
-            f"{q} | C_{n} but q - 1 = {m}*2^{a} does not divide n*2^n: "
-            f"m = {m} does not divide n1 = {n1}",
-        )
-    return done(
-        UNDECIDED,
-        None,
-        f"no witness below {cfg.trial_limit} and count bound {bound} >= {LEHMER_MIN_OMEGA}",
+    else:
+        walk = structure.ratio_walk(n, cfg.trial_limit, count.gammas)
+        if walk.rule:
+            found = ", ".join(map(str, walk.found)) or "no prime"
+            status, witness = REFUTED_RATIO, walk.x
+            reason = (
+                f"{found} found dividing C_{n}, and a Lehmer C_{n} has at most t = {walk.t} "
+                f"more primes, each above X = {walk.x}: {walk.rule}"
+            )
+        else:
+            status, witness = UNDECIDED, None
+            reason = (
+                f"no ratio refutation up to X = {walk.x} and count bound {bound} "
+                f">= {LEHMER_MIN_OMEGA}"
+            )
+    return Verdict(
+        n, status, witness, reason + note, cfg.trial_limit, time.perf_counter() - start
     )
 
 
@@ -261,10 +232,8 @@ def screen_set(
     """Screen every n in n_values, one at a time in this process, in
     ascending n.
 
-    The count bound of every value to compute is taken first, once, and
-    passed to witness_search, so a value it refutes never reaches the
-    residue scan.  Only when some value reaches the scan is the prime
-    table sieved, before the results file is opened.
+    The count bound of every value to compute is taken first, once,
+    before the results file is opened, and passed to witness_search.
     With output_path each fresh verdict is appended as one JSONL record and
     flushed as soon as it is done, so the fresh records are ascending in n;
     resume=True first reloads records whose config key matches and
@@ -282,10 +251,6 @@ def screen_set(
         have = {n: v for n, v in load_records(path, cfg_hash).items() if n in wanted_set}
 
     count = {n: structure.count_bound(n) for n in wanted if n not in have}
-    if any(c.bound >= LEHMER_MIN_OMEGA for c in count.values()):
-        # built before the results file is opened, so a failed build leaves
-        # it as it was
-        arith.primes_up_to(cfg.trial_limit)
     sink = None
     if path is not None:
         try:

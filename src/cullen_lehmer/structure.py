@@ -1,6 +1,6 @@
 """Cullen numbers C_n = n*2^n + 1 and the structures the Lehmer condition
-acts on: the shape m * 2^a + 1 of an odd prime, the divisibility test
-(p - 1) | C_n - 1 expressed through that shape, and the count bound.
+acts on: the shape m * 2^a + 1 of an odd prime, and the two lemmas the
+screen applies, the count bound and the totient-ratio walk.
 """
 
 from __future__ import annotations
@@ -65,15 +65,6 @@ def prime_shape(p: int) -> PrimeShape:
     return PrimeShape(p, arith.odd_part(p - 1), arith.v2(p - 1))
 
 
-def shape_divides(shape: PrimeShape, n: int) -> bool:
-    """Whether p - 1 divides C_n - 1 = n * 2^n, read off the shape.
-
-    With n = 2^alpha * n1 (n1 odd), p - 1 = m * 2^a divides n1 * 2^(n + alpha)
-    exactly when m | n1 and a <= n + alpha, and m | n1 iff m | n as m is odd.
-    """
-    return n % shape.m == 0 and shape.a <= n + arith.v2(n)
-
-
 class CountBound(NamedTuple):
     """The count step at one n: a Lehmer C_n has at most
     n1_omega + len(gammas) distinct prime factors."""
@@ -128,3 +119,123 @@ def count_bound(n: int) -> CountBound:
         if (n % f * pow(2, n % (2 << g), f) + 1) % f == 0:
             gammas.append(g)
     return CountBound(omega, tuple(gammas))
+
+
+class RatioWalk(NamedTuple):
+    """The totient-ratio walk at one n: the primes it found to divide C_n,
+    ascending; the X it stopped at; t, the most primes a Lehmer C_n can
+    have besides the found ones, each above X; and the rule that refutes
+    C_n there, or "" when none does up to the budget."""
+
+    x: int
+    found: tuple[int, ...]
+    t: int
+    rule: str
+
+
+def _floor6(num: int, den: int) -> str:
+    """num/den rounded down to 6 decimals, for reasons only."""
+    q = num * 10**6 // den
+    return f"{q // 10**6}.{q % 10**6:06d}"
+
+
+def ratio_walk(n: int, limit: int, gammas: tuple[int, ...]) -> RatioWalk:
+    """Walk the admissible primes p <= limit of C_n in ascending order and
+    refute a Lehmer C_n by bounding N/phi(N); gammas is
+    count_bound(n).gammas (a superset only makes t larger).
+
+    Proof.  Let N = C_n be a Lehmer number, n = 2^alpha*n1 with n1 odd.
+    Admissibility: as in count_bound, every prime p | N is p = m*2^a + 1
+    with m odd, m | n1 and 1 <= a <= n + alpha; prod(m_p) | n1 over the
+    distinct p; and m = 1 only for p = F_gamma with gamma in gammas.  The
+    walk tests these p in ascending order, each by is_prime and
+    cullen_mod, the m > 1 coming from the divisors of the part of n1 that
+    arith.bounded_factor splits.  Before it tests p it sets X = p - 1;
+    after the last p <= limit, X = limit.  Every prime of N at most X has
+    then been tested, so each prime of N it has not found exceeds X.  N is
+    odd, so X = 2 holds before any test.
+
+    t.  The found primes use up prod(m_found) of n1, so at most
+    Omega(n1/prod(m_found)) unfound primes have m > 1, each using a factor
+    m > 1 of what is left; and the only unfound primes with m = 1 are the
+    F_gamma not yet tested.  t adds the two counts, Omega as count_bound
+    counts it.  With P = prod p/(p - 1) over the found p, and
+    p/(p - 1) <= (X + 1)/X for each unfound p,
+    N/phi(N) <= U = P*((X + 1)/X)^t.
+
+    Lehmer (1932): N/phi(N) = K + 1/phi(N), with the integer
+    K = (N - 1)/phi(N) >= 2.  So the walk refutes C_n when
+    - U < 2, as N/phi(N) > 2;
+    - P > 2, U < 3 and prod(found) != N (the two-sided rule).  U < 3
+      gives K = 2.  With A = prod p and D = prod(p - 1) over the found p,
+      P = A/D > 2 gives A >= 2D + 1, so N/phi(N) >= P >= 2 + 1/D and
+      phi(N) <= D.  D | phi(N), so phi(N) = D, which leaves N no other
+      prime and no square factor: N = A;
+    - a found p has an m that does not divide n1/prod(m_found), against
+      prod(m_p) | n1.
+    Each comparison is in cross-multiplied ints.  N is never built: N has
+    n + n.bit_length() bits, so A != N whenever the bit lengths differ,
+    and A is compared with N only when they do not.
+
+    The cofactor cut.  When bounded_factor leaves a cofactor c of n1,
+    every prime of c exceeds 2^16, so an m that involves one is at least
+    65537 and gives p > 2*65537.  So the divisors of the split part list
+    every admissible p <= 2*65537, the walk's budget is min(limit,
+    2*65537), and c counts toward t as in count_bound.
+    """
+    alpha = arith.v2(n)
+    n1 = n >> alpha
+    split = arith.bounded_factor(n1)
+    if split.cofactor > 1:
+        limit = min(limit, 2 * 65537)
+    # (m, Omega(m)) for the odd m | n1 with 2m + 1 <= limit
+    divisors = [(1, 0)]
+    for q, e in split.factors.items():
+        divisors = [
+            (m * q**k, w + k) for m, w in divisors for k in range(e + 1) if 2 * m * q**k < limit
+        ]
+    candidates = [((1 << (1 << g)) + 1, 1, 0) for g in gammas]
+    for m, w in divisors[1:]:
+        a = 1
+        while a <= n + alpha and m << a < limit:
+            candidates.append(((m << a) + 1, m, w))
+            a += 1
+    candidates = sorted(c for c in candidates if c[0] <= limit)
+    t = sum(split.factors.values()) + (split.cofactor.bit_length() - 1) // 16 + len(gammas)
+    num = den = used = 1
+    found: list[int] = []
+
+    def bound(x: int) -> RatioWalk:
+        # the rules on U = P*((X + 1)/X)^t, P = num/den, at this X
+        up, down = num * (x + 1) ** t, den * x**t
+        rule = ""
+        if up < 2 * down:
+            rule = f"U = {_floor6(up, down)} < 2"
+        elif (
+            num > 2 * den
+            and up < 3 * down
+            and (num.bit_length() != n + n.bit_length() or num != (n << n) + 1)
+        ):
+            rule = (
+                f"2 < P = {_floor6(num, den)} and U = {_floor6(up, down)} < 3 force "
+                f"C_n = {'*'.join(map(str, found))}, which it is not"
+            )
+        return RatioWalk(x, tuple(found), t, rule)
+
+    for p, m, w in candidates:
+        walk = bound(p - 1)
+        if walk.rule:
+            return walk
+        if m == 1:
+            t -= 1
+        if not (arith.is_prime(p) and arith.cullen_mod(n, p) == 0):
+            continue
+        found.append(p)
+        if n1 // used % m:
+            rule = f"{p} = {m}*2^{arith.v2(p - 1)} + 1, and m = {m} does not divide n1/{used}"
+            return RatioWalk(p - 1, tuple(found), t, rule)
+        used *= m
+        t -= w
+        num *= p
+        den *= p - 1
+    return bound(max(limit, 2))

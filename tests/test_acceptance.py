@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
 measured runtimes next to their budgets.
 """
 
+import math
 import random
 import time
+from fractions import Fraction
 
 import sympy
 
@@ -102,22 +104,52 @@ def test_criterion_3_two_thirds_inequality():
     )
 
 
-def _oracle_verdict(n: int, trial_limit: int):
-    """Independent route: materialize C_n, factor by direct division against
-    sympy's sieve, apply the necessary conditions straight from definitions,
-    in the screen's order: the count bound, then the residue conditions.
+def _oracle_walk(n: int, cn: int, limit: int):
+    """The totient-ratio walk from definitions, on the materialized C_n:
+    the admissible primes p <= limit (p = m*2^a + 1 with m | n1 from
+    sympy.divisors and a <= n + alpha, or F_gamma | C_n) in ascending
+    order, each tested by sympy.isprime and division of C_n, with
+    N/phi(N) <= U = P*((X + 1)/X)^t bounded in Fractions.
 
-    Returns (status, witness) and the primes q <= trial_limit dividing C_n.
+    Returns ((status, X), found): REFUTED_RATIO when U < 2, when P > 2 and
+    U < 3 but C_n is not the product of the found primes, or when a found
+    m overruns n1; UNDECIDED at the budget.
+    """
+    alpha = (n & -n).bit_length() - 1
+    n1 = n >> alpha
+    fermat = [2 ** 2**g + 1 for g in range((n + alpha).bit_length()) if cn % (2 ** 2**g + 1) == 0]
+    shaped = {m * 2**a + 1 for m in sympy.divisors(n1)[1:] for a in range(1, n + alpha + 1)}
+    t = sum(sympy.factorint(n1).values()) + len(fermat)
+    ratio, used, found = Fraction(1), 1, []
+    for p in [*sorted(q for q in {*fermat, *shaped} if q <= limit), limit + 1]:
+        x = max(p - 1, 2)
+        bound = ratio * Fraction(x + 1, x) ** t
+        if bound < 2 or (ratio > 2 and bound < 3 and math.prod(found) != cn):
+            return ("REFUTED_RATIO", x), found
+        if p > limit:
+            return ("UNDECIDED", None), found
+        m = (p - 1) >> ((p - 1) & (1 - p)).bit_length() - 1
+        t -= m == 1
+        if not (sympy.isprime(p) and cn % p == 0):
+            continue
+        found.append(p)
+        if n1 // used % m:
+            return ("REFUTED_RATIO", x), found
+        used *= m
+        t -= sum(sympy.factorint(m).values())
+        ratio *= Fraction(p, p - 1)
+
+
+def _oracle_verdict(n: int, trial_limit: int):
+    """Independent route: materialize C_n and apply the necessary
+    conditions straight from definitions, in the screen's order: the count
+    bound, then the ratio walk (_oracle_walk).
+
+    Returns the ladder's (status, witness) and _oracle_walk's result, which
+    is computed whatever the count bound gives.
     """
     cn = n * 2**n + 1
-    found = []
-    for q in sympy.sieve.primerange(2, trial_limit + 1):
-        if cn % q == 0:
-            e = 1
-            while cn % q ** (e + 1) == 0:
-                e += 1
-            found.append((q, e))
-    divisors = [q for q, _ in found]
+    walk = _oracle_walk(n, cn, trial_limit)
     # a Lehmer C_n has at most Omega(n1) primes p with p - 1 not a power of
     # two, since prod(odd part of p - 1) | n1; every other one is a Fermat
     # number F_gamma | C_n with 2^gamma <= n + alpha
@@ -125,29 +157,24 @@ def _oracle_verdict(n: int, trial_limit: int):
     omega_n1 = sum(sympy.factorint(n >> alpha).values())
     fermat = sum(cn % (2 ** 2**g + 1) == 0 for g in range((n + alpha).bit_length()))
     if omega_n1 + fermat < bounds.LEHMER_MIN_OMEGA:
-        return ("REFUTED_COUNT", omega_n1 + fermat), divisors
-    for q, e in found:
-        if (cn - 1) % (q - 1) != 0:
-            return ("REFUTED_SHAPE", q), divisors
-        if e >= 2:
-            return ("REFUTED_SQUARE", q), divisors
-    return ("UNDECIDED", None), divisors
+        return ("REFUTED_COUNT", omega_n1 + fermat), walk
+    return walk[0], walk
 
 
 def test_criterion_4_oracle_equivalence():
-    # the count bound decides every n <= 300, so the residue scan is
-    # compared on its own as well: arith.cullen_divisors must list the
-    # primes that trial division of the materialized C_n finds
+    # the count bound decides every n <= 300, so the ratio walk is compared
+    # on its own as well: structure.ratio_walk must stop at the oracle's X
+    # with the primes the oracle finds by dividing the materialized C_n
     t0 = time.perf_counter()
     mismatches = []
     for n in range(1, 301):
         v = screen.witness_search(n)
-        verdict, divisors = _oracle_verdict(n, v.trial_limit_used)
+        verdict, ((status, x), found) = _oracle_verdict(n, v.trial_limit_used)
         if (v.status, v.witness) != verdict:
             mismatches.append((n, (v.status, v.witness), verdict))
-        scanned = list(arith.cullen_divisors(n, v.trial_limit_used))
-        if scanned != divisors:
-            mismatches.append((n, "divisors", scanned[:5], divisors[:5]))
+        walk = structure.ratio_walk(n, v.trial_limit_used, structure.count_bound(n).gammas)
+        if (bool(walk.rule), walk.x, list(walk.found)) != (status == "REFUTED_RATIO", x, found):
+            mismatches.append((n, "walk", walk, (status, x, found)))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 120
     _verdict(
@@ -204,11 +231,6 @@ def test_criterion_6_arithmetic_invariants():
     for p in odd_primes:
         s = structure.prime_shape(p)
         assert s.m * 2**s.a + 1 == p
-    for n in range(1, 501):
-        target = n * 2**n
-        for p in odd_primes:
-            s = structure.prime_shape(p)
-            assert structure.shape_divides(s, n) == (target % (p - 1) == 0)
 
     for n in range(3, 100_001, 3):
         assert arith.cullen_mod(n, 3) == 1

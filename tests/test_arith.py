@@ -1,15 +1,13 @@
-import itertools
 import math
 import random
 import subprocess
 import sys
-from array import array
 from pathlib import Path
 
 import pytest
 import sympy
 
-from cullen_lehmer import arith, screen
+from cullen_lehmer import arith
 
 
 @pytest.mark.parametrize("x,expected", [(48, 4), (1, 0), (2**20, 20), (6, 1), (7, 0)])
@@ -197,8 +195,8 @@ def test_primes_up_to_matches_naive_sieve():
 
 
 def test_primes_up_to_ten_million_imports_no_numpy():
-    # the sieve reads every segment out in pure Python, so a table the
-    # size of a residue scan's is built without numpy's 13 MB.  The sum of
+    # the sieve reads every segment out in pure Python, so the 10^7 table
+    # the benchmark's residue set-up sieves needs no numpy.  The sum of
     # the primes below 10^7 (OEIS A046731) also catches a wrong byte in a
     # single prime, which the length and the last prime alone do not
     code = (
@@ -219,111 +217,6 @@ def test_primes_up_to_rejects_limits_past_uint32():
     for limit in (2**32, 5 * 10**9):
         with pytest.raises(ValueError, match="2\\*\\*32"):
             arith.primes_up_to(limit)
-
-
-def _kernel_edge_ns(table, block_starts):
-    """n at the edges of the numpy kernel's start value and of its n mod q:
-    leading bit-prefix values 12, 24, 25 (LEAD_MAX), 26 and 27; 2^k and
-    2^k - 1; n equal to a table prime (n mod q = 0 for that q), among them
-    the first prime of each block starting at an index of block_starts; and
-    an n between the first and last prime of each such block."""
-    ns = {12, 24, 25, 26, 27}
-    ns |= {(v << s) + low for v in ns for s in (1, 7, 40) for low in (0, (1 << s) - 1)}
-    ns |= {2**k + d for k in (1, 4, 5, 6, 17, 32, 33, 64) for d in (0, -1)}
-    ns |= {table[i] for i in (0, 1, 2, 1023, -1, *block_starts)}
-    ns |= {table[i + 500] + 1 for i in block_starts}
-    return ns
-
-
-def test_vector_kernel_matches_cullen_mod():
-    # 17984 primes: blocks of 1024, 2048, 4096 and 8192, then a partial one;
-    # for each prime on either side of a block edge, the least n it divides
-    primes = arith.primes_up_to(200_000)
-    edges = [primes[i] for i in (1023, 1024, 3071, 3072, 7167, 7168, 15359, 15360, -1)]
-    rng = random.Random(6)
-    ns = {1, 2, 3, *screen.enumerate_2a3b(12_000), *(rng.randrange(1, 200_001) for _ in range(50))}
-    ns |= {next(n for n in itertools.count(1) if arith.cullen_mod(n, q) == 0) for q in edges}
-    # n mod q comes from the 32-bit limbs of n, never from a machine integer
-    ns |= {2**63 + 1, 2**64, 2**64 + 1}
-    ns |= _kernel_edge_ns(primes, (1024, 3072))
-    for n in sorted(ns):
-        want = [q for q in primes if arith.cullen_mod(n, q) == 0]
-        assert list(arith._cullen_divisors_vec(n, primes)) == want, n
-
-
-def test_vector_kernel_exact_at_the_top_of_its_range(monkeypatch):
-    # one 1024-prime block ending at the largest prime below FLOAT_BELOW,
-    # so float64 runs at the top of its range
-    cut = arith.FLOAT_BELOW
-    below = list(sympy.primerange(cut - 30_000, cut))
-    assert len(below) > 1024
-    table = array("I", below[-1024:])
-    # q | C_(q-2) for every odd prime q, so the top prime must be reported
-    rng = random.Random(26)
-    # 2**64 - 59 has two 32-bit limbs, 2**64 + 1 three
-    ns = {1, 2, 3, 96, 139968, 2**64 - 59, 2**64 + 1}
-    ns |= {rng.randrange(1, 2**33) for _ in range(10)}
-    ns |= {below[-1] - 2}
-    found = set()
-    for n in sorted(ns | _kernel_edge_ns(table, (0,))):
-        want = [q for q in table if arith.cullen_mod(n, q) == 0]
-        assert list(arith._cullen_divisors_vec(n, table)) == want, n
-        found.update(want)
-    assert below[-1] in found
-    # a limit at the cut is refused at the call, before any table is sieved
-    monkeypatch.setattr(arith, "primes_up_to", lambda limit: pytest.fail("sieved"))
-    for limit in (cut, 2**32):
-        with pytest.raises(ValueError, match="2\\*\\*26"):
-            arith.cullen_divisors(96, limit)
-
-
-def _cullen_divisors_loop(n, limit):
-    return [q for q in arith.primes_up_to(limit) if (n % q * pow(2, n, q) + 1) % q == 0]
-
-
-def test_cullen_divisors_matches_cullen_mod_loop():
-    # 2262 primes: blocks of 1024 and 2048 primes, the second one partial;
-    # for every n here below 20011, the first prime past the first block,
-    # n mod q is n itself in every later block
-    limit = 20_000
-    for n in sorted({*range(1, 601), *screen.enumerate_2a3b(1 << 14)}):
-        assert list(arith.cullen_divisors(n, limit)) == _cullen_divisors_loop(n, limit), n
-
-
-def test_cullen_divisors_finds_primes_on_block_edges():
-    # q | C_(q-2) for every odd prime q, so some n < q has q | C_n; take
-    # the least, for the primes on either side of the first block edges of
-    # the default table; 2, the first prime of all, never divides C_n
-    primes = arith.primes_up_to(10**6)
-    edges = [primes[i] for i in (1, 1023, 1024, 3071, 3072, 7167, 7168)]
-    for q in edges:
-        n = next(n for n in itertools.count(1) if (n % q * pow(2, n, q) + 1) % q == 0)
-        found = list(arith.cullen_divisors(n, 10**6))
-        assert q in found and found == _cullen_divisors_loop(n, 10**6), (q, n)
-
-
-@pytest.mark.parametrize("n,q", [(4374, 7), (8192, 3)])
-def test_cullen_divisors_yields_a_square_factor_once(n, q):
-    cn = (n << n) + 1
-    assert cn % (q * q) == 0
-    found = list(arith.cullen_divisors(n, 10**6))
-    assert found.count(q) == 1
-    assert found == _cullen_divisors_loop(n, 10**6)
-
-
-def test_cullen_divisors_of_an_empty_table_imports_nothing():
-    # below 2 the table is empty: no scan runs, and numpy is never needed
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(Path(arith.__file__).resolve().parent.parent)!r})\n"
-        "from cullen_lehmer import arith\n"
-        "assert list(arith.cullen_divisors(6, 1)) == []\n"
-        "print('numpy' in sys.modules)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_bounded_factor_complete_and_partial():

@@ -139,25 +139,26 @@ def test_screen_file_set(tmp_path, capsys):
 
 
 def test_screen_file_set_takes_n_past_uint64(tmp_path, capsys):
-    # n = 3^40*8 has 67 bits and count bound 40, so it reaches the residue
-    # scan: 6563 | C_n, and 6562 = 2*17*193 does not divide n*2^n, whose
-    # odd part is 3^40.  2^64 is refuted by its count bound alone: n1 = 1,
-    # and F_6 = 2^64 + 1 divides C_(2^64) = 2^(2^64 + 64) + 1
+    # n = 3^40*8 has 67 bits and count bound 40, so it reaches the walk: no
+    # admissible prime up to X = 72 divides C_n, so each of the at most 40
+    # primes of a Lehmer C_n exceeds 72, and (73/72)^40 < 2.  2^64 is
+    # refuted by its count bound alone: n1 = 1, and F_6 = 2^64 + 1 divides
+    # C_(2^64) = 2^(2^64 + 64) + 1
     n = 3**40 * 8
     assert n == 97261323672455430408 and n.bit_length() == 67
-    assert (n % 6563 * pow(2, n, 6563) + 1) % 6563 == 0 and 3**40 % 3281
+    assert 73**40 < 2 * 72**40
     nf = tmp_path / "ns.txt"
     nf.write_text(f"{n}\n{2**64}\n")
     code, out, _ = run_cli(capsys, "screen", "--set", "file", "--n-file", str(nf))
     assert code == 0
-    assert f"n={n}: REFUTED_SHAPE witness=6563" in out
+    assert f"n={n}: REFUTED_RATIO witness=72  (no prime found dividing C_{n}" in out
     assert f"n={2**64}: REFUTED_COUNT witness=1" in out
 
 
 def test_console_script_screens_an_n_past_the_int_digit_limit(tmp_path):
     # Python refuses int/str conversion past 4300 digits by default; the
     # process entry point lifts that limit, so a file n of 4301 digits is
-    # screened: 89 | C_n and 88 = 11*2^3, while 11 does not divide n
+    # screened: the walk finds 7 and 17 and refutes C_n at X = 2026
     nf = tmp_path / "ns.txt"
     nf.write_text("3" * 4301 + "\n")
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -165,7 +166,7 @@ def test_console_script_screens_an_n_past_the_int_digit_limit(tmp_path):
     argv = [sys.executable, "-m", "cullen_lehmer.cli", "screen", "--set", "file", "--n-file", str(nf)]
     out = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
     assert out.returncode == 0, out.stderr
-    assert ": REFUTED_SHAPE witness=89  (89 | C_" in out.stdout
+    assert ": REFUTED_RATIO witness=2026  (7, 17 found dividing C_" in out.stdout
 
 
 @pytest.mark.parametrize("bad", ["1_000", "+5", "5 7", "-5", "0x10", "٣"])
@@ -213,16 +214,16 @@ def test_screen_run_config_shows_the_n_max_applied(tmp_path, capsys):
 
 
 def test_screen_undecided_exit_codes(tmp_path, capsys):
-    # n = 3^13*5 has count bound 14 and no residue witness below 10^6, and
-    # no stage follows the count stage, so it stays undecided
+    # n = 3^13 has count bound 14, and with a budget of 10 the walk cannot
+    # reach X = 28, where it would refute C_n, so it stays undecided
     nf = tmp_path / "ns.txt"
-    nf.write_text("7971615\n")
-    args = ("screen", "--set", "file", "--n-file", str(nf))
+    nf.write_text("1594323\n")
+    args = ("screen", "--set", "file", "--n-file", str(nf), "--trial-limit", "10")
     code, out, err = run_cli(capsys, *args)
     assert code == 1
     assert (
-        "n=7971615: UNDECIDED  (no witness below 1000000 and count bound 14 >= 14)"
-        "  [trial<=1000000, " in out
+        "n=1594323: UNDECIDED  (no ratio refutation up to X = 10 and count bound 14 >= 14)"
+        "  [trial<=10, " in out
     )
     code, _, _ = run_cli(capsys, *args, "--allow-undecided")
     assert code == 0

@@ -1,5 +1,7 @@
 import json
+import math
 import multiprocessing
+import random
 import subprocess
 import sys
 import typing
@@ -36,23 +38,17 @@ def test_enumerate_count_at_final_bound():
 
 
 def test_status_space_cannot_express_success():
-    assert screen.STATUSES == {
-        "REFUTED_SHAPE",
-        "REFUTED_SQUARE",
-        "REFUTED_COUNT",
-        "UNDECIDED",
-    }
+    assert screen.STATUSES == {"REFUTED_COUNT", "REFUTED_RATIO", "UNDECIDED"}
     with pytest.raises(ValueError):
         screen.Verdict(1, "LEHMER_HOLDS", None, "", 0, 0.0)
 
 
 def _residue_witness(n, limit):
-    """(status, q) for the first prime q from arith.cullen_divisors(n, limit)
-    that fails the shape or the squarefree condition, each q re-checked in
-    plain big ints; None when every q passes both."""
+    """(status, q) for the least prime q <= limit of sympy-factored C_n
+    that fails the shape condition (q - 1) | n*2^n or the squarefree one;
+    None when every such q passes both."""
     cn = (n << n) + 1
-    for q in arith.cullen_divisors(n, limit):
-        assert cn % q == 0, (n, q)
+    for q in sorted(q for q in sympy.factorint(cn) if q <= limit):
         if (n << n) % (q - 1):
             return "REFUTED_SHAPE", q
         if cn % (q * q) == 0:
@@ -76,9 +72,10 @@ def _residue_witness(n, limit):
     ],
 )
 def test_witness_search_examples(n, status, witness):
-    # the count bound refutes every n here before any residue scan; the
-    # least residue witness below 10^6 of the n that have one is kept as
-    # data, and 1 and 141 have none
+    # the count bound refutes every n here; the least witness below 10^6
+    # of the old residue conditions (every q | C_n has (q - 1) | n*2^n and
+    # q^2 not dividing C_n) is kept as data, a second refutation of each n
+    # that has one, and 1 and 141 have none
     v = screen.witness_search(n)
     assert v.status == "REFUTED_COUNT"
     _recheck_count(v)
@@ -129,15 +126,77 @@ def _recheck_count(v):
     assert v.reason.split(";")[0].endswith(f"gamma = {', '.join(map(str, gammas)) or 'none'}"), n
 
 
+def _split_n1(n1):
+    """(prime -> exponent, Omega bound of the rest) for odd n1: sympy's
+    factorint up to 64 bits; above, trial division by the primes below
+    2^16, with a rest below 2^256 that sympy calls prime kept as a prime
+    and any other rest counted one prime per 16 bits, as every prime of it
+    exceeds 2^16.  Above the count of structure.count_bound only for a
+    prime rest of 256 bits or more that is_prime proves: none in these
+    tests."""
+    if n1.bit_length() <= 64:
+        return sympy.factorint(n1), 0
+    factors = {}
+    for q in sympy.sieve.primerange(3, 1 << 16):
+        while n1 % q == 0:
+            factors[q] = factors.get(q, 0) + 1
+            n1 //= q
+    if 1 < n1 < 1 << 256 and sympy.isprime(n1):
+        factors[n1], n1 = 1, 1
+    return factors, (n1.bit_length() - 1) // 16
+
+
+def _recheck_ratio(v):
+    """Re-derive a REFUTED_RATIO verdict from the definition, never through
+    package code: list the admissible candidates p = m*2^a + 1 up to the
+    witness X (m > 1 an odd divisor of n1 with a <= n + alpha, or
+    F_gamma | C_n), test each by sympy.isprime and C_n mod p, and redo t,
+    U = P*((X + 1)/X)^t and the rule in ints.  An m that overruns n1 is
+    named by a found p = X + 1.  A smaller t than the screen's only makes
+    the rule easier to meet, and every t here is at most the screen's."""
+    n, x = v.n, v.witness
+    assert v.status == "REFUTED_RATIO", n
+    alpha = (n & -n).bit_length() - 1
+    n1 = n >> alpha
+    factors, rest = _split_n1(n1)
+    divisors = [1]
+    for q, e in factors.items():
+        divisors = [d * q**k for d in divisors for k in range(e + 1) if d * q**k <= x]
+    # only F_gamma with 2^gamma <= n.bit_length() can divide C_n (count_bound)
+    fermat = [(1 << (1 << g)) + 1 for g in range(n.bit_length().bit_length())]
+    fermat = [f for f in fermat if (n % f * pow(2, n, f) + 1) % f == 0]
+    shape = {f: 1 for f in fermat}
+    for m in divisors[1:]:
+        for a in range(1, min(n + alpha, x.bit_length()) + 1):
+            shape[(m << a) + 1] = m
+    overrun = "does not divide n1/" in v.reason
+    found = [
+        p
+        for p in sorted(shape)
+        if p <= x + overrun and sympy.isprime(p) and (n % p * pow(2, n, p) + 1) % p == 0
+    ]
+    assert v.reason.startswith(f"{', '.join(map(str, found)) or 'no prime'} found dividing"), n
+    used = math.prod(shape[p] for p in found)
+    if overrun:
+        assert found[-1] == x + 1 and n1 % (used // shape[found[-1]]) == 0 and n1 % used, n
+        return
+    t = sum(factors.values()) + rest
+    t -= sum(sum(sympy.factorint(shape[p]).values()) for p in found)
+    t += sum(f > x for f in fermat)
+    num, den = math.prod(found), math.prod(p - 1 for p in found)
+    up, down = num * (x + 1) ** t, den * x**t
+    cn_bits = n + n.bit_length()
+    two_sided = num > 2 * den and up < 3 * down
+    assert up < 2 * down or (
+        two_sided and (num.bit_length() != cn_bits or num != (n << n) + 1)
+    ), n
+
+
 def test_refuted_witnesses_verify_in_bigint(verdicts_500):
     for n, v in verdicts_500.items():
-        cn = structure.cullen_value(n)
         assert v.status != "UNDECIDED", n
-        if v.status == "REFUTED_SHAPE":
-            assert cn % v.witness == 0
-            assert (cn - 1) % (v.witness - 1) != 0
-        elif v.status == "REFUTED_SQUARE":
-            assert cn % (v.witness * v.witness) == 0
+        if v.status == "REFUTED_RATIO":
+            _recheck_ratio(v)
         else:
             _recheck_count(v)
 
@@ -157,7 +216,7 @@ def test_screen_set_orders_ascending():
 
 def test_results_file_is_ascending(tmp_path):
     # verdicts are made, written and reported one at a time in ascending n,
-    # count verdicts and residue scans (1594323, 7971615: bound 14) alike
+    # count verdicts and walks (1594323, 7971615: bound 14) alike
     out = tmp_path / "results.jsonl"
     ns = [7971615, 6, 1594323, 12, 9]
     seen = []
@@ -282,7 +341,7 @@ def test_verdicts_independent_of_worker_count(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     cfg = screen.ScreenConfig(trial_limit=50_000)
-    # 1594323 and 7971615 have count bound 14, so they reach the residue scan
+    # 1594323 and 7971615 have count bound 14, so they reach the walk
     ns = [*screen.enumerate_2a3b(200), 1594323, 7971615]
     solo = _strip(screen.screen_set(ns, cfg))
     for workers in (1, 2, 64):
@@ -291,7 +350,7 @@ def test_verdicts_independent_of_worker_count(monkeypatch):
 
 def test_count_bound_taken_once_per_value(tmp_path, monkeypatch):
     # logged to a file, so a call in any process counts; 1594323 and
-    # 7971615 reach the residue scan, 6 does not
+    # 7971615 reach the walk, 6 does not
     log = tmp_path / "calls"
     real = structure.count_bound
 
@@ -316,7 +375,8 @@ def test_failed_table_build_leaves_results_file_unchanged(tmp_path, monkeypatch)
         raise ValueError("no table")
 
     monkeypatch.setattr(arith, "primes_up_to", broken)
-    # 1594323 has count bound 14, so it reaches the scan and needs the table
+    # 1594323 = 3^13 is past 1009^2, so its count step divides by the
+    # primes below 2^16; every count step runs before the file is opened
     with pytest.raises(ValueError, match="no table"):
         screen.screen_set([6, 1594323], cfg, output_path=out)
     assert out.read_bytes() == before
@@ -385,71 +445,155 @@ def test_count_verdicts_recheck_independently(ns):
         _recheck_count(v)
 
 
-@pytest.mark.parametrize("n", [7_971_615, 19_131_876])
-def test_count_bound_of_fourteen_stays_undecided(n):
-    # 3^13*5 and 4*3^14 have Omega(n1) = 14, the Lehmer minimum, and no
-    # residue witness below the default trial limit
-    assert structure.count_bound(n).bound == 14
-    v = screen.witness_search(n)
-    assert v.status == "UNDECIDED"
-    assert v.reason == "no witness below 1000000 and count bound 14 >= 14"
-
-
 @pytest.mark.parametrize(
-    "n,divisors,reason",
-    [
-        (
-            1594323,
-            [5, 367019],
-            "367019 | C_1594323 but q - 1 = 183509*2^1 does not divide n*2^n: "
-            "m = 183509 does not divide n1 = 1594323",
-        ),
-        (
-            97261323672455430408,
-            [6563],
-            "6563 | C_97261323672455430408 but q - 1 = 3281*2^1 does not divide n*2^n: "
-            "m = 3281 does not divide n1 = 12157665459056928801",
-        ),
-    ],
-    ids=["3^13", "3^40*8"],
+    "n,x,u", [(7_971_615, 20, "1.979931"), (19_131_876, 24, "1.770935")], ids=["7971615", "19131876"]
 )
-def test_residue_scan_tests_each_divisor_by_shape_divides(monkeypatch, n, divisors, reason):
-    # 3^13 and 3^40*8 pass the count stage; the scan tests every divisor it
-    # yields by structure.shape_divides.  5 = 1*2^2 + 1 passes the shape
-    # test for 3^13 and 25 does not divide its C_n, so the scan goes on
-    yielded, shaped = [], []
-
-    def divisors_seen(*args):
-        for q in real_divisors(*args):
-            yielded.append(q)
-            yield q
-
-    def shape_seen(shape, n):
-        shaped.append(shape.p)
-        return real_shape(shape, n)
-
-    real_divisors, real_shape = arith.cullen_divisors, structure.shape_divides
-    monkeypatch.setattr(arith, "cullen_divisors", divisors_seen)
-    monkeypatch.setattr(structure, "shape_divides", shape_seen)
-    v = screen.witness_search(n)
-    assert (v.status, v.witness, v.reason) == ("REFUTED_SHAPE", divisors[-1], reason)
-    assert yielded == shaped == divisors
+def test_count_bound_of_fourteen_is_refuted_by_the_walk(n, x, u):
+    # 3^13*5 and 4*3^14 have Omega(n1) = 14, the Lehmer minimum; no prime
+    # up to X divides C_n, so the 14 primes a Lehmer C_n would need each
+    # exceed X and N/phi(N) < ((X + 1)/X)^14 < 2.  The residue scan left
+    # both undecided, 19131876 even at trial limit 10^7
+    assert structure.count_bound(n) == structure.CountBound(14, ())
+    for limit in (screen.DEFAULT_TRIAL_LIMIT, 10**7):
+        v = screen.witness_search(n, screen.ScreenConfig(trial_limit=limit))
+        assert (v.status, v.witness) == ("REFUTED_RATIO", x)
+        _recheck_ratio(v)
+    assert v.reason == (
+        f"no prime found dividing C_{n}, and a Lehmer C_{n} has at most t = 14 more "
+        f"primes, each above X = {x}: U = {u} < 2"
+    )
 
 
-def test_shape_witness_below_two_to_the_26_always_fails_on_m():
-    # a table prime q < 2^26 has a = v2(q - 1) <= 25, so a > n + alpha needs
-    # n <= 24; no prime q | C_n there has m | n1 and a > n + alpha, so with
-    # a count passed by hand each shape reason names an m not dividing n1
-    count = structure.CountBound(bounds.LEHMER_MIN_OMEGA, ())
-    for n in range(1, 25):
-        n1 = arith.odd_part(n)
-        for q in sympy.factorint((n << n) + 1):
-            shape = structure.PrimeShape(q, arith.odd_part(q - 1), arith.v2(q - 1))
-            assert n1 % shape.m or structure.shape_divides(shape, n), (n, q)
-        v = screen.witness_search(n, count=count)
-        if v.status == screen.REFUTED_SHAPE:
-            m = arith.odd_part(v.witness - 1)
-            assert f": m = {m} does not divide n1 = {n1}" in v.reason, v.reason
+def _forced(n, limit=screen.DEFAULT_TRIAL_LIMIT):
+    """witness_search(n) with the count stage passed by hand as bound 14,
+    so that any n reaches the walk."""
+    count = structure.CountBound(14, structure.count_bound(n).gammas)
+    return screen.witness_search(n, screen.ScreenConfig(trial_limit=limit), count=count)
+
+
+def test_walk_finds_every_admissible_divisor_up_to_x():
+    # the count bound decides every n <= 300, so the walk is called on its
+    # own: it refutes each n, and what it found is exactly the admissible
+    # primes up to X (up to X + 1 where an m overruns) that divide the
+    # built C_n by trial division
+    for n in range(1, 301):
+        walk = structure.ratio_walk(n, screen.DEFAULT_TRIAL_LIMIT, structure.count_bound(n).gammas)
+        alpha = (n & -n).bit_length() - 1
+        n1, cn = n >> alpha, (n << n) + 1
+        top = walk.x + ("does not divide" in walk.rule)
+        want = []
+        for q in sympy.sieve.primerange(3, top + 1):
+            a = ((q - 1) & (1 - q)).bit_length() - 1
+            if cn % q == 0 and n1 % ((q - 1) >> a) == 0 and a <= n + alpha:
+                want.append(q)
+        assert walk.rule and walk.found == tuple(want), n
+        v = _forced(n)
+        assert (v.status, v.witness) == ("REFUTED_RATIO", walk.x), n
+        _recheck_ratio(v)
+
+
+def test_walk_two_sided_rule_at_15806():
+    # the first n that needs the two-sided rule: at X = 56, 3, 5, 17 and
+    # 29 divide C_n, so P = 2.063 > 2 while U < 3.  Then K = 2 and a Lehmer
+    # C_n would be 3*5*17*29
+    walk = structure.ratio_walk(15806, 10**6, structure.count_bound(15806).gammas)
+    assert (walk.x, walk.found, walk.t) == (56, (3, 5, 17, 29), 1)
+    assert walk.rule == (
+        "2 < P = 2.063337 and U = 2.100182 < 3 force C_n = 3*5*17*29, which it is not"
+    )
+    _recheck_ratio(_forced(15806))
+
+
+def test_walk_overrun_rule_at_636():
+    # n1 = 3*53, and 7 = 3*2 + 1 and 13 = 3*4 + 1 both divide C_636: two
+    # primes with m = 3 against prod(m_p) | n1.  With its true gammas the
+    # walk refutes 636 by U < 2 first, as every n <= 200,000 but the two-
+    # sided ones; a superset of the gammas only raises t, which keeps the
+    # walk sound and U >= 2 until 13 is found
+    gammas = tuple(range(8))
+    walk = structure.ratio_walk(636, 10**6, gammas)
+    assert (walk.x, walk.found, walk.t) == (12, (7, 13), 7)
+    assert walk.rule == "13 = 3*2^2 + 1, and m = 3 does not divide n1/3"
+    v = screen.witness_search(636, count=structure.CountBound(14, gammas))
+    assert (v.status, v.witness) == ("REFUTED_RATIO", 12)
+    _recheck_ratio(v)
+
+
+def test_walk_past_three_five_seventeen_and_257_at_262124():
+    # 3, 5, 17 and 257 divide C_n, with P = 2 - 2^-15 just below 2; the
+    # walk climbs to X = 155,648 before U drops below 2
+    walk = structure.ratio_walk(262124, 10**6, structure.count_bound(262124).gammas)
+    assert (walk.x, walk.found, walk.rule) == (155_648, (3, 5, 17, 257), "U = 1.999995 < 2")
+    assert math.prod(walk.found) == 2 * math.prod(p - 1 for p in walk.found) - 1
+    _recheck_ratio(_forced(262124))
+
+
+def test_walk_on_a_partial_split_of_a_4301_digit_n():
+    # bounded_factor leaves a cofactor of n1, so only divisors of the split
+    # part give candidates, the budget drops to 2*65537, and the cofactor
+    # counts one prime per 16 bits toward t.  The reasons name n, past
+    # Python's default 4300-digit int/str limit, which the console script
+    # lifts for its whole process
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        n = (10**4301 - 1) // 3
+        assert arith.bounded_factor(n).cofactor > 1
+        v = screen.witness_search(n)
+        assert (v.status, v.witness) == ("REFUTED_RATIO", 2026)
+        assert v.reason.startswith("7, 17 found dividing C_")
+        _recheck_ratio(v)
+        # a budget below X = 2026 ends the walk at the budget, which
+        # refutes from 1867 on; the residue scan found 89 from 89 on
+        budget = {L: screen.witness_search(n, screen.ScreenConfig(trial_limit=L)) for L in (1866, 1867)}
+        assert budget[1866].status == "UNDECIDED"
+        assert (budget[1867].status, budget[1867].witness) == ("REFUTED_RATIO", 1867)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_walk_with_too_small_a_budget_stays_undecided():
+    # 3^13: F_1 = 5 is found, and U = (5/4)*((X + 1)/X)^13 first drops
+    # below 2 at X = 28
+    n = 1594323
+    for limit, status, witness in ((10, "UNDECIDED", None), (27, "UNDECIDED", None),
+                                   (28, "REFUTED_RATIO", 28), (10**6, "REFUTED_RATIO", 36)):
+        v = screen.witness_search(n, screen.ScreenConfig(trial_limit=limit))
+        assert (v.status, v.witness) == (status, witness), limit
+    assert screen.witness_search(n, screen.ScreenConfig(trial_limit=10)).reason == (
+        "no ratio refutation up to X = 10 and count bound 14 >= 14"
+    )
+
+
+def test_walk_refutes_every_pow23_value_up_to_ten_to_the_twelve_the_count_leaves():
+    # the count stage leaves 122 of the 534 values 2^a*3^b <= 10^12, and
+    # the residue scan left 29 of those undecided; the walk refutes all
+    ns = screen.enumerate_2a3b(10**12)
+    report = screen.screen_set(ns)
+    assert len(ns) == 534 and report.counts == {"REFUTED_COUNT": 412, "REFUTED_RATIO": 122}
+    for v in report.verdicts:
+        if v.status == "REFUTED_RATIO":
+            _recheck_ratio(v)
+
+
+def test_walk_refutes_random_n_the_count_leaves():
+    # the first 60 of 3,000 odd n of 20-4000 bits (seed 7); the count stage
+    # leaves 2,853 of the 3,000, and the walk refutes every one
+    rng = random.Random(7)
+    ns = [rng.getrandbits(rng.randrange(20, 4001)) | 1 for _ in range(3000)][:60]
+    report = screen.screen_set(ns)
+    assert report.counts == {"REFUTED_COUNT": 3, "REFUTED_RATIO": 57}
+    for v in report.verdicts:
+        if v.status == "REFUTED_RATIO":
+            _recheck_ratio(v)
+
+
+def test_walk_refutes_the_file_values_past_the_count_stage():
+    # 3^13 and 3^40*8 (67 bits) reach the walk
+    for n, x in ((1594323, 36), (97261323672455430408, 72)):
+        v = screen.witness_search(n)
+        assert (v.status, v.witness) == ("REFUTED_RATIO", x), n
+        _recheck_ratio(v)
 
 
 def test_unprovable_prime_n1_is_refuted_by_count():
@@ -470,7 +614,7 @@ def test_proth_prime_n1_is_refuted_by_count():
     # a 278-bit Proth prime: only Proth's theorem in is_prime proves it
     # prime, so it counts 1 and, with F_0 = 3 | C_n, gives bound 2; left
     # unproven it would count (278 - 1) // 16 = 17, bound 18 >= 14, and go on
-    # to the residue scan
+    # to the walk
     n = 3 * 2**276 + 1
     assert n > arith._DET_MR_LIMIT and arith.is_prime(n)
     assert structure.count_bound(n) == structure.CountBound(1, (0,))
@@ -499,8 +643,7 @@ _COUNT_BOUND = {
 
 def test_residue_only_verdicts_at_ten_million():
     # a trial limit ten times the default changes no verdict: the count
-    # bound refutes all 113 values before any residue scan, so no scan and
-    # no worker runs
+    # bound refutes all 113 values, so no walk runs
     assert len(_COUNT_BOUND) == 113
     cfg = screen.ScreenConfig(trial_limit=10**7)
     report = screen.screen_set(screen.enumerate_2a3b(199_999), cfg)
@@ -515,79 +658,8 @@ def test_default_verdicts_up_to_twenty_thousand():
     assert {v.n: (v.status, v.witness) for v in report.verdicts} == want
 
 
-# The residue witnesses of the n = 2^a*3^b: n -> the first prime q from
-# arith.cullen_divisors that fails the shape or squarefree condition.  The
-# ladder decides every one of these n by its count bound before a scan
-# runs, so these are kept as checked data: a second refutation of each,
-# which rests on phi(C_n) | C_n - 1 alone, not on omega >= 14.  At trial
-# limit 10^6 for the 77 n <= 20000 (16 have none) ...
-_DEFAULT_SHAPE = {
-    4: 13, 6: 11, 8: 683, 9: 11, 12: 19, 16: 61681, 18: 11, 24: 11, 27: 29, 32: 1777, 48: 379,
-    54: 29, 72: 41, 81: 83, 144: 53, 162: 11, 192: 11383, 216: 937, 243: 59, 256: 97, 288: 379,
-    384: 246223, 432: 2953, 486: 971, 512: 501203, 576: 1117, 972: 362293, 1024: 397, 1152: 11,
-    1296: 41, 1458: 108643, 1536: 59, 1944: 251, 2048: 59, 2187: 439, 2304: 101, 3456: 31,
-    4096: 504337, 4608: 137, 5184: 92693, 6561: 11, 8748: 32719, 9216: 6841, 12288: 307,
-    13122: 4457, 13824: 31, 15552: 52501, 16384: 13, 17496: 11, 19683: 11,
-}
-_DEFAULT_SQUARE = {
-    2: 3, 3: 5, 36: 37, 64: 5, 128: 3, 864: 5, 1728: 7, 4374: 7, 5832: 19, 8192: 3, 11664: 5,
-}
-# ... and at trial limit 10^7 for all 113 n < 200,000 (20 have none)
-_RESIDUE_SHAPE = {
-    4: 13, 6: 11, 8: 683, 9: 11, 12: 19, 16: 61681, 18: 11, 24: 11, 27: 29, 32: 1777,
-    48: 379, 54: 29, 72: 41, 81: 83, 144: 53, 162: 11, 192: 11383, 216: 937, 243: 59,
-    256: 97, 288: 379, 384: 246223, 432: 2953, 486: 971, 512: 501203, 576: 1117,
-    972: 362293, 1024: 397, 1152: 11, 1296: 41, 1458: 108643, 1536: 59, 1944: 251, 2048: 59,
-    2187: 439, 2304: 101, 3456: 31, 4096: 504337, 4608: 137, 5184: 92693, 6144: 1763857,
-    6561: 11, 8748: 32719, 9216: 6841, 12288: 307, 13122: 4457, 13824: 31, 15552: 52501,
-    16384: 13, 17496: 11, 19683: 11, 20736: 281, 23328: 21577, 24576: 35339, 27648: 31,
-    31104: 79, 32768: 1049057, 34992: 132511, 52488: 11, 55296: 50363, 62208: 231067,
-    65536: 5441, 69984: 11, 73728: 465163, 78732: 31, 82944: 12049, 93312: 4153, 98304: 103,
-    104976: 9137, 110592: 3511, 118098: 6571, 124416: 11, 131072: 43, 147456: 4801,
-    165888: 89, 177147: 11, 186624: 29, 196608: 37,
-}
-_RESIDUE_SQUARE = {
-    2: 3, 3: 5, 36: 37, 64: 5, 128: 3, 864: 5, 1728: 7, 4374: 7, 5832: 19, 8192: 3,
-    11664: 5, 36864: 5, 39366: 5, 59049: 17, 157464: 5,
-}
-
-
-@pytest.mark.parametrize(
-    "limit,n_max,shape,square",
-    [
-        (10**6, 20_000, _DEFAULT_SHAPE, _DEFAULT_SQUARE),
-        (10**7, 199_999, _RESIDUE_SHAPE, _RESIDUE_SQUARE),
-    ],
-    ids=["1e6", "1e7"],
-)
-def test_residue_witnesses_are_kept_as_checked_data(limit, n_max, shape, square):
-    want = {n: ("REFUTED_SHAPE", q) for n, q in shape.items()}
-    want |= {n: ("REFUTED_SQUARE", q) for n, q in square.items()}
-    ns = screen.enumerate_2a3b(n_max)
-    assert (len(ns), len(want)) == {10**6: (77, 61), 10**7: (113, 93)}[limit]
-    assert {n: _residue_witness(n, limit) for n in ns} == {n: want.get(n) for n in ns}
-
-
-@pytest.mark.parametrize(
-    "n,status,witness",
-    [(6144, "REFUTED_SHAPE", 1763857), (32768, "REFUTED_SHAPE", 1049057), (96, "REFUTED_COUNT", 1)],
-)
-def test_witnesses_only_the_vector_kernel_reaches(n, status, witness):
-    # no residue witness for these n lies below the default trial limit;
-    # a scan to 2*10^6 finds one for 6144 and 32768, none for 96.  The
-    # screen at that limit decides each by its count bound all the same
-    limit = 2 * 10**6
-    v = screen.witness_search(n, screen.ScreenConfig(trial_limit=limit))
-    assert (v.status, v.witness) == ("REFUTED_COUNT", _COUNT_BOUND[n])
-    if status == "REFUTED_SHAPE":
-        assert witness > screen.DEFAULT_TRIAL_LIMIT
-        assert _residue_witness(n, limit) == (status, witness)
-    else:
-        assert v.witness == witness and _residue_witness(n, limit) is None
-
-
 def test_trial_limit_must_fit_uint32():
-    # the residue kernel is exact in float64 only for primes below 2**26
+    # a trial limit is an int in [0, 2**26), checked before any screen runs
     for limit in (-1, 2**26, 2**32):
         with pytest.raises(ValueError, match="trial limit"):
             screen.ScreenConfig(trial_limit=limit)
@@ -617,26 +689,29 @@ def _imported_after(module: str, run: str) -> bool:
 
 
 def test_default_screen_never_imports_numpy():
-    # importing numpy adds about 12 MB to a process; the count bound decides
-    # the default full run before any residue scan, so it must not pay that
+    # importing numpy adds about 12 MB to a process, and no stage needs it:
+    # not the count bound, which decides the default full run, and not the
+    # walk, which 3^13 and 3^40*8 reach
     assert not _imported_after(
         "numpy",
         "report = screen.screen_set(screen.enumerate_2a3b(199_999), screen.ScreenConfig())\n"
-        "assert report.counts == {'REFUTED_COUNT': 113}\n",
+        "assert report.counts == {'REFUTED_COUNT': 113}\n"
+        "report = screen.screen_set([1594323, 97261323672455430408])\n"
+        "assert report.counts == {'REFUTED_RATIO': 2}\n",
     )
 
 
 def test_no_screen_imports_multiprocessing():
     # the screen runs in one process, so it never pays multiprocessing's
-    # import, whether or not a value reaches the residue scan
+    # import, whether or not a value reaches the walk
     assert not _imported_after(
         "multiprocessing",
         "import cullen_lehmer.cli\n"
         "report = screen.screen_set(screen.enumerate_2a3b(199_999), screen.ScreenConfig())\n"
         "assert len(report.verdicts) == 113\n",
     )
-    # 1594323 and 7971615 have count bound 14, so both reach the scan; at
-    # trial limit 0 the scan is empty and both stay undecided
+    # 1594323 and 7971615 have count bound 14, so both reach the walk; at
+    # trial limit 0 it tests no prime
     for limit in (0, 100):
         assert not _imported_after(
             "multiprocessing",
@@ -711,10 +786,10 @@ def test_screens_of_small_n_never_sieve_the_primes_below_two_to_sixteen():
 @pytest.mark.parametrize(
     "trial_limit, key",
     [
-        (None, "algorithm=9,trial_limit=1000000"),
-        (10**7, "algorithm=9,trial_limit=10000000"),
-        (10_000, "algorithm=9,trial_limit=10000"),
-        (0, "algorithm=9,trial_limit=0"),
+        (None, "algorithm=10,trial_limit=1000000"),
+        (10**7, "algorithm=10,trial_limit=10000000"),
+        (10_000, "algorithm=10,trial_limit=10000"),
+        (0, "algorithm=10,trial_limit=0"),
     ],
 )
 def test_config_hash_is_pinned(trial_limit, key):
@@ -755,7 +830,7 @@ def test_resume_recomputes_a_record_of_the_hashed_key(tmp_path):
     assert (report.reused, report.computed) == (0, 1)
     lines = out.read_text().splitlines(keepends=True)
     assert lines[0] == old and len(lines) == 2
-    assert json.loads(lines[1])["config_hash"] == "algorithm=9,trial_limit=1000000"
+    assert json.loads(lines[1])["config_hash"] == "algorithm=10,trial_limit=1000000"
 
 
 def test_records_are_frozen_and_round_trip(tmp_path):
@@ -764,6 +839,7 @@ def test_records_are_frozen_and_round_trip(tmp_path):
         (screen.ScreenConfig(), "trial_limit"),
         (structure.count_bound(6), "n1_omega"),
         (structure.prime_shape(13), "m"),
+        (structure.ratio_walk(1594323, 100, (1,)), "x"),
         (bounds.refine_chain().steps[0], "k_bound"),
     ]
     for record, field in records:

@@ -66,25 +66,6 @@ def test_shape_structural_validation():
         structure.PrimeShape(p=24, m=3, a=3)
 
 
-def test_shape_divides_examples():
-    assert structure.shape_divides(structure.prime_shape(11), 6) is False
-    assert structure.shape_divides(structure.prime_shape(7), 6) is True
-    # m = 1 divides everything once the exponent fits
-    s3 = structure.prime_shape(3)
-    for n in (1, 2, 17, 100):
-        assert structure.shape_divides(s3, n)
-
-
-def test_shape_divides_matches_bigint(primes_10k):
-    rng = random.Random(11)
-    odd_primes = [p for p in primes_10k if p > 2]
-    for _ in range(4000):
-        n = rng.randrange(1, 501)
-        p = odd_primes[rng.randrange(len(odd_primes))]
-        direct = (n * 2**n) % (p - 1) == 0
-        assert structure.shape_divides(structure.prime_shape(p), n) == direct
-
-
 def test_cullen_one_mod_three_when_three_divides_n():
     for n in range(3, 30_000, 3):
         assert arith.cullen_mod(n, 3) == 1
@@ -111,7 +92,8 @@ def test_count_bound_matches_bigint_oracle():
 
 
 def test_no_n_up_to_two_to_fourteen_reaches_the_residue_scan():
-    # screen.witness_search's proof: Omega(n1) <= floor(log_3 n) = 8 once n1
+    # no n <= 2^14 reaches screen.witness_search's second stage (once the
+    # residue scan, now the ratio walk); its proof: Omega(n1) <= floor(log_3 n) = 8 once n1
     # is factored completely, and at most 4 gammas are tested, so the bound
     # is at most 12 < 14; this checks the complete factoring for each n,
     # by trial division alone
