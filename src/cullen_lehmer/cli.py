@@ -302,9 +302,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    # a file n of more than 4300 digits, its n1 in a reason and its JSON
-    # record all pass through int/str conversion; lifted only in this
-    # process, not in main, which library callers run inside their own
+    # a file n of more than 4300 digits passes through int/str conversion
+    # when read, in its human line and in its JSON record; lifted only in
+    # this process, not in main, which library callers run inside their own
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:

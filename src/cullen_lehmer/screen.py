@@ -21,7 +21,7 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
-from . import arith, structure
+from . import structure
 from .bounds import LEHMER_MIN_OMEGA
 
 REFUTED_COUNT = "REFUTED_COUNT"
@@ -114,18 +114,16 @@ def enumerate_2a3b(n_max: int) -> list[int]:
     return out
 
 
-def witness_search(
-    n: int, cfg: ScreenConfig = ScreenConfig(), *, count: structure.CountBound | None = None
-) -> Verdict:
+def witness_search(n: int, cfg: ScreenConfig = ScreenConfig()) -> Verdict:
     """Deterministic verdict for one n under cfg.
 
     Order: the count bound of structure.count_bound, which refutes C_n when
     it is below LEHMER_MIN_OMEGA (REFUTED_COUNT, witness the bound); then,
     only for an n it leaves, structure.ratio_walk over the admissible
-    primes up to cfg.trial_limit (REFUTED_RATIO, witness the walk's X).
-    UNDECIDED is the honest fallback when neither stage refutes.  count,
-    when given, is structure.count_bound(n), already computed by the
-    caller (screen_set); elapsed then leaves out its time.
+    primes up to cfg.trial_limit (REFUTED_RATIO, witness the walk's X),
+    from the count's own split of n1.  UNDECIDED is the honest fallback
+    when neither stage refutes.  elapsed covers both stages.  No reason
+    writes out n, which may be past Python's int/str digit limit.
 
     No n <= 2^14 ever reaches the walk.  n1 is odd, so each of its prime
     factors is at least 3 and Omega(n1) <= floor(log_3 n) <= floor(log_3
@@ -140,26 +138,24 @@ def witness_search(
     if n < 1:
         raise ValueError("witness_search requires n >= 1")
     start = time.perf_counter()
-    n1 = arith.odd_part(n)
     note = "; n < 3 is outside the exclusion arguments" if n < structure.MIN_ANALYSIS_N else ""
-    if count is None:
-        count = structure.count_bound(n)
+    count = structure.count_bound(n)
     bound = count.bound
     if bound < LEHMER_MIN_OMEGA:
         listed = ", ".join(map(str, count.gammas)) or "none"
         status, witness = REFUTED_COUNT, bound
         reason = (
-            f"a Lehmer C_{n} has at most Omega(n1) + #{{gamma : F_gamma | C_{n}}} <= "
+            "a Lehmer C_n has at most Omega(n1) + #{gamma : F_gamma | C_n} <= "
             f"{count.n1_omega} + {len(count.gammas)} = {bound} < {LEHMER_MIN_OMEGA} "
-            f"distinct prime factors: n1 = {n1}, gamma = {listed}"
+            f"distinct prime factors: gamma = {listed}"
         )
     else:
-        walk = structure.ratio_walk(n, cfg.trial_limit, count.gammas)
+        walk = structure.ratio_walk(n, cfg.trial_limit, count)
         if walk.rule:
             found = ", ".join(map(str, walk.found)) or "no prime"
             status, witness = REFUTED_RATIO, walk.x
             reason = (
-                f"{found} found dividing C_{n}, and a Lehmer C_{n} has at most t = {walk.t} "
+                f"{found} found dividing C_n, and a Lehmer C_n has at most t = {walk.t} "
                 f"more primes, each above X = {walk.x}: {walk.rule}"
             )
         else:
@@ -230,10 +226,9 @@ def screen_set(
     progress: Callable[[int, int, Verdict], None] | None = None,
 ) -> ScreenReport:
     """Screen every n in n_values, one at a time in this process, in
-    ascending n.
+    ascending n: each verdict is made by witness_search, written and
+    reported before the next n is taken.
 
-    The count bound of every value to compute is taken first, once,
-    before the results file is opened, and passed to witness_search.
     With output_path each fresh verdict is appended as one JSONL record and
     flushed as soon as it is done, so the fresh records are ascending in n;
     resume=True first reloads records whose config key matches and
@@ -250,7 +245,7 @@ def screen_set(
     if path is not None and resume:
         have = {n: v for n, v in load_records(path, cfg_hash).items() if n in wanted_set}
 
-    count = {n: structure.count_bound(n) for n in wanted if n not in have}
+    todo = [n for n in wanted if n not in have]
     sink = None
     if path is not None:
         try:
@@ -267,10 +262,10 @@ def screen_set(
 
     fresh: dict[int, Verdict] = {}
     try:
-        for n, c in count.items():
+        for n in todo:
             # looked up at call time, so a wrapper set on the module
             # attribute sees every call
-            v = witness_search(n, cfg, count=c)
+            v = witness_search(n, cfg)
             fresh[n] = v
             if sink is not None:
                 try:
@@ -281,7 +276,7 @@ def screen_set(
                         f"cannot append result for n={n}: {exc}; earlier lines remain valid"
                     ) from None
             if progress is not None:
-                progress(len(fresh), len(count), v)
+                progress(len(fresh), len(todo), v)
     finally:
         if sink is not None:
             sink.close()

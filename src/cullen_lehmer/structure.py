@@ -66,11 +66,15 @@ def prime_shape(p: int) -> PrimeShape:
 
 
 class CountBound(NamedTuple):
-    """The count step at one n: a Lehmer C_n has at most
-    n1_omega + len(gammas) distinct prime factors."""
+    """The count step at one n: split is arith.bounded_factor(n1), and a
+    Lehmer C_n has at most n1_omega + len(gammas) distinct prime factors."""
 
-    n1_omega: int
+    split: arith.FactorResult
     gammas: tuple[int, ...]
+
+    @property
+    def n1_omega(self) -> int:
+        return sum(self.split.factors.values()) + (self.split.cofactor.bit_length() - 1) // 16
 
     @property
     def bound(self) -> int:
@@ -108,17 +112,17 @@ def count_bound(n: int) -> CountBound:
     cofactor c it leaves counts (c.bit_length() - 1) // 16.  Every prime
     factor of c exceeds 2^16, so if c has k >= 1 of them, counted with
     multiplicity, then 2^(16k) < c < 2^c.bit_length(), that is
-    k <= (c.bit_length() - 1) // 16; and c = 1 counts 0.
+    k <= (c.bit_length() - 1) // 16; and c = 1 counts 0.  The split is
+    kept in the record, and ratio_walk reads it there.
     """
     split = arith.bounded_factor(arith.odd_part(n))
-    omega = sum(split.factors.values()) + (split.cofactor.bit_length() - 1) // 16
     span = n.bit_length().bit_length()
     gammas = []
     for g in range(span):
         f = (1 << (1 << g)) + 1
         if (n % f * pow(2, n % (2 << g), f) + 1) % f == 0:
             gammas.append(g)
-    return CountBound(omega, tuple(gammas))
+    return CountBound(split, tuple(gammas))
 
 
 class RatioWalk(NamedTuple):
@@ -139,27 +143,28 @@ def _floor6(num: int, den: int) -> str:
     return f"{q // 10**6}.{q % 10**6:06d}"
 
 
-def ratio_walk(n: int, limit: int, gammas: tuple[int, ...]) -> RatioWalk:
+def ratio_walk(n: int, limit: int, count: CountBound) -> RatioWalk:
     """Walk the admissible primes p <= limit of C_n in ascending order and
-    refute a Lehmer C_n by bounding N/phi(N); gammas is
-    count_bound(n).gammas (a superset only makes t larger).
+    refute a Lehmer C_n by bounding N/phi(N); count is count_bound(n),
+    whose split of n1 the walk reads (a superset of its gammas only makes
+    t larger).
 
     Proof.  Let N = C_n be a Lehmer number, n = 2^alpha*n1 with n1 odd.
     Admissibility: as in count_bound, every prime p | N is p = m*2^a + 1
     with m odd, m | n1 and 1 <= a <= n + alpha; prod(m_p) | n1 over the
-    distinct p; and m = 1 only for p = F_gamma with gamma in gammas.  The
-    walk tests these p in ascending order, each by is_prime and
-    cullen_mod, the m > 1 coming from the divisors of the part of n1 that
-    arith.bounded_factor splits.  Before it tests p it sets X = p - 1;
-    after the last p <= limit, X = limit.  Every prime of N at most X has
-    then been tested, so each prime of N it has not found exceeds X.  N is
-    odd, so X = 2 holds before any test.
+    distinct p; and m = 1 only for p = F_gamma with gamma in count.gammas.
+    The walk tests these p in ascending order, each by is_prime and
+    cullen_mod, the m > 1 coming from the divisors of the split part of
+    n1.  Before it tests p it sets X = p - 1; after the last p <= limit,
+    X = limit.  Every prime of N at most X has then been tested, so each
+    prime of N it has not found exceeds X.  N is odd, so X = 2 holds
+    before any test.
 
     t.  The found primes use up prod(m_found) of n1, so at most
     Omega(n1/prod(m_found)) unfound primes have m > 1, each using a factor
     m > 1 of what is left; and the only unfound primes with m = 1 are the
-    F_gamma not yet tested.  t adds the two counts, Omega as count_bound
-    counts it.  With P = prod p/(p - 1) over the found p, and
+    F_gamma not yet tested.  t adds the two counts, and starts at
+    count.bound.  With P = prod p/(p - 1) over the found p, and
     p/(p - 1) <= (X + 1)/X for each unfound p,
     N/phi(N) <= U = P*((X + 1)/X)^t.
 
@@ -177,31 +182,30 @@ def ratio_walk(n: int, limit: int, gammas: tuple[int, ...]) -> RatioWalk:
     n + n.bit_length() bits, so A != N whenever the bit lengths differ,
     and A is compared with N only when they do not.
 
-    The cofactor cut.  When bounded_factor leaves a cofactor c of n1,
-    every prime of c exceeds 2^16, so an m that involves one is at least
-    65537 and gives p > 2*65537.  So the divisors of the split part list
+    The cofactor cut.  When the split leaves a cofactor c of n1, every
+    prime of c exceeds 2^16, so an m that involves one is at least 65537
+    and gives p > 2*65537.  So the divisors of the split part list
     every admissible p <= 2*65537, the walk's budget is min(limit,
     2*65537), and c counts toward t as in count_bound.
     """
     alpha = arith.v2(n)
     n1 = n >> alpha
-    split = arith.bounded_factor(n1)
-    if split.cofactor > 1:
+    if count.split.cofactor > 1:
         limit = min(limit, 2 * 65537)
     # (m, Omega(m)) for the odd m | n1 with 2m + 1 <= limit
     divisors = [(1, 0)]
-    for q, e in split.factors.items():
+    for q, e in count.split.factors.items():
         divisors = [
             (m * q**k, w + k) for m, w in divisors for k in range(e + 1) if 2 * m * q**k < limit
         ]
-    candidates = [((1 << (1 << g)) + 1, 1, 0) for g in gammas]
+    candidates = [((1 << (1 << g)) + 1, 1, 0) for g in count.gammas]
     for m, w in divisors[1:]:
         a = 1
         while a <= n + alpha and m << a < limit:
             candidates.append(((m << a) + 1, m, w))
             a += 1
     candidates = sorted(c for c in candidates if c[0] <= limit)
-    t = sum(split.factors.values()) + (split.cofactor.bit_length() - 1) // 16 + len(gammas)
+    t = count.bound
     num = den = used = 1
     found: list[int] = []
 

@@ -172,7 +172,7 @@ def test_criterion_4_oracle_equivalence():
         verdict, ((status, x), found) = _oracle_verdict(n, v.trial_limit_used)
         if (v.status, v.witness) != verdict:
             mismatches.append((n, (v.status, v.witness), verdict))
-        walk = structure.ratio_walk(n, v.trial_limit_used, structure.count_bound(n).gammas)
+        walk = structure.ratio_walk(n, v.trial_limit_used, structure.count_bound(n))
         if (bool(walk.rule), walk.x, list(walk.found)) != (status == "REFUTED_RATIO", x, found):
             mismatches.append((n, "walk", walk, (status, x, found)))
     elapsed = time.perf_counter() - t0

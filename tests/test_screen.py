@@ -365,21 +365,21 @@ def test_count_bound_taken_once_per_value(tmp_path, monkeypatch):
     assert sorted(map(int, log.read_text().split())) == ns
 
 
-def test_failed_table_build_leaves_results_file_unchanged(tmp_path, monkeypatch):
-    out = tmp_path / "results.jsonl"
-    cfg = screen.ScreenConfig(trial_limit=100)
-    screen.screen_set([6], cfg, output_path=out)
-    before = out.read_bytes()
+@pytest.mark.parametrize("n", [3**13, 19_131_876])
+def test_one_split_per_n(n, monkeypatch):
+    # both reach the walk, which reads the count stage's split of n1, so
+    # n1 is factored once; counted through the module attribute, as a
+    # wrapper set there sees every call
+    calls = []
+    real = arith.bounded_factor
 
-    def broken(limit):
-        raise ValueError("no table")
+    def counted(x):
+        calls.append(x)
+        return real(x)
 
-    monkeypatch.setattr(arith, "primes_up_to", broken)
-    # 1594323 = 3^13 is past 1009^2, so its count step divides by the
-    # primes below 2^16; every count step runs before the file is opened
-    with pytest.raises(ValueError, match="no table"):
-        screen.screen_set([6, 1594323], cfg, output_path=out)
-    assert out.read_bytes() == before
+    monkeypatch.setattr(arith, "bounded_factor", counted)
+    assert screen.witness_search(n).status == "REFUTED_RATIO"
+    assert calls == [arith.odd_part(n)]
 
 
 def test_config_hash_tracks_fields():
@@ -453,22 +453,24 @@ def test_count_bound_of_fourteen_is_refuted_by_the_walk(n, x, u):
     # up to X divides C_n, so the 14 primes a Lehmer C_n would need each
     # exceed X and N/phi(N) < ((X + 1)/X)^14 < 2.  The residue scan left
     # both undecided, 19131876 even at trial limit 10^7
-    assert structure.count_bound(n) == structure.CountBound(14, ())
+    c = structure.count_bound(n)
+    assert (c.n1_omega, c.gammas) == (14, ())
     for limit in (screen.DEFAULT_TRIAL_LIMIT, 10**7):
         v = screen.witness_search(n, screen.ScreenConfig(trial_limit=limit))
         assert (v.status, v.witness) == ("REFUTED_RATIO", x)
         _recheck_ratio(v)
     assert v.reason == (
-        f"no prime found dividing C_{n}, and a Lehmer C_{n} has at most t = 14 more "
+        "no prime found dividing C_n, and a Lehmer C_n has at most t = 14 more "
         f"primes, each above X = {x}: U = {u} < 2"
     )
 
 
 def _forced(n, limit=screen.DEFAULT_TRIAL_LIMIT):
-    """witness_search(n) with the count stage passed by hand as bound 14,
-    so that any n reaches the walk."""
-    count = structure.CountBound(14, structure.count_bound(n).gammas)
-    return screen.witness_search(n, screen.ScreenConfig(trial_limit=limit), count=count)
+    """witness_search(n) with the Lehmer minimum set to 0, so that any n
+    reaches the walk, which starts from n's true count bound."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(screen, "LEHMER_MIN_OMEGA", 0)
+        return screen.witness_search(n, screen.ScreenConfig(trial_limit=limit))
 
 
 def test_walk_finds_every_admissible_divisor_up_to_x():
@@ -477,7 +479,7 @@ def test_walk_finds_every_admissible_divisor_up_to_x():
     # primes up to X (up to X + 1 where an m overruns) that divide the
     # built C_n by trial division
     for n in range(1, 301):
-        walk = structure.ratio_walk(n, screen.DEFAULT_TRIAL_LIMIT, structure.count_bound(n).gammas)
+        walk = structure.ratio_walk(n, screen.DEFAULT_TRIAL_LIMIT, structure.count_bound(n))
         alpha = (n & -n).bit_length() - 1
         n1, cn = n >> alpha, (n << n) + 1
         top = walk.x + ("does not divide" in walk.rule)
@@ -496,7 +498,7 @@ def test_walk_two_sided_rule_at_15806():
     # the first n that needs the two-sided rule: at X = 56, 3, 5, 17 and
     # 29 divide C_n, so P = 2.063 > 2 while U < 3.  Then K = 2 and a Lehmer
     # C_n would be 3*5*17*29
-    walk = structure.ratio_walk(15806, 10**6, structure.count_bound(15806).gammas)
+    walk = structure.ratio_walk(15806, 10**6, structure.count_bound(15806))
     assert (walk.x, walk.found, walk.t) == (56, (3, 5, 17, 29), 1)
     assert walk.rule == (
         "2 < P = 2.063337 and U = 2.100182 < 3 force C_n = 3*5*17*29, which it is not"
@@ -504,17 +506,19 @@ def test_walk_two_sided_rule_at_15806():
     _recheck_ratio(_forced(15806))
 
 
-def test_walk_overrun_rule_at_636():
+def test_walk_overrun_rule_at_636(monkeypatch):
     # n1 = 3*53, and 7 = 3*2 + 1 and 13 = 3*4 + 1 both divide C_636: two
     # primes with m = 3 against prod(m_p) | n1.  With its true gammas the
     # walk refutes 636 by U < 2 first, as every n <= 200,000 but the two-
     # sided ones; a superset of the gammas only raises t, which keeps the
     # walk sound and U >= 2 until 13 is found
-    gammas = tuple(range(8))
-    walk = structure.ratio_walk(636, 10**6, gammas)
+    count = structure.count_bound(636)._replace(gammas=tuple(range(8)))
+    walk = structure.ratio_walk(636, 10**6, count)
     assert (walk.x, walk.found, walk.t) == (12, (7, 13), 7)
     assert walk.rule == "13 = 3*2^2 + 1, and m = 3 does not divide n1/3"
-    v = screen.witness_search(636, count=structure.CountBound(14, gammas))
+    monkeypatch.setattr(structure, "count_bound", lambda n: count)
+    monkeypatch.setattr(screen, "LEHMER_MIN_OMEGA", 0)
+    v = screen.witness_search(636)
     assert (v.status, v.witness) == ("REFUTED_RATIO", 12)
     _recheck_ratio(v)
 
@@ -522,7 +526,7 @@ def test_walk_overrun_rule_at_636():
 def test_walk_past_three_five_seventeen_and_257_at_262124():
     # 3, 5, 17 and 257 divide C_n, with P = 2 - 2^-15 just below 2; the
     # walk climbs to X = 155,648 before U drops below 2
-    walk = structure.ratio_walk(262124, 10**6, structure.count_bound(262124).gammas)
+    walk = structure.ratio_walk(262124, 10**6, structure.count_bound(262124))
     assert (walk.x, walk.found, walk.rule) == (155_648, (3, 5, 17, 257), "U = 1.999995 < 2")
     assert math.prod(walk.found) == 2 * math.prod(p - 1 for p in walk.found) - 1
     _recheck_ratio(_forced(262124))
@@ -531,25 +535,33 @@ def test_walk_past_three_five_seventeen_and_257_at_262124():
 def test_walk_on_a_partial_split_of_a_4301_digit_n():
     # bounded_factor leaves a cofactor of n1, so only divisors of the split
     # part give candidates, the budget drops to 2*65537, and the cofactor
-    # counts one prime per 16 bits toward t.  The reasons name n, past
-    # Python's default 4300-digit int/str limit, which the console script
-    # lifts for its whole process
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        n = (10**4301 - 1) // 3
-        assert arith.bounded_factor(n).cofactor > 1
-        v = screen.witness_search(n)
-        assert (v.status, v.witness) == ("REFUTED_RATIO", 2026)
-        assert v.reason.startswith("7, 17 found dividing C_")
-        _recheck_ratio(v)
-        # a budget below X = 2026 ends the walk at the budget, which
-        # refutes from 1867 on; the residue scan found 89 from 89 on
-        budget = {L: screen.witness_search(n, screen.ScreenConfig(trial_limit=L)) for L in (1866, 1867)}
-        assert budget[1866].status == "UNDECIDED"
-        assert (budget[1867].status, budget[1867].witness) == ("REFUTED_RATIO", 1867)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    # counts one prime per 16 bits toward t.  n is past Python's default
+    # 4300-digit int/str limit, which no reason needs lifted
+    n = (10**4301 - 1) // 3
+    assert arith.bounded_factor(n).cofactor > 1
+    v = screen.witness_search(n)
+    assert (v.status, v.witness) == ("REFUTED_RATIO", 2026)
+    assert v.reason.startswith("7, 17 found dividing C_n, ")
+    _recheck_ratio(v)
+    # a budget below X = 2026 ends the walk at the budget, which
+    # refutes from 1867 on; the residue scan found 89 from 89 on
+    budget = {L: screen.witness_search(n, screen.ScreenConfig(trial_limit=L)) for L in (1866, 1867)}
+    assert budget[1866].status == "UNDECIDED"
+    assert (budget[1867].status, budget[1867].witness) == ("REFUTED_RATIO", 1867)
+
+
+def test_a_4301_digit_n_screens_at_the_default_int_digit_limit():
+    # a fresh interpreter keeps the 4300-digit int/str limit, which no
+    # reason trips, as none writes out n or n1
+    run = (
+        "sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)\n"
+        "n = (10**4301 - 1) // 3\n"
+        "v = screen.witness_search(n)\n"
+        "assert (v.status, v.witness) == ('REFUTED_RATIO', 2026), v.status\n"
+        "report = screen.screen_set([n])\n"
+        "assert [w[:5] for w in report.verdicts] == [v[:5]]\n"
+    )
+    _loaded_after((), run)
 
 
 def test_walk_with_too_small_a_budget_stays_undecided():
@@ -605,8 +617,8 @@ def test_unprovable_prime_n1_is_refuted_by_count():
     v = screen.witness_search(n)
     assert (v.status, v.witness) == ("REFUTED_COUNT", 5)
     assert v.reason == (
-        f"a Lehmer C_{n} has at most Omega(n1) + #{{gamma : F_gamma | C_{n}}} <= 5 + 0 = 5 < 14 "
-        f"distinct prime factors: n1 = {n}, gamma = none"
+        "a Lehmer C_n has at most Omega(n1) + #{gamma : F_gamma | C_n} <= 5 + 0 = 5 < 14 "
+        "distinct prime factors: gamma = none"
     )
 
 
@@ -617,10 +629,11 @@ def test_proth_prime_n1_is_refuted_by_count():
     # to the walk
     n = 3 * 2**276 + 1
     assert n > arith._DET_MR_LIMIT and arith.is_prime(n)
-    assert structure.count_bound(n) == structure.CountBound(1, (0,))
+    c = structure.count_bound(n)
+    assert (c.n1_omega, c.gammas) == (1, (0,))
     v = screen.witness_search(n)
     assert (v.status, v.witness) == ("REFUTED_COUNT", 2)
-    assert v.reason.endswith(f"<= 1 + 1 = 2 < 14 distinct prime factors: n1 = {n}, gamma = 0")
+    assert v.reason.endswith("<= 1 + 1 = 2 < 14 distinct prime factors: gamma = 0")
 
 
 # n -> count bound of all 113 n = 2^a*3^b < 200,000, from sympy.factorint
@@ -837,9 +850,9 @@ def test_records_are_frozen_and_round_trip(tmp_path):
     records = [
         (screen.witness_search(6), "status"),
         (screen.ScreenConfig(), "trial_limit"),
-        (structure.count_bound(6), "n1_omega"),
+        (structure.count_bound(6), "split"),
         (structure.prime_shape(13), "m"),
-        (structure.ratio_walk(1594323, 100, (1,)), "x"),
+        (structure.ratio_walk(1594323, 100, structure.count_bound(1594323)), "x"),
         (bounds.refine_chain().steps[0], "k_bound"),
     ]
     for record, field in records:

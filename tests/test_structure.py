@@ -103,7 +103,8 @@ def test_no_n_up_to_two_to_fourteen_reaches_the_residue_scan():
         assert got.bound <= 12, n
     # the first 2^a*3^b the bound leaves: 3^13, with F_1 = 5 | C_n
     first = next(n for n in screen.enumerate_2a3b(2 * 10**6) if structure.count_bound(n).bound >= 14)
-    assert first == 3**13 and structure.count_bound(first) == structure.CountBound(13, (1,))
+    c = structure.count_bound(first)
+    assert first == 3**13 and (c.n1_omega, c.gammas) == (13, (1,))
 
 
 @pytest.mark.parametrize("base", [1 << 64, 1 << 100], ids=["2^64", "2^100"])
