@@ -6,6 +6,10 @@
     cullen-lehmer screen       refute the Lehmer necessary conditions on a
                                set of n by count bound and totient-ratio walk
 
+Each record is printed once, on stdout, as it is made: a human line, or
+under --format jsonl a JSON object, with the summary lines on stderr so
+the record stream stays machine-readable.  --output is screen's results file.
+
 Exit codes: 0 clean, 1 a check failed (uniqueness violation, a cascade
 check that does not hold, undecided n), 2 usage or configuration errors.
 """
@@ -35,14 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument(
             "--format",
-            choices=("human", "jsonl", "csv"),
+            choices=("human", "jsonl"),
             default="human",
             help="report format (default human)",
-        )
-        p.add_argument(
-            "--output",
-            help="write records to this file instead of stdout; for screen this "
-            "is also the resumable results file",
         )
 
     p_bounds = sub.add_parser("bounds", help="run the exclusion cascade")
@@ -72,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest prime the totient-ratio walk tries as a divisor of C_n, below 2^26"
         " (default 10^6); read only for n whose count bound reaches 14",
     )
+    p_scr.add_argument("--output", help="append each verdict to this resumable results file")
     p_scr.add_argument(
         "--resume", action="store_true", help="reuse matching records already in --output"
     )
@@ -90,47 +90,12 @@ def _config_line(args) -> str:
     return f"run config: {shown}"
 
 
-class _Emitter:
-    """Streams records in the chosen format to stdout or a file."""
+def _record(fmt: str, d: dict, human: str) -> None:
+    print(json.dumps(d, sort_keys=True) if fmt == "jsonl" else human, flush=True)
 
-    def __init__(self, fmt: str, output: str | None):
-        self.fmt = fmt
-        try:
-            self.fh = open(output, "w", encoding="utf-8") if output else sys.stdout
-        except OSError as exc:
-            raise RuntimeError(f"cannot open results file {output}: {exc}") from None
-        self.owns = output is not None
-        self._csv = None
-        if fmt == "csv":
-            import csv
 
-            self._csv = csv.writer(self.fh)
-        self._csv_header_done = False
-
-    def record(self, d: dict, human: str) -> None:
-        if self.fmt == "jsonl":
-            self.fh.write(json.dumps(d, sort_keys=True) + "\n")
-        elif self.fmt == "csv":
-            if not self._csv_header_done:
-                self._csv.writerow(sorted(d))
-                self._csv_header_done = True
-            self._csv.writerow([d[k] for k in sorted(d)])
-        else:
-            self.fh.write(human + "\n")
-        self.fh.flush()
-
-    def line(self, text: str) -> None:
-        # summary lines; in structured formats they go to stderr so the
-        # record stream stays machine-readable
-        if self.fmt == "human":
-            self.fh.write(text + "\n")
-            self.fh.flush()
-        else:
-            print(text, file=sys.stderr)
-
-    def close(self) -> None:
-        if self.owns:
-            self.fh.close()
+def _summary(fmt: str, text: str) -> None:
+    print(text, file=sys.stdout if fmt == "human" else sys.stderr, flush=True)
 
 
 def cmd_bounds(args) -> int:
@@ -140,62 +105,58 @@ def cmd_bounds(args) -> int:
         # a cascade check that does not hold is a failed proof, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    emitter = _Emitter(args.format, args.output)
-    try:
-        emitter.line(_config_line(args))
-        for step in chain.steps:
-            d = step._asdict()
-            d["assumptions"] = list(step.assumptions)
-            emitter.record(
-                d,
-                f"[{step.anchor}] {step.label}: {step.detail}"
-                + (
-                    f"  (n_bound {step.n_bound} <= stated {step.stated_n_bound})"
-                    if step.n_bound and step.stated_n_bound
-                    else ""
-                )
-                + f"  [assuming: {', '.join(step.assumptions)}]",
+    _summary(args.format, _config_line(args))
+    for step in chain.steps:
+        d = step._asdict()
+        d["assumptions"] = list(step.assumptions)
+        _record(
+            args.format,
+            d,
+            f"[{step.anchor}] {step.label}: {step.detail}"
+            + (
+                f"  (n_bound {step.n_bound} <= stated {step.stated_n_bound})"
+                if step.n_bound and step.stated_n_bound
+                else ""
             )
-        ff = chain.final_form
-        emitter.line(
-            f"final form: n = 2^α·3^β, n < {ff.n_max:,}, k ≤ {ff.k_max} "
-            f"(computed n < {ff.n_max_computed:,})"
+            + f"  [assuming: {', '.join(step.assumptions)}]",
         )
-        return EXIT_OK
-    finally:
-        emitter.close()
+    ff = chain.final_form
+    _summary(
+        args.format,
+        f"final form: n = 2^α·3^β, n < {ff.n_max:,}, k ≤ {ff.k_max} "
+        f"(computed n < {ff.n_max_computed:,})",
+    )
+    return EXIT_OK
 
 
 def cmd_exceptional(args) -> int:
     if args.n_max < 3:
         print("--n-max must be >= 3", file=sys.stderr)
         return EXIT_USAGE
-    emitter = _Emitter(args.format, args.output)
-    try:
-        emitter.line(_config_line(args))
-        rows = exceptional.scan_exceptional(3, args.n_max)
-        for n, cands in rows:
-            for c in cands:
-                d = {
-                    "n": n,
-                    "w": c.w,
-                    "rho": c.rho,
-                    "exponent": c.exponent,
-                    "p_bits": c.p.bit_length(),
-                }
-                emitter.record(
-                    d,
-                    f"n={n}: w={c.w} rho={c.rho} p={c.rho}*2^{c.exponent}+1 "
-                    f"({c.p.bit_length()} bits)",
-                )
-        violations = exceptional.uniqueness_violations(rows)
-        emitter.line(
-            f"{len(violations)} uniqueness violations in 3..{args.n_max}"
-            + (f": {violations}" if violations else "")
-        )
-        return EXIT_CHECK_FAILED if violations else EXIT_OK
-    finally:
-        emitter.close()
+    _summary(args.format, _config_line(args))
+    rows = exceptional.scan_exceptional(3, args.n_max)
+    for n, cands in rows:
+        for c in cands:
+            d = {
+                "n": n,
+                "w": c.w,
+                "rho": c.rho,
+                "exponent": c.exponent,
+                "p_bits": c.p.bit_length(),
+            }
+            _record(
+                args.format,
+                d,
+                f"n={n}: w={c.w} rho={c.rho} p={c.rho}*2^{c.exponent}+1 "
+                f"({c.p.bit_length()} bits)",
+            )
+    violations = exceptional.uniqueness_violations(rows)
+    _summary(
+        args.format,
+        f"{len(violations)} uniqueness violations in 3..{args.n_max}"
+        + (f": {violations}" if violations else ""),
+    )
+    return EXIT_CHECK_FAILED if violations else EXIT_OK
 
 
 def cmd_screen(args) -> int:
@@ -245,43 +206,29 @@ def cmd_screen(args) -> int:
     cfg = screen.ScreenConfig(trial_limit=args.trial_limit)
     cfg_hash = screen.config_hash(cfg)
 
-    emitter = _Emitter(args.format, None)
-
-    def show(v: screen.Verdict) -> None:
-        d = screen.record_dict(v, cfg_hash)
-        emitter.record(
-            d,
+    def show(k: int, total: int, v: screen.Verdict) -> None:
+        # called in ascending n as each verdict is made or reused
+        _record(
+            args.format,
+            screen.record_dict(v, cfg_hash),
             f"n={v.n}: {v.status}"
             + (f" witness={v.witness}" if v.witness else "")
             + f"  ({v.reason})"
             + f"  [trial<={v.trial_limit_used}, {v.elapsed:.2f}s]",
         )
 
-    def progress(k: int, total: int, v: screen.Verdict) -> None:
-        # called in ascending n as each verdict is made; stdout prints them all after the run
-        print(f"[{k}/{total}] n={v.n} {v.status}  {v.elapsed:.1f}s", file=sys.stderr, flush=True)
-
     report = screen.screen_set(
-        n_values,
-        cfg,
-        output_path=args.output,
-        resume=args.resume,
-        progress=progress,
+        n_values, cfg, output_path=args.output, resume=args.resume, progress=show
     )
-    for v in report.verdicts:
-        show(v)
-
-    emitter.line(_config_line(args))
-    emitter.line(
+    _summary(args.format, _config_line(args))
+    _summary(
+        args.format,
         f"screened {len(report.verdicts)} values (config {report.config_hash}, "
-        f"{report.reused} reused, {report.computed} computed, {report.elapsed:.1f}s)"
+        f"{report.reused} reused, {report.computed} computed, {report.elapsed:.1f}s)",
     )
     for status in sorted(report.counts):
-        emitter.line(f"  {status}: {report.counts[status]}")
-    if report.undecided:
-        emitter.line(f"undecided n: {report.undecided}")
-    else:
-        emitter.line("undecided n: none")
+        _summary(args.format, f"  {status}: {report.counts[status]}")
+    _summary(args.format, f"undecided n: {report.undecided or 'none'}")
     if report.undecided and not args.allow_undecided:
         return EXIT_CHECK_FAILED
     return EXIT_OK

@@ -226,26 +226,24 @@ def screen_set(
     progress: Callable[[int, int, Verdict], None] | None = None,
 ) -> ScreenReport:
     """Screen every n in n_values, one at a time in this process, in
-    ascending n: each verdict is made by witness_search, written and
-    reported before the next n is taken.
+    ascending n: each verdict is reused or made by witness_search, written
+    and reported before the next n is taken.
 
     With output_path each fresh verdict is appended as one JSONL record and
     flushed as soon as it is done, so the fresh records are ascending in n;
     resume=True first reloads records whose config key matches and
     recomputes nothing for them.  progress(k, total, verdict) is called for
-    the k-th fresh verdict of total, ascending in n.
+    the k-th verdict of the total wanted, reused or fresh, ascending in n.
     """
     start = time.perf_counter()
     wanted = sorted(set(n_values))
-    wanted_set = set(wanted)
     cfg_hash = config_hash(cfg)
     path = Path(output_path) if output_path is not None else None
 
     have: dict[int, Verdict] = {}
     if path is not None and resume:
-        have = {n: v for n, v in load_records(path, cfg_hash).items() if n in wanted_set}
+        have = load_records(path, cfg_hash)
 
-    todo = [n for n in wanted if n not in have]
     sink = None
     if path is not None:
         try:
@@ -260,29 +258,31 @@ def screen_set(
         except OSError as exc:
             raise RuntimeError(f"cannot open results file {path}: {exc}") from None
 
-    fresh: dict[int, Verdict] = {}
+    verdicts: list[Verdict] = []
+    computed = 0
     try:
-        for n in todo:
-            # looked up at call time, so a wrapper set on the module
-            # attribute sees every call
-            v = witness_search(n, cfg)
-            fresh[n] = v
-            if sink is not None:
-                try:
-                    sink.write(json.dumps(record_dict(v, cfg_hash), sort_keys=True) + "\n")
-                    sink.flush()
-                except OSError as exc:
-                    raise RuntimeError(
-                        f"cannot append result for n={n}: {exc}; earlier lines remain valid"
-                    ) from None
+        for k, n in enumerate(wanted, 1):
+            v = have.get(n)
+            if v is None:
+                # looked up at call time, so a wrapper set on the module
+                # attribute sees every call
+                v = witness_search(n, cfg)
+                computed += 1
+                if sink is not None:
+                    try:
+                        sink.write(json.dumps(record_dict(v, cfg_hash), sort_keys=True) + "\n")
+                        sink.flush()
+                    except OSError as exc:
+                        raise RuntimeError(
+                            f"cannot append result for n={n}: {exc}; earlier lines remain valid"
+                        ) from None
+            verdicts.append(v)
             if progress is not None:
-                progress(len(fresh), len(todo), v)
+                progress(k, len(wanted), v)
     finally:
         if sink is not None:
             sink.close()
 
-    have.update(fresh)
-    verdicts = [have[n] for n in wanted]
     counts: dict[str, int] = {}
     for v in verdicts:
         counts[v.status] = counts.get(v.status, 0) + 1
@@ -291,7 +291,7 @@ def screen_set(
         counts=counts,
         undecided=[v.n for v in verdicts if v.status == UNDECIDED],
         config_hash=cfg_hash,
-        reused=len(have) - len(fresh),
-        computed=len(fresh),
+        reused=len(verdicts) - computed,
+        computed=computed,
         elapsed=time.perf_counter() - start,
     )

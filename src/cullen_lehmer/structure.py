@@ -22,7 +22,7 @@ def cullen_value(n: int, cap: int = DEFAULT_CN_CAP) -> int:
         raise ValueError("cullen_value requires n >= 1")
     if n > cap:
         raise ValueError(
-            f"refusing to materialize C_{n}: n exceeds the materialization cap {cap}; "
+            f"refusing to materialize C_n: n exceeds the materialization cap {cap}; "
             "use cullen_mod for residue work"
         )
     return (n << n) + 1

@@ -32,13 +32,6 @@ def test_bounds_jsonl_one_step_per_line(capsys):
     assert "final form" in err  # summary stays off the record stream
 
 
-def test_bounds_csv(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--format", "csv")
-    assert code == 0
-    header, *rows = out.strip().splitlines()
-    assert "anchor" in header and len(rows) == 10
-
-
 def test_exceptional_small_range(capsys):
     code, out, _ = run_cli(capsys, "exceptional", "--n-max", "30", "--format", "jsonl")
     assert code == 0
@@ -48,19 +41,14 @@ def test_exceptional_small_range(capsys):
     assert "certainty" not in rows[0]
 
 
-@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("fmt", ["jsonl"])
 def test_exceptional_whole_reduction_range(capsys, fmt):
     # p is left out of the records: its decimal string would pass Python's
     # 4300-digit limit (the largest candidate below 200,000 has 64,897 bits)
     code, out, err = run_cli(capsys, "exceptional", "--n-max", "200000", "--format", fmt)
     assert code == 0
     assert "0 uniqueness violations in 3..200000" in err
-    lines = out.strip().splitlines()
-    if fmt == "jsonl":
-        rows = [json.loads(line) for line in lines]
-    else:
-        header = lines[0].split(",")
-        rows = [dict(zip(header, map(int, line.split(",")))) for line in lines[1:]]
+    rows = [json.loads(line) for line in out.strip().splitlines()]
     assert len(rows) == 49 and len({r["n"] for r in rows}) == 48
     for r in rows:
         n1 = r["n"] >> ((r["n"] & -r["n"]).bit_length() - 1)
@@ -104,30 +92,42 @@ def test_screen_range_matches_module(capsys):
         assert (r["status"], r["witness"]) == (v.status, v.witness)
 
 
-def test_screen_reports_progress_on_stderr(tmp_path, capsys):
+def test_screen_prints_each_verdict_once_on_stdout(tmp_path, capsys):
     out_file = tmp_path / "res.jsonl"
     argv = ("screen", "--set", "pow23", "--n-max", "30", "--trial-limit", "10000",
-            "--format", "jsonl")
+            "--format", "jsonl", "--output", str(out_file))
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
+    # stderr carries the four summary lines and no per-verdict line
+    summary = err.splitlines()
+    assert len(summary) == 4 and summary[0].startswith("run config: ")
+    assert summary[3] == "undecided n: none"
     records = [json.loads(line) for line in out.splitlines()]
-    lines = [line for line in err.splitlines() if line.startswith("[")]
-    assert len(lines) == len(records) == 12
-    seen = {}
-    for k, line in enumerate(lines, 1):
-        m = re.fullmatch(r"\[(\d+)/12\] n=(\d+) (\w+)  \d+\.\ds", line)
-        assert m and int(m[1]) == k, line
-        seen[int(m[2])] = m[3]
-    assert seen == {r["n"]: r["status"] for r in records}
-    # stdout and the results file carry only records, as before
-    code, out_with_file, _ = run_cli(capsys, *argv, "--output", str(out_file))
-    assert code == 0
-    in_file = [json.loads(line) for line in out_file.read_text().splitlines()]
-    assert sorted(r["n"] for r in in_file) == sorted(seen)
-    # stdout follows --format with or without --output
-    assert [json.loads(line) for line in out_with_file.splitlines()] == sorted(
-        in_file, key=lambda r: r["n"]
-    )
+    assert records == [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert [r["n"] for r in records] == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27]
+    # a resumed run prints the same lines in the same order: a reused
+    # record carries its stored elapsed
+    code, resumed, err = run_cli(capsys, *argv, "--resume")
+    assert code == 0 and "12 reused, 0 computed" in err
+    assert resumed == out
+
+
+def test_screen_prints_each_verdict_as_it_is_made(monkeypatch, capsys):
+    from cullen_lehmer import screen
+
+    search = screen.witness_search
+    out = []
+
+    def checked(n, cfg):
+        out.append(capsys.readouterr().out)
+        # the k - 1 verdicts made before the k-th are already on stdout
+        assert "".join(out).count("\n") == len(out) - 1, n
+        return search(n, cfg)
+
+    monkeypatch.setattr(screen, "witness_search", checked)
+    assert cli.main(["screen", "--set", "range", "--n-max", "5", "--format", "jsonl"]) == 0
+    out.append(capsys.readouterr().out)
+    assert [json.loads(line)["n"] for line in "".join(out).splitlines()] == [1, 2, 3, 4, 5]
 
 
 def test_screen_file_set(tmp_path, capsys):
@@ -304,10 +304,13 @@ def test_flags_only_where_read(capsys):
     assert cli.main(["screen", "--cn-cap", "0"]) == 2
     assert cli.main(["screen", "--rho-budget", "5"]) == 2
     assert cli.main(["screen", "--workers", "2"]) == 2
+    assert cli.main(["bounds", "--output", "x"]) == 2
+    assert cli.main(["exceptional", "--output", "x"]) == 2
+    assert cli.main(["screen", "--format", "csv"]) == 2
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["bounds", "exceptional"])
+@pytest.mark.parametrize("command", ["screen"])
 def test_unopenable_output_exits_2(tmp_path, capsys, command):
     path = tmp_path / "missing-dir" / "x.jsonl"
     code, _, err = run_cli(capsys, command, "--output", str(path))

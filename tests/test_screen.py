@@ -232,6 +232,26 @@ def test_results_file_is_ascending(tmp_path):
     assert [v.n for v in report.verdicts] == want
 
 
+def test_resume_reports_every_verdict_ascending(tmp_path):
+    # a resumed run reports reused and fresh verdicts alike, once each and
+    # in ascending n, and appends only the fresh ones, ascending
+    out = tmp_path / "results.jsonl"
+    cfg = screen.ScreenConfig(trial_limit=100)
+    screen.screen_set([12, 1594323], cfg, output_path=out)
+    seen = []
+    ns = [7971615, 6, 1594323, 12, 9]
+    report = screen.screen_set(
+        ns, cfg, output_path=out, resume=True,
+        progress=lambda k, total, v: seen.append((k, total, v.n)),
+    )
+    want = sorted(ns)
+    assert seen == [(k, 5, n) for k, n in enumerate(want, 1)]
+    assert (report.reused, report.computed) == (2, 3)
+    assert [json.loads(line)["n"] for line in out.read_text().splitlines()] == [
+        12, 1594323, 6, 9, 7971615
+    ]
+
+
 def test_screen_set_persists_and_resumes(tmp_path):
     out = tmp_path / "results.jsonl"
     cfg = screen.ScreenConfig(trial_limit=10_000)
@@ -552,7 +572,7 @@ def test_walk_on_a_partial_split_of_a_4301_digit_n():
 
 def test_a_4301_digit_n_screens_at_the_default_int_digit_limit():
     # a fresh interpreter keeps the 4300-digit int/str limit, which no
-    # reason trips, as none writes out n or n1
+    # reason trips, as none writes out n or n1, nor cullen_value's refusal
     run = (
         "sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)\n"
         "n = (10**4301 - 1) // 3\n"
@@ -560,6 +580,12 @@ def test_a_4301_digit_n_screens_at_the_default_int_digit_limit():
         "assert (v.status, v.witness) == ('REFUTED_RATIO', 2026), v.status\n"
         "report = screen.screen_set([n])\n"
         "assert [w[:5] for w in report.verdicts] == [v[:5]]\n"
+        "try:\n"
+        "    screen.structure.cullen_value(10**4301)\n"
+        "except ValueError as exc:\n"
+        "    assert str(exc).startswith('refusing to materialize C_n: '), exc\n"
+        "else:\n"
+        "    raise AssertionError('C_n materialized past the cap')\n"
     )
     _loaded_after((), run)
 
@@ -735,9 +761,9 @@ def test_no_screen_imports_multiprocessing():
 
 
 # Modules no cascade or default screen needs: dataclasses imports inspect,
-# random is imported by no module of the package, hashlib loads OpenSSL's
-# libcrypto, and decimal serves only near-boundary comparisons, which the
-# cascade never makes.
+# random and csv are imported by no module of the package, hashlib loads
+# OpenSSL's libcrypto, and decimal serves only near-boundary comparisons,
+# which the cascade never makes.
 COLD_START_UNUSED = ("dataclasses", "inspect", "random", "csv", "hashlib", "_hashlib", "decimal")
 
 
