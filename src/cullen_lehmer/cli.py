@@ -68,8 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trial-limit",
         type=int,
         default=screen.DEFAULT_TRIAL_LIMIT,
-        help="largest prime the totient-ratio walk tries as a divisor of C_n, below 2^26"
-        " (default 10^6); read only for n whose count bound reaches 14",
+        help="largest prime the totient-ratio walk tries as a divisor of C_n (default 10^6);"
+        " below 2^26, so every prime tried is below 65537^2 and proven by trial division;"
+        " read only for n whose count bound reaches 14",
     )
     p_scr.add_argument("--output", help="append each verdict to this resumable results file")
     p_scr.add_argument(
@@ -207,7 +208,11 @@ def cmd_screen(args) -> int:
     cfg_hash = screen.config_hash(cfg)
 
     def show(k: int, total: int, v: screen.Verdict) -> None:
-        # called in ascending n as each verdict is made or reused
+        # called in ascending n as each verdict is made or reused; the config
+        # line leads, once the results file is open, so a usage error prints
+        # nothing on stdout
+        if k == 1:
+            _summary(args.format, _config_line(args))
         _record(
             args.format,
             screen.record_dict(v, cfg_hash),
@@ -220,7 +225,6 @@ def cmd_screen(args) -> int:
     report = screen.screen_set(
         n_values, cfg, output_path=args.output, resume=args.resume, progress=show
     )
-    _summary(args.format, _config_line(args))
     _summary(
         args.format,
         f"screened {len(report.verdicts)} values (config {report.config_hash}, "

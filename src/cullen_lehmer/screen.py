@@ -33,7 +33,7 @@ STATUSES = frozenset({REFUTED_COUNT, REFUTED_RATIO, UNDECIDED})
 DEFAULT_TRIAL_LIMIT = 10**6
 
 # Part of every config key, so --resume never mixes verdicts of two ladders.
-ALGORITHM_VERSION = 10
+ALGORITHM_VERSION = 11
 
 
 # A NamedTuple class cannot define __new__, so each record that validates
@@ -78,7 +78,9 @@ class ScreenConfig(_ScreenConfigFields):
             raise ValueError(f"no screen stage reads a factoring budget; pass 0, got {retired}")
         # checked here, so a bad config fails before anything is opened or
         # computed; an equal float or bool would key differently, so only
-        # an int is taken.  The range is the one every earlier version took
+        # an int is taken.  Below 2^26, every candidate p <= trial_limit of
+        # the walk is below 65537^2, where arith.is_prime decides by trial
+        # division, so it never raises in the walk
         if type(trial_limit) is not int:
             raise ValueError(f"trial limit must be an int, got {trial_limit!r}")
         if not 0 <= trial_limit < 1 << 26:
@@ -88,7 +90,7 @@ class ScreenConfig(_ScreenConfigFields):
 
 def config_hash(cfg: ScreenConfig) -> str:
     """The exact key of cfg and ALGORITHM_VERSION, as sorted k=v pairs
-    joined by ",": "algorithm=10,trial_limit=1000000" for the default.
+    joined by ",": "algorithm=11,trial_limit=1000000" for the default.
 
     Every field is an int, so no value holds "," or "=" and two configs
     share a key only when they are equal.  A record is reused only under

@@ -57,7 +57,8 @@ class PrimeShape(_PrimeShapeFields):
 
 
 def prime_shape(p: int) -> PrimeShape:
-    """Shape of an odd prime p; rejects p = 2 and composites."""
+    """Shape of an odd prime p; rejects p = 2, composites and, through
+    arith.is_prime, any p >= 65537^2."""
     if p == 2:
         raise ValueError("p = 2 has no odd-prime shape")
     if not arith.is_prime(p):
@@ -108,10 +109,10 @@ def count_bound(n: int) -> CountBound:
 
     n1_omega bounds Omega(n1) from above, by arith.bounded_factor: each
     prime it finds counts with its exponent, exact whenever it factors n1
-    completely, as for any n1 < arith._SMALL_PRIMES_FINISH_BELOW.  A
-    cofactor c it leaves counts (c.bit_length() - 1) // 16.  Every prime
-    factor of c exceeds 2^16, so if c has k >= 1 of them, counted with
-    multiplicity, then 2^(16k) < c < 2^c.bit_length(), that is
+    completely, as for any n1 < 65537^2.  A cofactor c it leaves, at least
+    65537^2 and prime or not, counts (c.bit_length() - 1) // 16.  Every
+    prime factor of c exceeds 2^16, so if c has k >= 1 of them, counted
+    with multiplicity, then 2^(16k) < c < 2^c.bit_length(), that is
     k <= (c.bit_length() - 1) // 16; and c = 1 counts 0.  The split is
     kept in the record, and ratio_walk reads it there.
     """
@@ -155,7 +156,9 @@ def ratio_walk(n: int, limit: int, count: CountBound) -> RatioWalk:
     distinct p; and m = 1 only for p = F_gamma with gamma in count.gammas.
     The walk tests these p in ascending order, each by is_prime and
     cullen_mod, the m > 1 coming from the divisors of the split part of
-    n1.  Before it tests p it sets X = p - 1; after the last p <= limit,
+    n1.  is_prime is exact trial division below 65537^2 and raises at or
+    above it; the screen's trial limit is below 2^26, so no p it reaches
+    raises.  Before it tests p it sets X = p - 1; after the last p <= limit,
     X = limit.  Every prime of N at most X has then been tested, so each
     prime of N it has not found exceeds X.  N is odd, so X = 2 holds
     before any test.

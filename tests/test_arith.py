@@ -75,63 +75,70 @@ def test_is_prime_matches_sieve_small():
 
 
 def test_is_prime_pseudoprime_battery():
-    # Carmichael numbers and strong pseudoprimes to few bases
+    # Carmichael numbers and strong pseudoprimes to few bases: below 65537^2
+    # trial division finds a factor; at or above it is_prime decides nothing
+    for x in (561, 1105, 41041, 3215031751):
+        assert not arith.is_prime(x), x
     for x in (
-        561,
-        1105,
-        41041,
-        3215031751,
         2152302898747,
         341550071728321,
         3825123056546413051,
         318665857834031151167461,
+        2**127 - 1,
     ):
-        assert not arith.is_prime(x), x
-    # the deterministic limit itself and a Mersenne prime are above the
-    # limit and not Proth numbers, so is_prime cannot prove either answer
-    for x in (arith._DET_MR_LIMIT, 2**127 - 1):
         with pytest.raises(ValueError):
             arith.is_prime(x)
 
 
-def test_is_prime_below_1009_squared_needs_no_miller_rabin(monkeypatch):
+def test_is_prime_below_1009_squared_reads_only_the_primes_below_1000(monkeypatch):
     # no prime lies in [1000, 1009), so trial division by the primes below
     # 1000 settles every x below 1009^2, here checked from 1001^2 on
-    monkeypatch.setattr(arith, "_mr_witness", lambda *args: pytest.fail("Miller-Rabin ran"))
+    monkeypatch.setattr(
+        arith, "_primes_below_2_16", lambda: pytest.fail("the primes below 2^16 were read")
+    )
     for x in range(1001**2, 1009**2):
         assert arith.is_prime(x) == sympy.isprime(x), x
 
 
 def test_is_prime_matches_sympy_large():
+    # seeded samples of [1009^2, 65537^2), where the primes below 2^16 finish
+    # x, and the squares and near-squares of the primes at the table's ends
     rng = random.Random(3)
-    for _ in range(60):
-        x = rng.getrandbits(64) | 1
+    xs = [rng.randrange(1009**2, 65537**2) for _ in range(2000)]
+    xs += [1009**2, 1009 * 1013, 65521**2, 65519 * 65521, 65521 * 65537]
+    for x in xs:
         assert arith.is_prime(x) == sympy.isprime(x), x
-    # Proth numbers k*2^e + 1 (k odd, k < 2^e) above the deterministic limit
-    primes = 0
-    for _ in range(500):
-        e = rng.randrange(42, 160)
-        k = rng.getrandbits(e) | 1 << (e - 1) | 1
-        x = k << e | 1
-        assert x > arith._DET_MR_LIMIT
-        answer = arith.is_prime(x)
-        assert answer == sympy.isprime(x), x
-        primes += answer
-    assert primes >= 5
-    # a Proth square, Fermat numbers F_7 and F_8 (composite), C_141 (prime)
-    for x in ((2**50 + 1) ** 2, 2**128 + 1, 2**256 + 1, (141 << 141) + 1):
+
+
+def test_is_prime_matches_sympy_below_65537_squared():
+    # the last 10,000 integers it decides, the primes among them reaching
+    # the end of the table below 2^16
+    for x in range(65537**2 - 10_000, 65537**2):
         assert arith.is_prime(x) == sympy.isprime(x), x
+
+
+def test_is_prime_refuses_65537_squared_and_calls_no_traced_function(monkeypatch):
+    # the table below 2^16 does not reach 65537, so at 65537^2 trial division
+    # proves nothing; the table comes from the cache, not arith.primes_up_to,
+    # which perfbench wraps, as it counts is_prime as a function calling none
+    monkeypatch.setattr(arith, "primes_up_to", lambda limit: pytest.fail("primes_up_to called"))
+    monkeypatch.setattr(arith, "bounded_factor", lambda x: pytest.fail("bounded_factor called"))
+    # the largest prime below 65537^2 reads the whole table
+    assert arith.is_prime(4295098349) and sympy.prevprime(65537**2) == 4295098349
+    with pytest.raises(ValueError, match="65537"):
+        arith.is_prime(65537**2)
 
 
 def test_seeding_never_builds_a_decimal_string():
-    # C_3075 (925 digits) is composite with no factor below 1000, so is_prime
-    # reaches Proth's test; a limit of 640 digits makes any int -> str
-    # conversion of it raise
+    # C_3075 (925 digits) is past 65537^2, so is_prime raises; a limit of
+    # 640 digits makes any int -> str conversion of it raise too, so the
+    # message shows that the refusal never writes out x
     cn = (3075 << 3075) + 1
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        assert arith.is_prime(cn) is False
+        with pytest.raises(ValueError, match="^is_prime decides only x < 65537"):
+            arith.is_prime(cn)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -231,6 +238,12 @@ def test_bounded_factor_complete_and_partial():
 
 
 def test_bounded_factor_leaves_an_unprovable_prime_unfactored():
-    # 2^127 - 1 is prime but not a Proth number, so is_prime cannot prove
-    # it, and it stays in the cofactor
-    assert arith.bounded_factor(2**127 - 1) == ({}, 2**127 - 1)
+    # a prime part of at least 65537^2 left after the whole table is not
+    # tested for primality: 2^61 - 1, 2^127 - 1 and the Proth prime
+    # 3*2^276 + 1 all stay in the cofactor; the largest prime below 65537^2
+    # is finished by the table
+    for p in (2**61 - 1, 2**127 - 1, 3 * 2**276 + 1):
+        assert sympy.isprime(p)
+        assert arith.bounded_factor(p) == ({}, p)
+        assert arith.bounded_factor(9 * p) == ({3: 2}, p)
+    assert arith.bounded_factor(4295098349) == ({4295098349: 1}, 1)

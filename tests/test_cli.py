@@ -112,6 +112,22 @@ def test_screen_prints_each_verdict_once_on_stdout(tmp_path, capsys):
     assert resumed == out
 
 
+def test_screen_run_config_line_comes_first(tmp_path, capsys):
+    # human: the first stdout line, before any verdict; jsonl: the first
+    # stderr line, off the record stream; and a results file that cannot
+    # be opened prints nothing on stdout
+    code, out, _ = run_cli(capsys, "screen", "--n-max", "12")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0].startswith("run config: ") and lines[1].startswith("n=1: ")
+    code, out, err = run_cli(capsys, "screen", "--n-max", "12", "--format", "jsonl")
+    assert code == 0 and err.splitlines()[0].startswith("run config: ")
+    assert json.loads(out.splitlines()[0])["n"] == 1
+    bad = tmp_path / "missing-dir" / "x.jsonl"
+    code, out, err = run_cli(capsys, "screen", "--n-max", "12", "--output", str(bad))
+    assert (code, out) == (2, "") and err.startswith("error: cannot open results file")
+
+
 def test_screen_prints_each_verdict_as_it_is_made(monkeypatch, capsys):
     from cullen_lehmer import screen
 

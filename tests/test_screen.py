@@ -131,9 +131,8 @@ def _split_n1(n1):
     factorint up to 64 bits; above, trial division by the primes below
     2^16, with a rest below 2^256 that sympy calls prime kept as a prime
     and any other rest counted one prime per 16 bits, as every prime of it
-    exceeds 2^16.  Above the count of structure.count_bound only for a
-    prime rest of 256 bits or more that is_prime proves: none in these
-    tests."""
+    exceeds 2^16.  Never above the count of structure.count_bound, which
+    counts every rest of at least 65537^2 one prime per 16 bits."""
     if n1.bit_length() <= 64:
         return sympy.factorint(n1), 0
     factors = {}
@@ -635,9 +634,8 @@ def test_walk_refutes_the_file_values_past_the_count_stage():
 
 
 def test_unprovable_prime_n1_is_refuted_by_count():
-    # an 82-bit prime above the deterministic Miller-Rabin limit that is not
-    # a Proth number: its primality is not proven, so it stays in the
-    # cofactor, whose prime factors all exceed 2^16, and counts
+    # an 82-bit prime: it is past 65537^2, so bounded_factor leaves it in
+    # the cofactor, whose prime factors all exceed 2^16, and it counts
     # (82 - 1) // 16 = 5; no F_gamma divides its C_n
     n = 3317044064679887385962561
     v = screen.witness_search(n)
@@ -648,18 +646,18 @@ def test_unprovable_prime_n1_is_refuted_by_count():
     )
 
 
-def test_proth_prime_n1_is_refuted_by_count():
-    # a 278-bit Proth prime: only Proth's theorem in is_prime proves it
-    # prime, so it counts 1 and, with F_0 = 3 | C_n, gives bound 2; left
-    # unproven it would count (278 - 1) // 16 = 17, bound 18 >= 14, and go on
-    # to the walk
+def test_proth_prime_n1_is_refuted_by_the_walk():
+    # 3*2^276 + 1 is a 278-bit prime (Proth 1878), past 65537^2, so
+    # bounded_factor keeps it as the cofactor, which counts
+    # (278 - 1) // 16 = 17; with F_0 = 3 | C_n the bound is 18 >= 14.  The
+    # walk's budget drops to 2*65537, where U = (3/2)*(131075/131074)^17 < 2
     n = 3 * 2**276 + 1
-    assert n > arith._DET_MR_LIMIT and arith.is_prime(n)
     c = structure.count_bound(n)
-    assert (c.n1_omega, c.gammas) == (1, (0,))
+    assert (c.split, c.gammas, c.bound) == (({}, n), (0,), 18)
     v = screen.witness_search(n)
-    assert (v.status, v.witness) == ("REFUTED_COUNT", 2)
-    assert v.reason.endswith("<= 1 + 1 = 2 < 14 distinct prime factors: gamma = 0")
+    assert (v.status, v.witness) == ("REFUTED_RATIO", 131074)
+    assert v.reason.startswith("3 found dividing C_n, ")
+    _recheck_ratio(v)
 
 
 # n -> count bound of all 113 n = 2^a*3^b < 200,000, from sympy.factorint
@@ -825,10 +823,10 @@ def test_screens_of_small_n_never_sieve_the_primes_below_two_to_sixteen():
 @pytest.mark.parametrize(
     "trial_limit, key",
     [
-        (None, "algorithm=10,trial_limit=1000000"),
-        (10**7, "algorithm=10,trial_limit=10000000"),
-        (10_000, "algorithm=10,trial_limit=10000"),
-        (0, "algorithm=10,trial_limit=0"),
+        (None, "algorithm=11,trial_limit=1000000"),
+        (10**7, "algorithm=11,trial_limit=10000000"),
+        (10_000, "algorithm=11,trial_limit=10000"),
+        (0, "algorithm=11,trial_limit=0"),
     ],
 )
 def test_config_hash_is_pinned(trial_limit, key):
@@ -869,7 +867,7 @@ def test_resume_recomputes_a_record_of_the_hashed_key(tmp_path):
     assert (report.reused, report.computed) == (0, 1)
     lines = out.read_text().splitlines(keepends=True)
     assert lines[0] == old and len(lines) == 2
-    assert json.loads(lines[1])["config_hash"] == "algorithm=10,trial_limit=1000000"
+    assert json.loads(lines[1])["config_hash"] == "algorithm=11,trial_limit=1000000"
 
 
 def test_records_are_frozen_and_round_trip(tmp_path):

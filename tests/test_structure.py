@@ -21,8 +21,9 @@ def test_cullen_value_cap_refusal():
 
 
 def test_c141_is_prime():
+    # past 65537^2, where arith.is_prime decides nothing
     c = structure.cullen_value(141)
-    assert arith.is_prime(c)
+    assert sympy.isprime(c)
     assert c.bit_length() == 149
 
 
@@ -180,8 +181,8 @@ def test_count_bound_is_sound_on_known_factorisations():
     small, mid, above = [3, 5, 997], [1009, 7919, 65521], [65537, 65539]
     beyond = [
         next(sympy.primerange(65521**2, 65537**2)),  # left by the whole table, below 65537^2
-        2**61 - 1,  # proven by Miller-Rabin
-        2**127 - 1,  # prime, but not provable by is_prime
+        2**61 - 1,  # prime, past 65537^2, so left in the cofactor
+        2**127 - 1,
         (1 << 40) + 15,
         (1 << 48) + 21,
     ]
